@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from robo_mv.errors import (
     BadDimension,
@@ -24,7 +23,7 @@ from robo_mv.errors import (
     RootBracketFailure,
 )
 from robo_mv.market import MarketParams, stationary_distribution, validate
-from robo_mv.solver import ReducedState, allocation_independent, state_only_ab
+from robo_mv.solver import state_only_ab
 
 
 @dataclass(frozen=True)
@@ -194,10 +193,16 @@ def implied_gamma(pi_bar: float, delta: float, market: MarketParams, T: int) -> 
     """Risk-aversion table (T, num_states) whose equilibrium policy is the
     tilted fixed-mix rule.
 
-    At the final step the policy is the one-period ratio, inverted directly.
-    Earlier, the map from risk aversion to allocation (at the rule's own
-    future moments) is strictly decreasing on (0, mu_a / (R (mu_b - mu_a^2))),
-    spans (-target, +inf) there, and is bisected to its unique root.
+    At the final step the one-period ratio is inverted directly. Earlier, at
+    the rule's own future moments mu_a, mu_b (gap = mu_b - mu_a^2), solving
+    allocation_independent for gamma gives
+
+        gamma = mu_tilde mu_a / (pi sigma^2 D + mu_tilde R gap),
+        D = mu_b + (mu_tilde/sigma)^2 gap,
+
+    admissible when gap > 0 and 0 < gamma < mu_a / (R gap), where the
+    allocation is strictly decreasing in gamma; the final step needs only
+    gamma > 0. Raises RootBracketFailure when any entry is inadmissible.
     """
     validate(market)
     strategy = CycleStrategy(pi_bar, delta)
@@ -205,39 +210,29 @@ def implied_gamma(pi_bar: float, delta: float, market: MarketParams, T: int) -> 
         raise ConfigError(f"horizon T must be >= 1, got {T}")
     M = market.num_states
     alloc = strategy.allocations(M)
-    targets = np.tile(alloc, (T, 1))
-    a, b = state_only_ab(market, targets)
+    a, b = state_only_ab(market, np.tile(alloc, (T, 1)))
 
     P = market.transition
     mt = market.mu_tilde_step
-    sg = market.sigma_step
+    s2 = market.sigma_step**2
     R = market.R_step
     gam = np.empty((T, M))
-    gam[T - 1] = mt / (alloc * sg**2)
-    for n in range(T - 2, -1, -1):
-        mu_a = P @ a[n + 1]
-        mu_b = P @ b[n + 1]
-        for y in range(M):
-            gap = mu_b[y] - mu_a[y] ** 2
-            if gap <= 0.0:
-                raise RootBracketFailure(
-                    f"future moment gap {gap!r} at n={n}, state {y}: "
-                    "no admissible risk-aversion interval"
-                )
-            hi = mu_a[y] / (R[y] * gap)
-            st = ReducedState(xi=1.0, regime=y)
-
-            def f(x, n=n, y=y, st=st, ma=mu_a[y], mb=mu_b[y]):
-                return allocation_independent(n, st, ma, mb, x, market) - alloc[y]
-
-            lo = hi / 2.0
-            while f(lo) <= 0.0:
-                lo /= 2.0
-                if lo < hi * 1e-300:
-                    raise RootBracketFailure(
-                        f"no sign change below gamma={hi} at n={n}, state {y}"
-                    )
-            gam[n, y] = bisect(f, lo, hi, xtol=1e-13, maxiter=300)
+    gam[T - 1] = mt / (alloc * s2)
+    mu_a = a[1:T] @ P.T
+    mu_b = b[1:T] @ P.T
+    gap = mu_b - mu_a**2
+    D = mu_b + (mt * mt / s2) * gap
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gam[: T - 1] = mt * mu_a / (alloc * s2 * D + mt * R * gap)
+        hi = mu_a / (R * gap)
+    ok = gam > 0.0
+    ok[: T - 1] &= (gap > 0.0) & (gam[: T - 1] < hi)
+    if not ok.all():
+        n, y = np.argwhere(~ok)[-1]
+        raise RootBracketFailure(
+            f"no admissible risk aversion at n={n}, state {y}: "
+            f"closed form gives {gam[n, y]!r}"
+        )
     return gam
 
 

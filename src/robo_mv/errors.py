@@ -60,7 +60,9 @@ class DegenerateVariance(NumericalError):
 
 
 class RootBracketFailure(NumericalError):
-    """A bracketing root search found no sign change."""
+    """No admissible implied risk aversion: the closed-form inversion of an
+    allocation rule gives no positive value inside the interval where the
+    allocation is decreasing in risk aversion."""
 
 
 # -- analytics --------------------------------------------------------------

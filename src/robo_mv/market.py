@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .errors import BadDimension, NegativeVol, NonErgodic, NonStochasticRow
+from .errors import BadDimension, ConfigError, NegativeVol, NonErgodic, NonStochasticRow
 
 _ROW_SUM_TOL = 1e-12
 
@@ -98,6 +98,9 @@ def check(params: MarketParams) -> list[str]:
     if errors:
         return errors  # shape problems make the value checks meaningless
 
+    for name in ("transition", "risk_free", "mean_return", "vol_return"):
+        if not np.all(np.isfinite(getattr(params, name))):
+            errors.append(f"{name} must be finite (no NaN or inf)")
     if np.any(params.transition < 0):
         errors.append("transition has negative entries")
     row_sums = params.transition.sum(axis=1)
@@ -115,6 +118,8 @@ def validate(params: MarketParams) -> None:
     if not errors:
         return
     msg = "; ".join(errors)
+    if any("finite" in e for e in errors):
+        raise ConfigError(msg)
     if any("shape" in e or "length" in e or "num_states" in e or "steps_per_year" in e
            for e in errors):
         raise BadDimension(msg)

@@ -23,7 +23,7 @@ import numpy as np
 from robo_mv.cycle_analytics import CycleStrategy
 from robo_mv.errors import ConfigError, InsufficientSamples
 from robo_mv.market import MarketParams, sample_paths
-from robo_mv.risk_profile import RiskProfileParams, simulate_clients
+from robo_mv.risk_profile import RiskProfileParams, simulate_clients, window_sums
 from robo_mv.solver import PolicyTables, constrain, liquidation_overlay
 
 _CHUNK = 1 << 15
@@ -88,17 +88,10 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
         policy = config.strategy
         batch = simulate_clients(market, config.profile, T, m, rng, y0=config.y0)
         regimes, returns = batch["regimes"], batch["returns"]
-        demeaned = returns - market.mu_step[regimes[:, :-1]]
-        csum = np.concatenate(
-            [np.zeros((m, 1)), np.cumsum(demeaned, axis=1)], axis=1
-        )
         phi = config.profile.phi
-        zero = np.zeros(m)
 
         def frac_at(n, y):
-            tau = phi * (n // phi)
-            prev = csum[:, tau] - csum[:, tau - phi] if tau >= phi else zero
-            cur = csum[:, n] - csum[:, tau]
+            prev, cur = window_sums(batch["window_csum"], phi, n)
             f = policy.allocation_at(n, batch["xi"][:, n], prev, cur, y)
             if config.bounds is not None:
                 f = constrain(f, *config.bounds)

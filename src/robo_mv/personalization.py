@@ -19,7 +19,13 @@ from scipy.optimize import brentq
 
 from robo_mv.errors import ConfigError, InsufficientSamples, ZeroAllocation
 from robo_mv.market import MarketParams
-from robo_mv.risk_profile import RiskProfileParams, sample_eps, simulate_clients
+from robo_mv.risk_profile import (
+    RiskProfileParams,
+    sample_eps,
+    simulate_clients,
+    window_log_bias,
+    window_sums,
+)
 from robo_mv.solver import GridSpec, solve
 
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
@@ -192,12 +198,7 @@ def _reduced_gamma_ratio(
     eps = sample_eps(profile, rng, size=(n_paths, T))
     log_id = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(eps, axis=1)], axis=1)
 
-    n_inter = T // phi + 1
-    log_gz = np.zeros((n_paths, n_inter))
-    for k in range(1, n_inter):
-        tau = k * phi
-        log_gz[:, k] = -beta * demeaned[:, tau - phi : tau].sum(axis=1) / phi
-
+    log_gz = window_log_bias(demeaned, beta, phi)
     times = np.arange(T)
     tau_of_n = phi * (times // phi)
     return np.exp(
@@ -280,19 +281,11 @@ def s_measure(
     rng = np.random.default_rng(seed)
     batch = simulate_clients(market, robo_prof, T, n_paths, rng, y0=y0)
     regimes = batch["regimes"]
-    demeaned = batch["returns"] - market.mu_step[regimes[:, :-1]]
-    csum = np.concatenate(
-        [np.zeros((n_paths, 1)), np.cumsum(demeaned, axis=1)], axis=1
-    )
-
     zeros = np.zeros(n_paths)
     path_sum = np.zeros(n_paths)
     path_cnt = np.zeros(n_paths, dtype=int)
-    p = int(phi)
     for n in range(T):
-        tau = p * (n // p)
-        prev = csum[:, tau] - csum[:, tau - p] if tau >= p else zeros
-        cur = csum[:, n] - csum[:, tau]
+        prev, cur = window_sums(batch["window_csum"], robo_prof.phi, n)
         y = regimes[:, n]
         pi_robo = policy_robo.allocation_at(n, batch["xi"][:, n], prev, cur, y)
         pi_full = policy_full.allocation_at(

@@ -12,6 +12,7 @@ value fixed, adjusting only for the age trend and regime changes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +50,9 @@ class RiskProfileParams:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("gamma0", "alpha", "p_eps", "sigma_eps", "beta", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma0 <= 0:
             raise ConfigError(f"gamma0 must be > 0, got {self.gamma0}")
         if self.alpha < 0:
@@ -63,6 +67,8 @@ class RiskProfileParams:
             raise ConfigError(f"phi must be an integer >= 1, got {self.phi}")
         object.__setattr__(self, "phi", int(self.phi))
         gb = self.gamma_bar
+        if not np.all(np.isfinite(gb)):
+            raise ConfigError("gamma_bar must be finite")
         if isinstance(gb, np.ndarray):
             if np.any(gb <= 0):
                 raise ConfigError("gamma_bar must be strictly positive")
@@ -70,6 +76,8 @@ class RiskProfileParams:
             raise ConfigError(f"gamma_bar must be strictly positive, got {gb}")
         if self.eta is not None:
             object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
+            if not np.all(np.isfinite(self.eta)):
+                raise ConfigError("eta must be finite")
 
     # -- schedule and component tables ------------------------------------
 
@@ -180,8 +188,9 @@ def simulate_clients(
     """Vectorized simulation of client/market paths.
 
     Returns a dict of arrays shaped (n_paths, T+1) (returns: (n_paths, T))
-    with the same fields as ClientTrajectory. This is the workhorse behind
-    the personalization measures; `simulate_trajectory` wraps a single path.
+    with the same fields as ClientTrajectory, plus `window_csum` for
+    `window_sums`. This is the workhorse behind the personalization
+    measures; `simulate_trajectory` wraps a single path.
     """
     phi, beta = profile.phi, profile.beta
     regimes, returns = sample_paths(market, y0, T, n_paths, rng)
@@ -196,15 +205,10 @@ def simulate_clients(
     gamma_id = profile.gamma0 * np.exp(log_id)
 
     demeaned = returns - market.mu_step[regimes[:, :-1]]
-
-    # Bias factor at each interaction time; 1 at time 0 (no pre-history).
-    n_inter = T // phi + 1
-    gz_at_inter = np.ones((n_paths, n_inter))
-    for k in range(1, n_inter):
-        tau = k * phi
-        gz_at_inter[:, k] = np.exp(
-            -beta * demeaned[:, tau - phi:tau].sum(axis=1) / phi
-        )
+    window_csum = np.concatenate(
+        [np.zeros((n_paths, 1)), np.cumsum(demeaned, axis=1)], axis=1
+    )
+    gz_at_inter = np.exp(window_log_bias(demeaned, beta, phi))
 
     times = np.arange(T + 1)
     tau_of_n = phi * (times // phi)
@@ -230,7 +234,32 @@ def simulate_clients(
         "xi": xi,
         "gamma_robo": gamma_robo,
         "tau": np.broadcast_to(tau_of_n, (n_paths, T + 1)),
+        "window_csum": window_csum,
     }
+
+
+def window_log_bias(demeaned: np.ndarray, beta: float, phi: int) -> np.ndarray:
+    """Log bias factor at interaction times k*phi, k = 0..T//phi, from
+    demeaned returns of shape (n_paths, T); 0 at time 0 (no pre-history)."""
+    n_paths, T = demeaned.shape
+    out = np.zeros((n_paths, T // phi + 1))
+    for k in range(1, T // phi + 1):
+        tau = k * phi
+        out[:, k] = -beta * demeaned[:, tau - phi:tau].sum(axis=1) / phi
+    return out
+
+
+def window_sums(window_csum: np.ndarray, phi: int, n: int):
+    """Reduced-state window sums (prev, cur) at time n from the
+    `window_csum` of simulate_clients: the completed window before the
+    latest interaction (zero before the first) and the partial one since."""
+    tau = phi * (n // phi)
+    if tau >= phi:
+        prev = window_csum[:, tau] - window_csum[:, tau - phi]
+    else:
+        prev = np.zeros(len(window_csum))
+    cur = window_csum[:, n] - window_csum[:, tau]
+    return prev, cur
 
 
 def simulate_trajectory(

@@ -254,6 +254,34 @@ def _locate(nodes: np.ndarray, x: np.ndarray):
     return idx, t - idx, n_clamped
 
 
+def _interp3(grid: Grid, table: np.ndarray, logxi, prev, cur, regime,
+             counters: ClampCounters | None = None):
+    """Trilinear interpolation of a (xi, prev, cur, regime) table at
+    broadcast queries, clamped to the grid box; clamped lookups are tallied
+    into `counters` if given. A collapsed axis has corner stride 0."""
+    Nx, Np, Nc, M = table.shape
+    y = np.asarray(regime)
+    if y.size and (y.min() < 0 or y.max() >= M):
+        raise ConfigError(f"regime queries must lie in [0, {M})")
+    ix, fx, cx = _locate(grid.logxi, logxi)
+    ip, fp, cp = _locate(grid.prev, prev)
+    ic, fc, cc = _locate(grid.cur, cur)
+    if counters is not None:
+        counters.add_xi(1.0, np.size(logxi), cx)
+        counters.add_window(1.0, np.size(logxi) * 2, cp + cc)
+    sc = M if Nc > 1 else 0
+    sp = Nc * M if Np > 1 else 0
+    sx = Np * Nc * M if Nx > 1 else 0
+    flat = table.ravel()
+    base = ((ix * Np + ip) * Nc + ic) * M + y
+    out = np.zeros(np.broadcast(logxi, prev, cur, y).shape)
+    for wx, ox in ((1.0 - fx, 0), (fx, sx)):
+        for wp, op in ((1.0 - fp, 0), (fp, sp)):
+            for wc, oc in ((1.0 - fc, 0), (fc, sc)):
+                out += wx * wp * wc * flat[base + (ox + op + oc)]
+    return out
+
+
 # -- advisor gamma bookkeeping ---------------------------------------------------
 
 
@@ -287,12 +315,6 @@ class _ProfileTables:
         """Advisor gamma over (xi, regime) at time n: shape (len(xi), M)."""
         trend = math.exp(self.eta[n] - self.eta[self.tau[n]])
         return trend * xi[:, None] * (self.gbar[n] / self.anchor[n])[None, :]
-
-    def gamma_at(self, n: int, xi, regime) -> np.ndarray:
-        """Advisor gamma at scattered (xi, regime) queries at time n."""
-        trend = math.exp(self.eta[n] - self.eta[self.tau[n]])
-        ratio = self.gbar[n] / self.anchor[n]
-        return trend * np.asarray(xi, dtype=float) * ratio[np.asarray(regime)]
 
     def interaction_shift(self, n: int, y: int, y_next: int) -> float:
         """Deterministic log-xi displacement when the step into n+1 interacts."""
@@ -368,28 +390,8 @@ class PolicyTables:
         xi = np.asarray(xi, dtype=float)
         if np.any(xi <= 0):
             raise ConfigError("xi queries must be strictly positive")
-        ix, fx, cx = _locate(self.grid.logxi, np.log(xi))
-        ip, fp, cp = _locate(self.grid.prev, prev)
-        ic, fc, cc = _locate(self.grid.cur, cur)
-        if counters is not None:
-            counters.add_xi(1.0, xi.size, cx)
-            counters.add_window(1.0, xi.size * 2, cp + cc)
-        table = self.pi[n]
-        y = np.asarray(regime)
-        out = np.zeros(np.broadcast(xi, prev, cur, y).shape)
-        for dx in (0, 1):
-            wx = np.where(dx, fx, 1.0 - fx)
-            for dp in (0, 1):
-                wp = np.where(dp, fp, 1.0 - fp)
-                for dc in (0, 1):
-                    wc = np.where(dc, fc, 1.0 - fc)
-                    out += wx * wp * wc * table[
-                        np.minimum(ix + dx, len(self.grid.xi) - 1),
-                        np.minimum(ip + dp, len(self.grid.prev) - 1),
-                        np.minimum(ic + dc, len(self.grid.cur) - 1),
-                        y,
-                    ]
-        return out
+        return _interp3(self.grid, self.pi[n], np.log(xi), prev, cur, regime,
+                        counters)
 
 
 # -- core expectation engine -------------------------------------------------------
@@ -614,24 +616,6 @@ def step_moments(
     gh_x, gh_w = _gh_nodes(grid.quad_points)
     interaction = (n + 1) % profile.phi == 0
 
-    def interp3(table, lx, pv, cv):
-        ix, fx, _ = _locate(grid.logxi, np.asarray([lx]))
-        ip, fp, _ = _locate(grid.prev, np.asarray([pv]))
-        ic, fc, _ = _locate(grid.cur, np.asarray([cv]))
-        val = 0.0
-        for dx in (0, 1):
-            wx = fx[0] if dx else 1.0 - fx[0]
-            for dp in (0, 1):
-                wp = fp[0] if dp else 1.0 - fp[0]
-                for dc in (0, 1):
-                    wc = fc[0] if dc else 1.0 - fc[0]
-                    val += wx * wp * wc * table[
-                        min(ix[0] + dx, len(grid.xi) - 1),
-                        min(ip[0] + dp, len(grid.prev) - 1),
-                        min(ic[0] + dc, len(grid.cur) - 1),
-                    ]
-        return val
-
     acc = np.zeros(5)
     lxi = math.log(state.xi)
     mixture = _jump_mixture(profile) if interaction else [(1.0, 0.0, 0.0)]
@@ -652,17 +636,17 @@ def step_moments(
                 av = bv = 0.0
                 for jw, jm, jsd in mixture:
                     if jsd == 0.0:
-                        av += jw * interp3(a_next[..., y2], base_lx, w, 0.0)
-                        bv += jw * interp3(b_next[..., y2], base_lx, w, 0.0)
+                        av += jw * _interp3(grid, a_next, base_lx, w, 0.0, y2)
+                        bv += jw * _interp3(grid, b_next, base_lx, w, 0.0, y2)
                         continue
                     for exq, ewq in zip(gh_x, gh_w):
                         shift = jm + jsd * math.sqrt(2.0) * exq
-                        av += jw * ewq * interp3(a_next[..., y2], base_lx + shift, w, 0.0)
-                        bv += jw * ewq * interp3(b_next[..., y2], base_lx + shift, w, 0.0)
+                        av += jw * ewq * _interp3(grid, a_next, base_lx + shift, w, 0.0, y2)
+                        bv += jw * ewq * _interp3(grid, b_next, base_lx + shift, w, 0.0, y2)
             else:
                 cv = state.cur_window_sum + dm
-                av = interp3(a_next[..., y2], lxi, state.prev_window_sum, cv)
-                bv = interp3(b_next[..., y2], lxi, state.prev_window_sum, cv)
+                av = _interp3(grid, a_next, lxi, state.prev_window_sum, cv, y2)
+                bv = _interp3(grid, b_next, lxi, state.prev_window_sum, cv, y2)
             wgt = wq * pw
             acc[0] += wgt * av
             acc[1] += wgt * zt * av
@@ -787,23 +771,8 @@ def moment_m(
             nxt += binom[j] * R ** (m - j) * p_k**j * zm[j]
         cur = nxt
 
-    ix, fx, _ = _locate(grid.logxi, np.asarray([math.log(state.xi)]))
-    ip, fp, _ = _locate(grid.prev, np.asarray([state.prev_window_sum]))
-    ic, fc, _ = _locate(grid.cur, np.asarray([state.cur_window_sum]))
-    val = 0.0
-    for dx in (0, 1):
-        wx = fx[0] if dx else 1.0 - fx[0]
-        for dp in (0, 1):
-            wp = fp[0] if dp else 1.0 - fp[0]
-            for dc in (0, 1):
-                wc = fc[0] if dc else 1.0 - fc[0]
-                val += wx * wp * wc * cur[
-                    min(ix[0] + dx, len(grid.xi) - 1),
-                    min(ip[0] + dp, len(grid.prev) - 1),
-                    min(ic[0] + dc, len(grid.cur) - 1),
-                    state.regime,
-                ]
-    return float(val)
+    return float(_interp3(grid, cur, math.log(state.xi), state.prev_window_sum,
+                          state.cur_window_sum, state.regime))
 
 
 def state_only_ab(market: MarketParams, allocations: np.ndarray):

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,17 @@ def test_simulate_from_policy_dir(tmp_path):
     assert np.isfinite(summary["total"]["mean"])
 
 
+def test_simulate_rejects_nan_market_without_artifacts(tmp_path, capsys):
+    doc = two_state_config()
+    doc["market"]["mean_return"] = [0.081, float("nan")]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--paths", "100", "--seed", "1"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_simulate_unseeded_run_records_entropy(tmp_path):
     cfg = write_config(tmp_path, two_state_config())
     first, second = tmp_path / "a", tmp_path / "b"
@@ -301,6 +314,17 @@ def test_implied_gamma_rows_match_module(tmp_path):
         assert float(g) == pytest.approx(want[int(n), int(y)], rel=1e-10)
 
 
+def test_implied_gamma_without_admissible_value_exits_3(tmp_path, capsys):
+    doc = two_state_config()
+    doc["market"]["mean_return"] = [0.081, -0.02]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "ig"
+    assert main(["implied-gamma", "--config", cfg, "--out", str(out),
+                 "--horizon", "1"]) == 3
+    assert "no admissible risk aversion" in capsys.readouterr().err
+    assert not (out / "implied_gamma.csv").exists()
+
+
 # -- personalize ------------------------------------------------------------------
 
 
@@ -366,7 +390,11 @@ def test_version_flag_reports_package_version(capsys):
 
 
 def test_console_script_is_installed():
+    # the child imports the same robo_mv as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "robo_mv.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout

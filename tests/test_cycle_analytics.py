@@ -22,6 +22,7 @@ from robo_mv.errors import (
     ConfigError,
     DegenerateDenominator,
     NonErgodic,
+    RootBracketFailure,
 )
 from robo_mv.market import MarketParams, stationary_distribution
 from robo_mv.solver import ReducedState, allocation_independent
@@ -473,6 +474,22 @@ def test_implied_gamma_cycle_config_positive_finite(two_state_market, delta):
     assert gam.shape == (120, 2)
     assert np.all(np.isfinite(gam))
     assert np.all(gam > 0)
+
+
+@pytest.mark.parametrize("T", [1, 12])
+def test_implied_gamma_rejects_negative_excess_return(T):
+    """A regime whose mean return is below the risk-free rate makes the
+    Markowitz inversion negative at the last step; no positive risk aversion
+    holds a positive allocation there at any horizon."""
+    m = MarketParams(
+        num_states=2,
+        transition=np.array([[0.95, 0.05], [0.10, 0.90]]),
+        risk_free=np.array([0.015, 0.0]),
+        mean_return=np.array([0.081, -0.02]),
+        vol_return=np.array([0.155, 0.173]),
+    )
+    with pytest.raises(RootBracketFailure):
+        implied_gamma(0.6, 0.3, m, T=T)
 
 
 def test_implied_gamma_rejects_bad_args(two_state_market):

@@ -67,6 +67,19 @@ def test_validate_rejects_shape_mismatches():
         validate(_mk([[0.5, 0.5]], [0, 0], [0.1, 0.1], [0.2, 0.2]))  # non-square P
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["transition", "risk_free", "mean_return", "vol_return"])
+def test_validate_rejects_non_finite_values(field, bad):
+    args = {"transition": [[0.9, 0.1], [0.2, 0.8]], "risk_free": [0.01, 0.0],
+            "mean_return": [0.08, 0.12], "vol_return": [0.15, 0.2]}
+    args[field] = np.array(args[field], dtype=float)
+    args[field].flat[1] = bad
+    p = _mk(**args)
+    assert any("finite" in msg for msg in check(p))
+    with pytest.raises(ConfigError, match="finite"):
+        validate(p)
+
+
 def test_check_collects_all_violations():
     p = MarketParams.__new__(MarketParams)
     object.__setattr__(p, "num_states", 2)

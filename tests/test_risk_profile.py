@@ -17,6 +17,7 @@ from robo_mv.risk_profile import (
     sample_eps,
     simulate_clients,
     simulate_trajectory,
+    window_sums,
 )
 
 
@@ -35,6 +36,17 @@ from robo_mv.risk_profile import (
         {"gamma0": 1.0, "phi": 0},
         {"gamma0": 1.0, "phi": 2.5},
         {"gamma0": 1.0, "gamma_bar": -1.0},
+        {"gamma0": float("nan")},
+        {"gamma0": float("inf")},
+        {"gamma0": 1.0, "alpha": float("nan")},
+        {"gamma0": 1.0, "p_eps": float("nan")},
+        {"gamma0": 1.0, "sigma_eps": float("inf")},
+        {"gamma0": 1.0, "beta": float("nan")},
+        {"gamma0": 1.0, "beta": float("inf")},
+        {"gamma0": 1.0, "phi": float("inf")},
+        {"gamma0": 1.0, "gamma_bar": float("nan")},
+        {"gamma0": 1.0, "gamma_bar": np.array([1.0, float("inf")])},
+        {"gamma0": 1.0, "eta": np.array([0.0, float("nan")])},
     ],
 )
 def test_bad_parameters_rejected(kwargs):
@@ -251,6 +263,18 @@ def test_gamma_z_matches_window_formula(two_state_market):
     assert traj.gamma_z[6] == pytest.approx(
         bias_factor(window, beta=2.0, phi=3), rel=1e-14
     )
+
+
+def test_window_sums_match_direct_sums(two_state_market):
+    p = RiskProfileParams(gamma0=1.0, beta=2.0, phi=3)
+    out = simulate_clients(two_state_market, p, T=12, n_paths=5, rng=np.random.default_rng(19))
+    demeaned = out["returns"] - two_state_market.mu_step[out["regimes"][:, :-1]]
+    for n in range(12):
+        tau = 3 * (n // 3)
+        prev, cur = window_sums(out["window_csum"], 3, n)
+        want_prev = demeaned[:, tau - 3:tau].sum(axis=1) if tau >= 3 else np.zeros(5)
+        np.testing.assert_allclose(prev, want_prev, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cur, demeaned[:, tau:n].sum(axis=1), rtol=0, atol=1e-15)
 
 
 def test_robo_gamma_at_interaction_is_xi():

@@ -632,6 +632,41 @@ def test_allocation_lookup_and_clamp_counting(single_state_market):
         tab.allocation_at(12, 2.0, 0.0, 0.0, 0)
     with pytest.raises(ConfigError):
         tab.allocation_at(3, 0.0, 0.0, 0.0, 0)
+    for regime in (-1, 1):
+        with pytest.raises(ConfigError):
+            tab.allocation_at(3, 2.0, 0.0, 0.0, regime)
+
+
+def test_allocation_matches_regular_grid_interpolator(two_state_market):
+    """allocation_at against scipy's trilinear interpolation in
+    (log xi, prev, cur), one interpolator per regime; out-of-grid queries
+    are compared at their projection onto the grid box."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64, beta=2.0, phi=3)
+    tab = solve(two_state_market, prof, T=3,
+                grid=GridSpec(xi_count=13, zsum_count=9, quad_points=8))
+    g = tab.grid
+    M = g.num_states
+    axes = (g.logxi, g.prev, g.cur)
+    rng = np.random.default_rng(11)
+
+    def queries(widen, k=400):
+        return [rng.uniform(ax[0] - widen * (ax[-1] - ax[0]),
+                            ax[-1] + widen * (ax[-1] - ax[0]), k) for ax in axes]
+
+    for n in range(tab.T):
+        for widen in (0.0, 0.5):
+            lx, pv, cv = queries(widen)
+            xi = np.exp(lx)
+            got = tab.allocation_at(n, xi[:, None], pv[:, None], cv[:, None],
+                                    np.arange(M)[None, :])
+            assert got.shape == (len(xi), M)
+            box = np.column_stack([np.clip(q, ax[0], ax[-1])
+                                   for q, ax in zip((np.log(xi), pv, cv), axes)])
+            for y in range(M):
+                want = RegularGridInterpolator(axes, tab.pi[n, ..., y])(box)
+                np.testing.assert_allclose(got[:, y], want, rtol=1e-13, atol=1e-13)
 
 
 # -- advisor-gamma bookkeeping ---------------------------------------------------
