@@ -6,7 +6,8 @@ CSV/JSON artifacts plus a `run.json` manifest into the output directory. The
 manifest records the resolved config, flags, and seed; pointing --config at a
 manifest reruns that experiment bit-exactly (explicit flags still win).
 
-Exit codes: 0 ok, 2 bad configuration, 3 numerical failure, 4 I/O trouble.
+Exit codes: 0 ok, 2 bad configuration, 3 numerical failure or any other
+unexpected error, 4 I/O trouble.
 """
 
 from __future__ import annotations
@@ -190,7 +191,8 @@ def cmd_solve(args) -> int:
     tables = solve(market, profile, T, grid)
     out = _out_dir(args)
     save_policy(tables, out)
-    outputs = [f"policy_{n:04d}.csv" for n in range(T)] + ["manifest.json"]
+    outputs = [f"policy_{n:04d}.csv" for n in range(T)] + [
+        "manifest.json", "policy.npz"]
     _manifest(out, "solve", cfg, {"quad_points": qp}, outputs)
     print(f"wrote {T} policy slices to {out}")
     return 0
@@ -429,6 +431,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

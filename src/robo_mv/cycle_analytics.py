@@ -35,6 +35,9 @@ class CycleStrategy:
     delta: float = 0.0
 
     def __post_init__(self):
+        for name in ("pi_bar", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.pi_bar > 0:
             raise ConfigError(f"pi_bar must be > 0, got {self.pi_bar}")
         if not self.delta > -1.0:

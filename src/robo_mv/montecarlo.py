@@ -56,12 +56,15 @@ class SimConfig:
             raise ConfigError(f"T must be >= 1, got {self.T}")
         if self.n_paths < 1:
             raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
-        if not self.x0 > 0:
-            raise ConfigError(f"x0 must be > 0, got {self.x0}")
+        if not (math.isfinite(self.x0) and self.x0 > 0):
+            raise ConfigError(f"x0 must be finite and > 0, got {self.x0}")
         if not 0 <= self.y0 < self.market.num_states:
             raise ConfigError(f"y0={self.y0} outside the market's regimes")
-        if self.bounds is not None and self.bounds[0] > self.bounds[1]:
-            raise ConfigError(f"bounds out of order: {self.bounds}")
+        if self.bounds is not None:
+            if not all(math.isfinite(v) for v in self.bounds):
+                raise ConfigError(f"bounds must be finite, got {self.bounds}")
+            if self.bounds[0] > self.bounds[1]:
+                raise ConfigError(f"bounds out of order: {self.bounds}")
         if isinstance(self.strategy, PolicyTables):
             if self.profile is None:
                 raise ConfigError("a solved-policy strategy needs a client profile")

@@ -42,11 +42,13 @@ at solve time.
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import io
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +108,10 @@ class GridSpec:
     max_clamp_fraction: float = 0.005
 
     def __post_init__(self):
+        for name in ("zsum_span_sd", "max_clamp_fraction", "xi_lo", "xi_hi"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.xi_count < 2:
             raise ConfigError(f"xi_count must be >= 2, got {self.xi_count}")
         if self.zsum_count < 2:
@@ -907,37 +913,71 @@ def _profile_doc(profile: RiskProfileParams) -> dict:
     return doc
 
 
-def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
-    """Write one CSV per time slice plus a JSON manifest.
+_POLICY_STORE = "policy.npz"
+# Fixed table order of the store and of its digest; a and b carry the
+# terminal slice, so they hold T+1 periods and pi and V hold T.
+_TABLE_NAMES = ("pi", "a", "b", "V")
 
-    Rows enumerate the grid in (xi, prev, cur, regime) order with columns
+
+def _tables_digest(params_sha256: str, tables: dict) -> str:
+    """SHA-256 over the parameter digest, then each table's name, dtype,
+    shape and bytes in _TABLE_NAMES order."""
+    h = hashlib.sha256(params_sha256.encode())
+    for name in _TABLE_NAMES:
+        arr = np.ascontiguousarray(tables[name])
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}\n".encode())
+        h.update(arr.data)
+    return h.hexdigest()
+
+
+def _csv_template(g: Grid) -> str:
+    """One CSV slice as a %-format string: the header, then a row per grid
+    node in (xi, prev, cur, regime) order with its coordinates already
+    formatted and four %.12g slots for (pi_star, a, b, V). Lines end in
+    \\r\\n, as csv.writer ends them."""
+    axes = [[f"{v:.12g}" for v in axis.tolist()] for axis in (g.xi, g.prev, g.cur)]
+    axes.append([str(y) for y in range(g.num_states)])
+    return "xi,prev_sum,cur_sum,regime,pi_star,a,b,V\r\n" + "".join(
+        ",".join(node) + ",%.12g,%.12g,%.12g,%.12g\r\n"
+        for node in itertools.product(*axes)
+    )
+
+
+def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
+    """Write the policy store and its per-period CSV export.
+
+    `policy.npz` holds pi, a, b and V as solved (float64, a and b with their
+    terminal slice) and is what load_policy reads. `manifest.json`, written
+    last, stores the market, risk profile, grid, bounds, clamp tallies, the
+    parameter digest `params_sha256` and the table digest `tables_sha256`.
+    `policy_NNNN.csv` exports period NNNN: rows enumerate the grid in
+    (xi, prev, cur, regime) order with columns
     (xi, prev_sum, cur_sum, regime, pi_star, a, b, V), 12 significant digits.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     g = tables.grid
-    coords = [
-        arr.ravel()
-        for arr in np.meshgrid(
-            g.xi, g.prev, g.cur, np.arange(g.num_states), indexing="ij"
-        )
-    ]
+    arrays = {
+        name: np.ascontiguousarray(getattr(tables, name), dtype=np.float64)
+        for name in _TABLE_NAMES
+    }
+    template = _csv_template(g)
     for n in range(tables.T):
-        with open(outdir / f"policy_{n:04d}.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["xi", "prev_sum", "cur_sum", "regime", "pi_star", "a", "b", "V"]
-            )
-            cols = [
-                tables.pi[n].ravel(), tables.a[n].ravel(),
-                tables.b[n].ravel(), tables.V[n].ravel(),
-            ]
-            for i in range(coords[0].size):
-                w.writerow(
-                    [f"{coords[0][i]:.12g}", f"{coords[1][i]:.12g}",
-                     f"{coords[2][i]:.12g}", int(coords[3][i])]
-                    + [f"{c[i]:.12g}" for c in cols]
-                )
+        values = np.stack([arrays[name][n] for name in _TABLE_NAMES], axis=-1)
+        (outdir / f"policy_{n:04d}.csv").write_text(
+            template % tuple(values.ravel().tolist()),
+            encoding="utf-8", newline="",
+        )
+    # np.savez stamps each member with the current time; a fixed ZipInfo
+    # date keeps identical solves byte-identical.
+    with zipfile.ZipFile(outdir / _POLICY_STORE, "w") as zf:
+        for name in _TABLE_NAMES:
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, arrays[name], allow_pickle=False)
+    params_sha256 = _params_digest(
+        tables.market, tables.profile, tables.T, g, tables.bounds
+    )
+    clamps = tables.solve_clamps
     manifest = {
         "kind": "policy_tables",
         "T": tables.T,
@@ -945,57 +985,89 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
         "grid": g.to_dict(),
         "market": _market_doc(tables.market),
         "risk_profile": _profile_doc(tables.profile),
-        "solve_clamps": tables.solve_clamps.as_dict(),
-        "params_sha256": _params_digest(
-            tables.market, tables.profile, tables.T, g, tables.bounds
-        ),
+        "solve_clamps": {**clamps.as_dict(), **asdict(clamps)},
+        "params_sha256": params_sha256,
+        "tables_sha256": _tables_digest(params_sha256, arrays),
     }
     with open(outdir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2)
+        json.dump(manifest, f, indent=2, sort_keys=True)
     return outdir
 
 
 def load_policy(indir: str | Path) -> PolicyTables:
-    """Rebuild PolicyTables from a save_policy directory."""
+    """Rebuild PolicyTables from the store save_policy wrote, verified.
+
+    Reads only `manifest.json` and `policy.npz`, then checks in order: the
+    parameter digest, recomputed from the manifest's market, risk profile,
+    grid, T and bounds; each table's dtype and shape; the table digest. Any
+    mismatch, a malformed manifest or store, or a missing `policy.npz` raises
+    ConfigError.
+    """
     indir = Path(indir)
-    with open(indir / "manifest.json") as f:
-        manifest = json.load(f)
-    if manifest.get("kind") != "policy_tables":
+    manifest_path, store_path = indir / "manifest.json", indir / _POLICY_STORE
+    with open(manifest_path) as f:
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("kind") != "policy_tables":
         raise ConfigError(f"{indir} does not hold policy tables")
-    market = market_from_dict(manifest["market"])
-    profile = profile_from_dict(manifest["risk_profile"])
-    g = Grid.from_dict(manifest["grid"])
-    T = manifest["T"]
-    shape = g.shape
-    pi = np.empty((T,) + shape)
-    a = np.empty((T + 1,) + shape)
-    b = np.empty((T + 1,) + shape)
-    V = np.empty((T,) + shape)
-    a[T] = 1.0
-    b[T] = 1.0
-    n_rows = int(np.prod(shape))
-    for n in range(T):
-        path = indir / f"policy_{n:04d}.csv"
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        data = np.atleast_2d(data)
-        if data.shape[0] != n_rows:
+    if not store_path.is_file():
+        raise ConfigError(
+            f"{indir} has no {_POLICY_STORE} (CSV-only policy directories from "
+            f"older versions cannot be loaded); re-run solve"
+        )
+    try:
+        market = market_from_dict(manifest["market"])
+        profile = profile_from_dict(manifest["risk_profile"])
+        g = Grid.from_dict(manifest["grid"])
+        T = manifest["T"]
+        bounds = manifest["bounds"]
+        bounds = tuple(bounds) if bounds is not None else None
+        saved = manifest["solve_clamps"]
+        clamps = ClampCounters(
+            **{f.name: float(saved[f.name]) for f in fields(ClampCounters)}
+        )
+        params_sha256 = manifest["params_sha256"]
+        tables_sha256 = manifest["tables_sha256"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{manifest_path} is malformed: {type(exc).__name__}: {exc}"
+        ) from exc
+    if type(T) is not int or T < 1:
+        raise ConfigError(f"{manifest_path}: T must be an integer >= 1, got {T!r}")
+    if _params_digest(market, profile, T, g, bounds) != params_sha256:
+        raise ConfigError(
+            f"{manifest_path}: params_sha256 does not match the stored parameters"
+        )
+    # Read the bytes first: past this point any failure is a corrupt store,
+    # not I/O trouble.
+    store = io.BytesIO(store_path.read_bytes())
+    try:
+        with np.load(store, allow_pickle=False) as z:
+            if sorted(z.files) != sorted(_TABLE_NAMES):
+                raise ConfigError(
+                    f"{store_path} holds {sorted(z.files)}, "
+                    f"expected {sorted(_TABLE_NAMES)}"
+                )
+            arrays = {name: z[name] for name in _TABLE_NAMES}
+    except (ValueError, EOFError, KeyError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise ConfigError(
+            f"{store_path} is unreadable: {type(exc).__name__}: {exc}"
+        ) from exc
+    for name in _TABLE_NAMES:
+        arr = arrays[name]
+        want = (T + 1 if name in ("a", "b") else T,) + g.shape
+        if arr.dtype != np.float64 or arr.shape != want:
             raise ConfigError(
-                f"{path} has {data.shape[0]} rows, expected {n_rows}"
+                f"{store_path}: table {name} is {arr.dtype} {arr.shape}, "
+                f"expected float64 {want}"
             )
-        pi[n] = data[:, 4].reshape(shape)
-        a[n] = data[:, 5].reshape(shape)
-        b[n] = data[:, 6].reshape(shape)
-        V[n] = data[:, 7].reshape(shape)
-    bounds = manifest.get("bounds")
-    clamps = ClampCounters()
-    saved = manifest.get("solve_clamps", {})
-    clamps.xi_mass = saved.get("xi_mass", 0.0)
-    clamps.xi_clamped = saved.get("xi_fraction", 0.0) * clamps.xi_mass
-    clamps.window_mass = saved.get("window_mass", 0.0)
-    clamps.window_clamped = saved.get("window_fraction", 0.0) * clamps.window_mass
+    if _tables_digest(params_sha256, arrays) != tables_sha256:
+        raise ConfigError(
+            f"{store_path}: tables_sha256 does not match the stored tables"
+        )
     return PolicyTables(
-        market=market, profile=profile, T=T, grid=g,
-        pi=pi, a=a, b=b, V=V,
-        bounds=tuple(bounds) if bounds is not None else None,
-        solve_clamps=clamps,
+        market=market, profile=profile, T=T, grid=g, **arrays,
+        bounds=bounds, solve_clamps=clamps,
     )

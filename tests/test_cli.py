@@ -146,6 +146,75 @@ def test_solve_writes_policy_slices_and_records_flags(tmp_path):
 
     manifest = json.loads((out / "run.json").read_text())
     assert manifest["flags"] == {"quad_points": 12}
+    assert "policy.npz" in manifest["outputs"]
+    assert (out / "policy.npz").exists()
+
+
+@pytest.mark.parametrize("grid", [
+    {"zsum_span_sd": float("nan")},
+    {"xi_lo": 1.0, "xi_hi": float("inf")},
+])
+def test_solve_rejects_non_finite_grid_without_artifacts(tmp_path, grid, capsys):
+    doc = single_state_config()
+    doc["risk_profile"]["beta"] = 2.0
+    doc["grid"] = grid
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "pol"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(out.glob("policy_*.csv"))
+
+
+def _tamper(pol, how):
+    store, manifest = pol / "policy.npz", pol / "manifest.json"
+    if how == "missing_store":
+        store.unlink()
+    elif how == "flipped_byte":
+        raw = bytearray(store.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        store.write_bytes(bytes(raw))
+    elif how in ("wrong_shape", "changed_value"):
+        with np.load(store) as z:
+            tables = {name: z[name] for name in z.files}
+        if how == "wrong_shape":
+            tables["pi"] = tables["pi"][:-1]
+        else:  # one ulp, saved as a valid archive
+            tables["pi"].flat[0] = np.nextafter(tables["pi"].flat[0], np.inf)
+        np.savez(store, **tables)
+    else:
+        doc = json.loads(manifest.read_text())
+        if how == "edited_market":
+            doc["market"]["mean_return"] = [0.11]
+        elif how == "edited_horizon":
+            doc["T"] = 3
+        else:
+            doc["tables_sha256"] = "0" * 64
+        manifest.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("tamper", [
+    "changed_value", "edited_horizon", "edited_market", "edited_tables_digest",
+    "flipped_byte", "missing_store", "wrong_shape",
+])
+def test_simulate_rejects_tampered_policy_store(tmp_path, tamper, capsys):
+    doc = single_state_config()
+    doc["horizon"] = 4
+    doc["grid"] = {"xi_count": 5, "quad_points": 8}
+    pol = tmp_path / "pol"
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(pol)]) == 0
+    _tamper(pol, tamper)
+    capsys.readouterr()
+
+    sim_cfg = write_config(tmp_path, {"policy_dir": str(pol)}, "sim.json")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", sim_cfg, "--out", str(out),
+                 "--paths", "100", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+    if tamper == "missing_store":
+        assert "re-run solve" in err
 
 
 # -- simulate --------------------------------------------------------------------
@@ -373,6 +442,17 @@ def test_numerical_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, two_state_config())
     assert main(["sharpe", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    def boom(args):
+        raise IndexError("index 7 is out of bounds\nfor axis 0")
+
+    monkeypatch.setattr(cli, "cmd_stationary", boom)
+    cfg = write_config(tmp_path, {"market": two_state_config()["market"]})
+    assert main(["stationary", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: IndexError: index 7 is out of bounds for axis 0\n"
 
 
 def test_out_path_collision_exits_4(tmp_path):

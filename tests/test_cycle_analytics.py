@@ -93,7 +93,10 @@ def test_cycle_strategy_allocations():
     assert np.array_equal(CycleStrategy(0.6).allocations(2), [0.6, 0.6])
 
 
-@pytest.mark.parametrize("pi_bar,delta", [(0.0, 0.0), (-0.4, 0.0), (0.6, -1.0), (0.6, -1.5)])
+@pytest.mark.parametrize("pi_bar,delta", [
+    (0.0, 0.0), (-0.4, 0.0), (0.6, -1.0), (0.6, -1.5),
+    (float("inf"), 0.0), (float("nan"), 0.0), (0.6, float("inf")), (0.6, float("nan")),
+])
 def test_cycle_strategy_rejects_bad_fields(pi_bar, delta):
     with pytest.raises(ConfigError):
         CycleStrategy(pi_bar=pi_bar, delta=delta)

@@ -40,6 +40,10 @@ def test_config_validation(two_state_market, small_policy):
         {"x0": -1.0},
         {"y0": 2},
         {"bounds": (1.0, 0.0)},
+        {"x0": float("inf")},
+        {"x0": float("nan")},
+        {"bounds": (0.0, float("nan"))},
+        {"bounds": (float("-inf"), 1.0)},
         {"strategy": object()},
     ):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Tests for the backward-induction equilibrium solver."""
 
+import csv
 import math
 
 import numpy as np
@@ -74,6 +75,11 @@ def center_policy(tables):
         {"xi_lo": 0.5},
         {"xi_lo": 2.0, "xi_hi": 1.0},
         {"xi_lo": -1.0, "xi_hi": 1.0},
+        {"zsum_span_sd": float("nan")},
+        {"zsum_span_sd": float("inf")},
+        {"max_clamp_fraction": float("nan")},
+        {"xi_lo": 1.0, "xi_hi": float("inf")},
+        {"xi_lo": float("nan"), "xi_hi": 2.0},
     ],
 )
 def test_gridspec_rejects_bad_requests(kwargs):
@@ -695,16 +701,99 @@ def test_policy_round_trip(tmp_path, single_state_market):
     tab = solve(single_state_market, prof, T=4, bounds=(0.0, 2.0))
     save_policy(tab, tmp_path)
     assert (tmp_path / "manifest.json").exists()
+    assert (tmp_path / "policy.npz").exists()
     assert sorted(p.name for p in tmp_path.glob("policy_*.csv")) == [
         f"policy_{n:04d}.csv" for n in range(4)
     ]
     back = load_policy(tmp_path)
     assert back.T == 4 and back.bounds == (0.0, 2.0)
     assert np.array_equal(back.grid.xi, tab.grid.xi)
-    for name in ("pi", "a", "b", "V"):
-        assert np.allclose(getattr(back, name), getattr(tab, name),
-                           rtol=1e-10, atol=1e-10)
+    for name in ("pi", "a", "b", "V"):  # a and b include the terminal slice
+        assert np.array_equal(getattr(back, name), getattr(tab, name))
+    assert back.solve_clamps == tab.solve_clamps
     # the reloaded policy is directly usable
-    assert back.allocation_at(1, 2.0, 0.0, 0.0, 0) == pytest.approx(
-        tab.allocation_at(1, 2.0, 0.0, 0.0, 0), rel=1e-9
+    assert back.allocation_at(1, 2.0, 0.0, 0.0, 0) == tab.allocation_at(
+        1, 2.0, 0.0, 0.0, 0
     )
+
+
+def test_policy_store_is_byte_deterministic(tmp_path, single_state_market):
+    tab = solve(single_state_market, RiskProfileParams(gamma0=2.0), T=3,
+                grid=GridSpec(xi_count=5, quad_points=8))
+    save_policy(tab, tmp_path / "one")
+    save_policy(tab, tmp_path / "two")
+    for name in ("policy.npz", "manifest.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (
+            tmp_path / "two" / name).read_bytes()
+
+
+def _old_csv_export(tables, outdir):
+    """The row-by-row csv.writer export that policy_NNNN.csv must match."""
+    g = tables.grid
+    coords = [arr.ravel() for arr in np.meshgrid(
+        g.xi, g.prev, g.cur, np.arange(g.num_states), indexing="ij")]
+    for n in range(tables.T):
+        with open(outdir / f"policy_{n:04d}.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["xi", "prev_sum", "cur_sum", "regime",
+                        "pi_star", "a", "b", "V"])
+            cols = [tables.pi[n].ravel(), tables.a[n].ravel(),
+                    tables.b[n].ravel(), tables.V[n].ravel()]
+            for i in range(coords[0].size):
+                w.writerow([f"{coords[0][i]:.12g}", f"{coords[1][i]:.12g}",
+                            f"{coords[2][i]:.12g}", int(coords[3][i])]
+                           + [f"{c[i]:.12g}" for c in cols])
+
+
+def test_policy_csv_export_matches_row_by_row_writer(tmp_path, two_state_market):
+    # xi spans 1e-5..1e7 and the values 40 decades, so the export needs
+    # exponent notation and rounding to 12 significant digits.
+    grid = Grid(np.geomspace(1e-5, 1e7, 5), np.linspace(-0.3, 0.3, 3),
+                np.linspace(-0.3, 0.3, 3), quad_points=4, num_states=2)
+    T, shape = 3, grid.shape
+    rng = np.random.default_rng(5)
+
+    def table(periods):
+        size = (periods,) + shape
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+
+    pi, V, a, b = table(T), table(T), table(T + 1), table(T + 1)
+    pi[0, 0, 0, 0, :] = [-0.0, 0.1]
+    tab = PolicyTables(market=two_state_market,
+                       profile=RiskProfileParams(gamma0=1.0, beta=1.0, phi=2),
+                       T=T, grid=grid, pi=pi, a=a, b=b, V=V)
+    save_policy(tab, tmp_path / "new")
+    (tmp_path / "old").mkdir()
+    _old_csv_export(tab, tmp_path / "old")
+    texts = []
+    for n in range(T):
+        name = f"policy_{n:04d}.csv"
+        text = (tmp_path / "new" / name).read_bytes()
+        assert text == (tmp_path / "old" / name).read_bytes()
+        texts.append(text)
+    text = b"".join(texts)
+    assert b"e-05," in text and b"e+" in text and b"\r\n" in text
+    assert any(float(f"{v:.12g}") != v for v in pi.ravel().tolist())
+
+
+def test_policy_store_rejects_every_corrupting_bit_flip(tmp_path, single_state_market):
+    # A flip in zip metadata the tables do not depend on may load; any other
+    # flip must raise ConfigError, never load different tables or crash.
+    tab = solve(single_state_market, RiskProfileParams(gamma0=2.0), T=2,
+                grid=GridSpec(xi_count=3, quad_points=4))
+    save_policy(tab, tmp_path)
+    store = tmp_path / "policy.npz"
+    raw = store.read_bytes()
+    rejected = 0
+    for i in range(len(raw)):
+        bad = bytearray(raw)
+        bad[i] ^= 0x01
+        store.write_bytes(bytes(bad))
+        try:
+            back = load_policy(tmp_path)
+        except ConfigError:
+            rejected += 1
+            continue
+        for name in ("pi", "a", "b", "V"):
+            assert np.array_equal(getattr(back, name), getattr(tab, name)), i
+    assert rejected > len(raw) // 2
