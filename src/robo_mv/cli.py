@@ -32,7 +32,12 @@ from robo_mv.cycle_analytics import (
 from robo_mv.errors import ConfigError, NumericalError
 from robo_mv.market import market_from_dict, stationary_distribution
 from robo_mv.montecarlo import SimConfig, annualized, simulate, stats
-from robo_mv.personalization import r_measure, r_tilde, s_measure
+from robo_mv.personalization import (
+    full_information_policy,
+    r_measure,
+    r_tilde,
+    s_measure,
+)
 from robo_mv.risk_profile import profile_from_dict
 from robo_mv.solver import GridSpec, load_policy, save_policy, solve
 
@@ -336,12 +341,17 @@ def cmd_personalize(args) -> int:
     sigma0 = float(market.sigma_step[y0])
 
     children = np.random.SeedSequence(seed).spawn(2 * len(phis))
+    full_policy = None
     rows = []
     for i, phi in enumerate(phis):
         r, r_se = r_measure(phi, beta, market, profile, T, n_paths,
                             children[2 * i], y0=y0)
+        # Solved once, after the first R estimate: the solver's working
+        # memory then does not add to the peak that R's path sample sets.
+        if full_policy is None:
+            full_policy = full_information_policy(market, profile, T, grid)
         sm = s_measure(phi, beta, market, profile, T, grid, s_paths,
-                       children[2 * i + 1], y0=y0)
+                       children[2 * i + 1], y0=y0, full_policy=full_policy)
         rt = r_tilde(phi, beta, sigma0, profile.p_eps, profile.sigma_eps)
         rows.append((phi, r, r_se, rt, sm.estimate, sm.se))
     out = _out_dir(args)

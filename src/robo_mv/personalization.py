@@ -26,7 +26,7 @@ from robo_mv.risk_profile import (
     window_log_bias,
     window_sums,
 )
-from robo_mv.solver import GridSpec, solve
+from robo_mv.solver import GridSpec, PolicyTables, solve
 
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -251,6 +251,18 @@ class SMeasure:
     total_steps: int
 
 
+def full_information_policy(
+    market: MarketParams,
+    profile: RiskProfileParams,
+    T: int,
+    grid: GridSpec,
+) -> PolicyTables:
+    """The benchmark policy of S: every-step interaction (phi = 1) and no
+    behavioral bias (beta = 0). It does not depend on the phi and beta under
+    study, so a sweep over them needs it only once."""
+    return solve(market, replace(profile, phi=1, beta=0.0), T, grid)
+
+
 def s_measure(
     phi: int,
     beta: float,
@@ -261,22 +273,33 @@ def s_measure(
     n_paths: int,
     seed,
     y0: int = 0,
+    full_policy: PolicyTables | None = None,
 ) -> SMeasure:
     """Monte Carlo estimate of S: the time-averaged relative gap between the
     allocation the advisor's model produces and the allocation under full
     information (every-step interaction, no bias).
 
     Both policies are solved on the same grid and evaluated along shared
-    simulated paths. Path-steps where the full-information allocation is
-    below 1e-10 in magnitude are excluded from the average and counted in
+    simulated paths; `full_policy`, if given, is the full-information policy
+    already solved by full_information_policy for the same market, profile,
+    T and grid. Path-steps where the full-information allocation is below
+    1e-10 in magnitude are excluded from the average and counted in
     excluded_steps; if nothing remains the estimate is undefined.
     """
     if n_paths < 100:
         raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
+    if full_policy is not None and (
+        full_policy.T != T or full_policy.profile.phi != 1
+        or full_policy.profile.beta != 0.0
+    ):
+        raise ConfigError(
+            "full_policy must be solved with phi = 1 and beta = 0 over the "
+            f"same horizon T = {T}"
+        )
     robo_prof = replace(profile, phi=int(phi), beta=float(beta))
-    full_prof = replace(profile, phi=1, beta=0.0)
     policy_robo = solve(market, robo_prof, T, grid)
-    policy_full = solve(market, full_prof, T, grid)
+    policy_full = (full_policy if full_policy is not None
+                   else full_information_policy(market, profile, T, grid))
 
     rng = np.random.default_rng(seed)
     batch = simulate_clients(market, robo_prof, T, n_paths, rng, y0=y0)

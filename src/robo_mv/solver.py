@@ -32,6 +32,20 @@ N(-J sigma_eps^2/2, J sigma_eps^2)). Off-grid evaluations use multilinear
 interpolation with clamping at the grid boundary; clamped quadrature mass is
 counted and reported.
 
+Both step kinds are linear in the next tables, and everything but the tables
+is fixed for a solve, so the engine builds its operators once per solve:
+
+* plain step: the quadrature shift along cur depends only on (regime, node),
+  so sum_q w_q Ztilde_q^j Interp_q is one Nc x Nc matrix C[y, j], and the
+  step is (X @ P.T)[..., y] @ C[y, j].T;
+* interaction step: the jump-shock smoothing is one Nxi x Nxi matrix K.
+  The return quadrature then interpolates the smoothed slice along prev (an
+  Nc x Np matrix per (regime, node)) and along log xi. The log-xi axis is
+  uniform and the displacement does not depend on the xi node, so every xi
+  node reads the same fraction of a window of consecutive rows of the
+  edge-padded slice (the padding reproduces the clamp), and the sum over
+  nodes and next regimes is a matrix product with w_q P[y, y'] Ztilde_q^j.
+
 The reduced state can only carry the advisor's gamma if the business-cycle
 factor at the anchor time, gamma_bar_{tau_n}(Y_{tau_n}), is recoverable from
 (n, current state). That holds when gamma_bar is constant across regimes
@@ -402,131 +416,225 @@ class PolicyTables:
 
 # -- core expectation engine -------------------------------------------------------
 
+# Quadrature nodes per block of an interaction step: the gathered windows
+# then take a few MB on the default grid.
+_Q_CHUNK = 4
+
 
 def _gh_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = hermgauss(q)
     return x, w / math.sqrt(math.pi)
 
 
-def _presmooth(
-    table0: np.ndarray,
-    grid: Grid,
-    mixture: list[tuple[float, float, float]],
-    gh: tuple[np.ndarray, np.ndarray],
-    counters: ClampCounters,
-) -> np.ndarray:
-    """Average a (xi, prev, regime) slice over the phi-fold jump-shock sum.
+def _interp_matrix(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Clamped linear interpolation at the 1-D queries x as a matrix.
 
-    The shock sum acts as a pure displacement of log xi, so the expectation is
-    a one-dimensional convolution along the xi axis, evaluated at the nodes.
+    Row k holds the weights _locate gives x[k], so `matrix @ values`
+    interpolates one value per node at every query. Also returns the number
+    of clamped queries.
     """
-    gh_x, gh_w = gh
-    out = np.zeros_like(table0)
-    for weight, mean, sd in mixture:
-        if sd == 0.0:
-            out += weight * table0
-            continue
-        for xq, wq in zip(gh_x, gh_w):
-            shift = mean + sd * math.sqrt(2.0) * xq
-            idx, frac, ncl = _locate(grid.logxi, grid.logxi + shift)
-            counters.add_xi(weight * wq, len(grid.logxi), ncl)
-            f = frac[:, None, None]
-            out += (weight * wq) * (
-                table0[idx] * (1.0 - f) + table0[idx + 1] * f
-            )
-    return out
+    idx, frac, n_clamped = _locate(nodes, x)
+    mat = np.zeros((len(x), len(nodes)))
+    rows = np.arange(len(x))
+    np.add.at(mat, (rows, idx), 1.0 - frac)
+    np.add.at(mat, (rows, np.minimum(idx + 1, len(nodes) - 1)), frac)
+    return mat, n_clamped
 
 
-def _slice_expectations(
-    n: int,
-    specs: list[tuple[np.ndarray, int]],
-    market: MarketParams,
-    tabs: _ProfileTables,
-    grid: Grid,
-    counters: ClampCounters,
-) -> list[np.ndarray]:
-    """Conditional moments E[Ztilde^j X(next state)] over the whole grid.
+class _StepOperators:
+    """The expectation engine as linear operators built once per solve.
 
-    For each (X_table, max_power) in `specs`, returns an array of shape
-    (max_power+1,) + grid.shape whose j-th entry is the conditional
-    expectation of Ztilde^j times X evaluated at the transitioned state,
-    given the time-n reduced state at each grid point.
+    Everything that depends only on the grid, the market and the profile --
+    quadrature nodes, interpolation weights, clamp counts and the jump-shock
+    smoothing -- is computed here; slice_expectations then applies it to the
+    tables of one step. Moments up to the power `jmax` are available.
     """
-    Nxi, Np, Nc, M = grid.shape
-    P = market.transition
-    mu, sig, r = market.mu_step, market.sigma_step, market.r_step
-    gh_x, gh_w = _gh_nodes(grid.quad_points)
-    interaction = (n + 1) % tabs.phi == 0
-    out = [np.zeros((jmax + 1, Nxi, Np, Nc, M)) for _, jmax in specs]
 
-    if not interaction:
-        # xi and prev are frozen: contract the next-regime sum first, then a
-        # single 1-D interpolation along the current-window axis per node.
-        contracted = [tbl @ P.T for tbl, _ in specs]  # [..., y] given current y
+    def __init__(self, market: MarketParams, tabs: _ProfileTables, grid: Grid,
+                 jmax: int):
+        Nxi, Np, Nc, M = grid.shape
+        self.grid, self.tabs, self.P = grid, tabs, market.transition
+        gh_x, gh_w = _gh_nodes(grid.quad_points)
+        Q, J = len(gh_x), jmax + 1
+        self.gh_w = gh_w
+        dm = math.sqrt(2.0) * market.sigma_step[:, None] * gh_x  # (M, Q)
+        zt = dm + market.mu_step[:, None] - market.r_step[:, None]
+        # powers[j, y, q] = w_q zt^j
+        powers = np.empty((J, M, Q))
+        powers[0] = gh_w
+        for j in range(1, J):
+            powers[j] = powers[j - 1] * zt
+
+        # Plain step: cur picks up the return, xi and prev are frozen, so
+        # sum_q w_q zt^j Interp_q along cur is one Nc x Nc matrix per (y, j),
+        # stacked j-major as C[y, j*Nc + c_out, c_in].
+        C = np.zeros((M, J, Nc, Nc))
+        self._plain_tally = []
+        # Interaction step, prev axis: the completed window w = cur + dm.
+        self._prev_interp = np.empty((M, Q, Nc, Np))
+        self._prev_clamped = np.empty((M, Q), dtype=int)
         for y in range(M):
-            for xq, wq in zip(gh_x, gh_w):
-                dm = math.sqrt(2.0) * sig[y] * xq
-                zt = dm + mu[y] - r[y]
-                idx, frac, ncl = _locate(grid.cur, grid.cur + dm)
+            for q in range(Q):
+                wv = grid.cur + dm[y, q]
+                mat, ncl = _interp_matrix(grid.cur, wv)
                 if Nc > 1:
-                    counters.add_window(wq, Nc, ncl)
-                idx2 = np.minimum(idx + 1, Nc - 1)
-                f = frac[None, None, :]
-                for (tbl, jmax), acc in zip(
-                    [(c, s[1]) for c, s in zip(contracted, specs)], out
-                ):
-                    val = tbl[:, :, idx, y] * (1.0 - f) + tbl[:, :, idx2, y] * f
-                    ztj = wq
-                    for j in range(jmax + 1):
-                        acc[j, :, :, :, y] += ztj * val
-                        ztj = ztj * zt
+                    self._plain_tally.append((gh_w[q], Nc, ncl))
+                C[y] += powers[:, y, q, None, None] * mat
+                self._prev_interp[y, q], self._prev_clamped[y, q] = _interp_matrix(
+                    grid.prev, wv)
+        self._C = C.reshape(M, J * Nc, Nc)
+
+        # Jump-shock smoothing along log xi: one Nxi x Nxi matrix, with its
+        # first and last rows repeated Nxi times on either side so that a
+        # window starting anywhere in [0, 2 Nxi) reads the clamped table.
+        K = np.zeros((Nxi, Nxi))
+        self._smooth_tally = []
+        for weight, mean, sd in _jump_mixture(tabs.profile):
+            if sd == 0.0:
+                K += weight * np.eye(Nxi)
+                continue
+            for xq, wq in zip(gh_x, gh_w):
+                mat, ncl = _interp_matrix(
+                    grid.logxi, grid.logxi + (mean + sd * math.sqrt(2.0) * xq)
+                )
+                self._smooth_tally.append((weight * wq, Nxi, ncl))
+                K += (weight * wq) * mat
+        self._K_padded = K[np.clip(np.arange(-Nxi, 2 * Nxi), 0, Nxi - 1)]
+
+        # Interaction step, xi axis: the displacement of log xi depends on
+        # (y, q, y', p, c) but not on the xi node. Keep the operands of the
+        # unclamped locator position, t = (logxi + bp prev + shift - bp w
+        # - logxi[0]) / step, in the order the locator rounds them.
+        bp = tabs.beta / tabs.phi
+        self._base = grid.logxi[:, None] + bp * grid.prev[None, :]  # (Nxi, Np)
+        self._bp_w = bp * (grid.cur + dm[:, :, None])  # (M, Q, Nc)
+        self._xi_step = (grid.logxi[-1] - grid.logxi[0]) / (Nxi - 1)
+        # coef[j, y, q, y'] = w_q zt^j P[y, y']
+        self._coef = powers[..., None] * self.P[:, None, :]
+
+    def slice_expectations(self, n: int, specs: list[tuple[np.ndarray, int]],
+                           counters: ClampCounters) -> list[np.ndarray]:
+        """Conditional moments E[Ztilde^j X(next state)] over the whole grid.
+
+        For each (X_table, max_power) in `specs`, returns an array of shape
+        (max_power+1,) + grid.shape whose j-th entry is the conditional
+        expectation of Ztilde^j times X evaluated at the transitioned state,
+        given the time-n reduced state at each grid point. Clamped quadrature
+        mass is added to `counters`.
+        """
+        if (n + 1) % self.tabs.phi == 0:
+            return self._interaction(n, specs, counters)
+        for weight, total, ncl in self._plain_tally:
+            counters.add_window(weight, total, ncl)
+        Nxi, Np, Nc, M = self.grid.shape
+        out = []
+        for tbl, jmax in specs:
+            # contract the next-regime sum first: nxt[..., y] given current y
+            nxt = tbl @ self.P.T
+            acc = np.empty((jmax + 1,) + tbl.shape)
+            for y in range(M):
+                res = nxt[..., y] @ self._C[y, : (jmax + 1) * Nc].T
+                acc[..., y] = np.moveaxis(res.reshape(Nxi, Np, jmax + 1, Nc), 2, 0)
+            out.append(acc)
         return out
 
-    # Interaction step: the window completes (w = cur + next demeaned return),
-    # xi jumps, cur resets to zero. Integrate the jump-shock sum first (it is
-    # independent of the return and displaces only log xi), then quadrature
-    # over the return with bilinear interpolation in (log xi, prev = w).
-    mixture = _jump_mixture(tabs.profile)
-    ic0 = grid.cur_zero_index
-    smoothed = [
-        _presmooth(tbl[:, :, ic0, :], grid, mixture, (gh_x, gh_w), counters)
-        for tbl, _ in specs
-    ]
-    bp = tabs.beta / tabs.phi
-    base = grid.logxi[:, None, None] + bp * grid.prev[None, :, None]
-    for y in range(M):
-        for xq, wq in zip(gh_x, gh_w):
-            dm = math.sqrt(2.0) * sig[y] * xq
-            zt = dm + mu[y] - r[y]
-            wv = grid.cur + dm  # completed-window values, one per cur node
-            ip, fp, ncp = _locate(grid.prev, wv)
-            if Np > 1:
-                counters.add_window(wq, Nc, ncp)
-            fp_b = fp[None, None, :]
-            for y2 in range(M):
-                pw = P[y, y2]
-                if pw == 0.0:
-                    continue
-                shift = tabs.interaction_shift(n, y, y2)
-                lx = base + (shift - bp * wv)[None, None, :]
-                ix, fx, ncx = _locate(grid.logxi, lx)
-                counters.add_xi(wq * pw, lx.size, ncx)
-                fx_c = 1.0 - fx
-                for (sm, (_, jmax)), acc in zip(zip(smoothed, specs), out):
-                    t = sm[:, :, y2]
-                    lo = t[ix, ip[None, None, :]]
-                    hi = t[ix + 1, ip[None, None, :]]
-                    lo2 = t[ix, np.minimum(ip + 1, Np - 1)[None, None, :]]
-                    hi2 = t[ix + 1, np.minimum(ip + 1, Np - 1)[None, None, :]]
-                    val = (
-                        fx_c * ((1.0 - fp_b) * lo + fp_b * lo2)
-                        + fx * ((1.0 - fp_b) * hi + fp_b * hi2)
-                    )
-                    ztj = wq * pw
-                    for j in range(jmax + 1):
-                        acc[j, :, :, :, y] += ztj * val
-                        ztj = ztj * zt
-    return out
+    def _xi_positions(self, n: int):
+        """Where each quadrature branch of the interaction step into n+1
+        lands on the log-xi axis.
+
+        Returns (start, frac, n_clamped): start[y, q, y', p, c] is the first
+        row of the edge-padded smoothed table that the xi node 0 reads, frac
+        the common interpolation weight of its successor, and
+        n_clamped[y, q, y'] the number of clamped (xi, prev, cur) lookups,
+        identical to what the locator counts node by node.
+        """
+        Nxi, Np, Nc, M = self.grid.shape
+        shift = np.array([[self.tabs.interaction_shift(n, y, y2) for y2 in range(M)]
+                          for y in range(M)])
+        # d[y, q, y', 0, c] = shift - bp w
+        d = (shift[:, None, :, None] - self._bp_w[:, :, None, :])[:, :, :, None, :]
+        prev = np.arange(Np)[:, None]
+        x0 = self.grid.logxi[0]
+
+        def t_at(k):
+            """The locator's position of xi node k (-inf/+inf beyond the
+            axis), shape (M, Q, M, Np, Nc)."""
+            lx = self._base[np.clip(k, 0, Nxi - 1), prev] + d
+            t = (lx - x0) / self._xi_step
+            return np.where(k < 0, -np.inf, np.where(k >= Nxi, np.inf, t))
+
+        t0 = t_at(np.zeros((M, len(self.gh_w), M, Np, Nc), dtype=np.intp))
+        # Node i sits at t0 + i up to rounding, so the clamped nodes follow
+        # in closed form; the rounded positions are monotone in i, so
+        # checking the two nodes next to each boundary makes the count exact.
+        first_in = np.clip(np.ceil(-t0), 0, Nxi).astype(np.intp)
+        below = first_in - 1 + (t_at(first_in - 1) < 0) + (t_at(first_in) < 0)
+        first_above = Nxi - np.clip(np.ceil(t0), 0, Nxi).astype(np.intp)
+        above = (Nxi - first_above - 1 + (t_at(first_above - 1) > Nxi - 1)
+                 + (t_at(first_above) > Nxi - 1))
+        n_clamped = (below + above).sum(axis=(3, 4))
+        s = np.clip(t0, -Nxi, Nxi - 1)
+        k0 = np.floor(s)
+        return (k0 + Nxi).astype(np.intp), s - k0, n_clamped
+
+    def _interaction(self, n, specs, counters):
+        """The window completes (w = cur + next demeaned return), xi jumps,
+        cur resets to zero. The jump-shock sum is independent of the return
+        and displaces only log xi, so it is integrated first (the smoothing
+        matrix); then the return quadrature interpolates along prev (a
+        matrix per node) and along log xi (a window gather, since every xi
+        node moves by the same amount)."""
+        Nxi, Np, Nc, M = self.grid.shape
+        Q = len(self.gh_w)
+        start, frac, n_clamped = self._xi_positions(n)
+        for _ in specs:
+            for weight, total, ncl in self._smooth_tally:
+                counters.add_xi(weight, total, ncl)
+        for y in range(M):
+            for q in range(Q):
+                if Np > 1:
+                    counters.add_window(self.gh_w[q], Nc, int(self._prev_clamped[y, q]))
+                for y2 in range(M):
+                    if self.P[y, y2] != 0.0:  # weight w_q P[y, y']
+                        counters.add_xi(self._coef[0, y, q, y2], Nxi * Np * Nc,
+                                        int(n_clamped[y, q, y2]))
+
+        S, J = len(specs), max(jmax for _, jmax in specs) + 1
+        ic0 = self.grid.cur_zero_index
+        table0 = np.stack([tbl[:, :, ic0, :] for tbl, _ in specs], axis=-1)
+        smoothed = np.tensordot(self._K_padded, table0, axes=(1, 0))
+        # rows[y', prev, padded xi, spec], flattened for the prev interpolation
+        smoothed = np.ascontiguousarray(smoothed.transpose(2, 1, 0, 3)).reshape(
+            M, Np, 3 * Nxi * S)
+        # start and frac as (y, p, c, q, y'): one batch per (p, c)
+        start = start.transpose(0, 3, 4, 1, 2)
+        frac = frac.transpose(0, 3, 4, 1, 2).reshape(M, Np * Nc, Q * M)
+        out = [np.empty((jmax + 1,) + self.grid.shape) for _, jmax in specs]
+        for y in range(M):
+            acc = np.zeros((Np * Nc, J, Nxi * S))
+            for q0 in range(0, Q, _Q_CHUNK):
+                qs = slice(q0, min(q0 + _Q_CHUNK, Q))
+                Qc = qs.stop - qs.start
+                rows = (self._prev_interp[y, qs, None] @ smoothed[None]).reshape(
+                    Qc, M, Nc, 3 * Nxi, S)
+                # every window of Nxi+1 consecutive xi rows, each contiguous
+                st = rows.strides
+                windows = np.lib.stride_tricks.as_strided(
+                    rows, shape=(Qc, M, Nc, 2 * Nxi, (Nxi + 1) * S),
+                    strides=st[:4] + (st[4],), writeable=False)
+                W = windows[np.arange(Qc)[:, None], np.arange(M),
+                            np.arange(Nc)[:, None, None],
+                            start[y, :, :, qs]].reshape(Np * Nc, Qc * M, -1)
+                # sum over (q, y') of coef * ((1-f) row_i + f row_i+1)
+                coef = self._coef[:J, y, qs].reshape(J, Qc * M)
+                f = frac[y, :, None, q0 * M: qs.stop * M]
+                acc += ((coef * (1.0 - f)) @ W[:, :, : Nxi * S]
+                        + (coef * f) @ W[:, :, S:])
+            # (p, c, j, xi, spec) -> (j, xi, p, c) per spec
+            acc = acc.reshape(Np, Nc, J, Nxi, S)
+            for k, (_, jmax) in enumerate(specs):
+                out[k][..., y] = acc[:, :, : jmax + 1, :, k].transpose(2, 3, 0, 1)
+        return out
 
 
 # -- public operations ---------------------------------------------------------------
@@ -679,6 +787,11 @@ def update_ab(
     return a_n, b_n
 
 
+def _require_finite(name: str, values: np.ndarray, n: int) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"non-finite {name} at n={n}")
+
+
 def solve(
     market: MarketParams,
     profile: RiskProfileParams,
@@ -691,7 +804,9 @@ def solve(
     Produces allocation, moment and value tables for n = T-1 down to 0 under
     the terminal condition a_T = b_T = 1. When `bounds` is given the
     allocation is truncated inside the induction, so the moment tables (and
-    hence all earlier allocations) reflect the constrained policy.
+    hence all earlier allocations) reflect the constrained policy. A step
+    whose denominator, allocation or moment tables are not finite raises
+    NumericalError naming the time index.
     """
     validate(market)
     if T < 1:
@@ -714,26 +829,34 @@ def solve(
     counters = ClampCounters()
     R = market.R_step  # broadcast over the trailing regime axis
 
-    for n in range(T - 1, -1, -1):
-        ma, mb = _slice_expectations(
-            n, [(a[n + 1], 1), (b[n + 1], 2)], market, tabs, g, counters
-        )
-        mu_a, mu_az = ma[0], ma[1]
-        mu_b, mu_bz, mu_bz2 = mb[0], mb[1], mb[2]
-        gam = tabs.gamma_slice(n, g.xi)[:, None, None, :]
-        denom = mu_bz2 - mu_az**2
-        if np.any(denom <= 0.0):
-            worst = float(denom.min())
-            raise DegenerateVariance(
-                f"nonpositive second-moment denominator ({worst:.3e}) at n={n}"
+    # Overflow and invalid operations surface as NumericalError below, not
+    # as warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ops = _StepOperators(market, tabs, g, jmax=2)
+        for n in range(T - 1, -1, -1):
+            ma, mb = ops.slice_expectations(
+                n, [(a[n + 1], 1), (b[n + 1], 2)], counters
             )
-        p_n = (mu_az - R * gam * (mu_bz - mu_a * mu_az)) / (gam * denom)
-        if bounds is not None:
-            p_n = np.clip(p_n, bounds[0], bounds[1])
-        pi[n] = p_n
-        a[n] = R * mu_a + p_n * mu_az
-        b[n] = R * R * mu_b + 2.0 * R * p_n * mu_bz + p_n**2 * mu_bz2
-        V[n] = a[n] - 1.0 - 0.5 * gam * (b[n] - a[n] ** 2)
+            mu_a, mu_az = ma[0], ma[1]
+            mu_b, mu_bz, mu_bz2 = mb[0], mb[1], mb[2]
+            gam = tabs.gamma_slice(n, g.xi)[:, None, None, :]
+            denom = mu_bz2 - mu_az**2
+            _require_finite("second-moment denominator", denom, n)
+            if np.any(denom <= 0.0):
+                worst = float(denom.min())
+                raise DegenerateVariance(
+                    f"nonpositive second-moment denominator ({worst:.3e}) at n={n}"
+                )
+            p_n = (mu_az - R * gam * (mu_bz - mu_a * mu_az)) / (gam * denom)
+            _require_finite("allocation", p_n, n)
+            if bounds is not None:
+                p_n = np.clip(p_n, bounds[0], bounds[1])
+            pi[n] = p_n
+            a[n] = R * mu_a + p_n * mu_az
+            b[n] = R * R * mu_b + 2.0 * R * p_n * mu_bz + p_n**2 * mu_bz2
+            _require_finite("moment table a", a[n], n)
+            _require_finite("moment table b", b[n], n)
+            V[n] = a[n] - 1.0 - 0.5 * gam * (b[n] - a[n] ** 2)
 
     if counters.xi_fraction > _SOLVE_CLAMP_CAP:
         raise GridExhausted(
@@ -766,11 +889,12 @@ def moment_m(
     market, grid = policy.market, policy.grid
     tabs = _ProfileTables(market, policy.profile, policy.T)
     counters = ClampCounters()
+    ops = _StepOperators(market, tabs, grid, jmax=m)
     R = market.R_step
     binom = [math.comb(m, j) for j in range(m + 1)]
     cur = np.ones(grid.shape)
     for k in range(policy.T - 1, n - 1, -1):
-        (zm,) = _slice_expectations(k, [(cur, m)], market, tabs, grid, counters)
+        (zm,) = ops.slice_expectations(k, [(cur, m)], counters)
         p_k = policy.pi[k]
         nxt = np.zeros(grid.shape)
         for j in range(m + 1):
@@ -919,14 +1043,18 @@ _POLICY_STORE = "policy.npz"
 _TABLE_NAMES = ("pi", "a", "b", "V")
 
 
-def _tables_digest(params_sha256: str, tables: dict) -> str:
+def _tables_digest(params_sha256: str, tables: dict, clamps: ClampCounters) -> str:
     """SHA-256 over the parameter digest, then each table's name, dtype,
-    shape and bytes in _TABLE_NAMES order."""
+    shape and bytes in _TABLE_NAMES order, then the four raw clamp tallies
+    (ClampCounters field order) as little-endian float64."""
     h = hashlib.sha256(params_sha256.encode())
     for name in _TABLE_NAMES:
         arr = np.ascontiguousarray(tables[name])
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}\n".encode())
         h.update(arr.data)
+    tallies = np.array([getattr(clamps, f.name) for f in fields(ClampCounters)],
+                       dtype="<f8")
+    h.update(b"solve_clamps\n" + tallies.tobytes())
     return h.hexdigest()
 
 
@@ -987,7 +1115,7 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
         "risk_profile": _profile_doc(tables.profile),
         "solve_clamps": {**clamps.as_dict(), **asdict(clamps)},
         "params_sha256": params_sha256,
-        "tables_sha256": _tables_digest(params_sha256, arrays),
+        "tables_sha256": _tables_digest(params_sha256, arrays, clamps),
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -999,7 +1127,8 @@ def load_policy(indir: str | Path) -> PolicyTables:
 
     Reads only `manifest.json` and `policy.npz`, then checks in order: the
     parameter digest, recomputed from the manifest's market, risk profile,
-    grid, T and bounds; each table's dtype and shape; the table digest. Any
+    grid, T and bounds; each table's dtype and shape; the table digest, which
+    also covers the manifest's raw clamp tallies. Any
     mismatch, a malformed manifest or store, or a missing `policy.npz` raises
     ConfigError.
     """
@@ -1063,9 +1192,10 @@ def load_policy(indir: str | Path) -> PolicyTables:
                 f"{store_path}: table {name} is {arr.dtype} {arr.shape}, "
                 f"expected float64 {want}"
             )
-    if _tables_digest(params_sha256, arrays) != tables_sha256:
+    if _tables_digest(params_sha256, arrays, clamps) != tables_sha256:
         raise ConfigError(
-            f"{store_path}: tables_sha256 does not match the stored tables"
+            f"{store_path}: tables_sha256 does not match the stored tables "
+            f"and clamp tallies"
         )
     return PolicyTables(
         market=market, profile=profile, T=T, grid=g, **arrays,

@@ -165,6 +165,18 @@ def test_solve_rejects_non_finite_grid_without_artifacts(tmp_path, grid, capsys)
     assert not list(out.glob("policy_*.csv"))
 
 
+def test_solve_rejects_non_finite_result_without_artifacts(tmp_path, capsys):
+    doc = single_state_config()
+    doc["market"]["mean_return"] = [1e200]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "pol"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite") and err.count("\n") == 1
+    assert "n=11" in err
+    assert not list(out.glob("policy_*.csv"))
+
+
 def _tamper(pol, how):
     store, manifest = pol / "policy.npz", pol / "manifest.json"
     if how == "missing_store":
@@ -187,6 +199,9 @@ def _tamper(pol, how):
             doc["market"]["mean_return"] = [0.11]
         elif how == "edited_horizon":
             doc["T"] = 3
+        elif how == "edited_xi_clamped":
+            assert doc["solve_clamps"]["xi_clamped"] > 0.0
+            doc["solve_clamps"]["xi_clamped"] = 0.0
         else:
             doc["tables_sha256"] = "0" * 64
         manifest.write_text(json.dumps(doc))
@@ -194,7 +209,7 @@ def _tamper(pol, how):
 
 @pytest.mark.parametrize("tamper", [
     "changed_value", "edited_horizon", "edited_market", "edited_tables_digest",
-    "flipped_byte", "missing_store", "wrong_shape",
+    "edited_xi_clamped", "flipped_byte", "missing_store", "wrong_shape",
 ])
 def test_simulate_rejects_tampered_policy_store(tmp_path, tamper, capsys):
     doc = single_state_config()
@@ -420,6 +435,36 @@ def test_personalize_csv_and_manifest_roundtrip(tmp_path):
     assert main(["personalize", "--config", str(first / "run.json"),
                  "--out", str(second)]) == 0
     assert (first / "personalize.csv").read_bytes() == (second / "personalize.csv").read_bytes()
+
+
+def test_personalize_solves_full_information_policy_once(tmp_path, monkeypatch):
+    import robo_mv.personalization as personalization
+
+    calls = []
+    solve = personalization.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[1].phi)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(personalization, "solve", counting_solve)
+    doc = single_state_config()
+    doc["horizon"] = 6
+    doc["grid"] = {"xi_count": 7, "quad_points": 8}
+    cfg = write_config(tmp_path, doc)
+    argv = ["personalize", "--config", cfg, "--phi-range", "1:3", "--beta", "2",
+            "--paths", "200", "--s-paths", "200", "--seed", "5"]
+    assert main(argv + ["--out", str(tmp_path / "once")]) == 0
+    assert sorted(calls) == [1, 1, 2, 3]
+
+    # Without the shared policy, s_measure solves it for every phi; the CSV
+    # must not change.
+    calls.clear()
+    monkeypatch.setattr(cli, "full_information_policy", lambda *args: None)
+    assert main(argv + ["--out", str(tmp_path / "each")]) == 0
+    assert sorted(calls) == [1, 1, 1, 1, 2, 3]
+    assert ((tmp_path / "once" / "personalize.csv").read_bytes()
+            == (tmp_path / "each" / "personalize.csv").read_bytes())
 
 
 @pytest.mark.parametrize("text", ["3", "0:4", "5:2", "a:b"])

@@ -9,6 +9,7 @@ import pytest
 from robo_mv.errors import ConfigError, InsufficientSamples
 from robo_mv.personalization import (
     PersonalizationInputs,
+    full_information_policy,
     interact_every_step_suboptimal,
     phi_star,
     r_measure,
@@ -331,6 +332,21 @@ def test_s_measure_needs_enough_paths(single_state_market):
     with pytest.raises(InsufficientSamples):
         s_measure(3, 2.0, single_state_market, shocky_profile(), HORIZON,
                   GridSpec(), 50, seed=7)
+
+
+def test_s_measure_reuses_a_given_full_information_policy(single_state_market):
+    prof, grid, T = shocky_profile(), GridSpec(xi_count=9, quad_points=8), 12
+    full = full_information_policy(single_state_market, prof, T, grid)
+    for phi in (2, 3):
+        shared = s_measure(phi, 2.0, single_state_market, prof, T, grid, 300,
+                           seed=11, full_policy=full)
+        alone = s_measure(phi, 2.0, single_state_market, prof, T, grid, 300,
+                          seed=11)
+        assert shared == alone
+    shorter = full_information_policy(single_state_market, prof, T - 1, grid)
+    with pytest.raises(ConfigError, match="full_policy"):
+        s_measure(2, 2.0, single_state_market, prof, T, grid, 300, seed=11,
+                  full_policy=shorter)
 
 
 def test_s_measure_basic_cell(single_state_market):

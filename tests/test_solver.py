@@ -2,11 +2,15 @@
 
 import csv
 import math
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robo_mv.errors import ConfigError, DegenerateVariance, GridExhausted
+from robo_mv.errors import ConfigError, DegenerateVariance, GridExhausted, NumericalError
 from robo_mv.market import MarketParams
 from robo_mv.risk_profile import RiskProfileParams
 from robo_mv.solver import (
@@ -15,6 +19,11 @@ from robo_mv.solver import (
     GridSpec,
     PolicyTables,
     ReducedState,
+    _gh_nodes,
+    _jump_mixture,
+    _locate,
+    _ProfileTables,
+    _StepOperators,
     allocation,
     allocation_independent,
     brute_force_equilibrium,
@@ -797,3 +806,211 @@ def test_policy_store_rejects_every_corrupting_bit_flip(tmp_path, single_state_m
         for name in ("pi", "a", "b", "V"):
             assert np.array_equal(getattr(back, name), getattr(tab, name)), i
     assert rejected > len(raw) // 2
+
+
+# -- the operator engine against the node-by-node loop kernel ---------------------
+
+
+def _loop_presmooth(table0, grid, mixture, gh, counters):
+    """The per-node jump-shock smoothing the smoothing matrix replaced."""
+    gh_x, gh_w = gh
+    out = np.zeros_like(table0)
+    for weight, mean, sd in mixture:
+        if sd == 0.0:
+            out += weight * table0
+            continue
+        for xq, wq in zip(gh_x, gh_w):
+            shift = mean + sd * math.sqrt(2.0) * xq
+            idx, frac, ncl = _locate(grid.logxi, grid.logxi + shift)
+            counters.add_xi(weight * wq, len(grid.logxi), ncl)
+            f = frac[:, None, None]
+            out += (weight * wq) * (
+                table0[idx] * (1.0 - f) + table0[idx + 1] * f
+            )
+    return out
+
+
+def _loop_slice_expectations(n, specs, market, tabs, grid, counters):
+    """The quadrature-node loop kernel the step operators replaced: the
+    reference for their values and, bit for bit, their clamp tallies."""
+    Nxi, Np, Nc, M = grid.shape
+    P = market.transition
+    mu, sig, r = market.mu_step, market.sigma_step, market.r_step
+    gh_x, gh_w = _gh_nodes(grid.quad_points)
+    interaction = (n + 1) % tabs.phi == 0
+    out = [np.zeros((jmax + 1, Nxi, Np, Nc, M)) for _, jmax in specs]
+
+    if not interaction:
+        contracted = [tbl @ P.T for tbl, _ in specs]
+        for y in range(M):
+            for xq, wq in zip(gh_x, gh_w):
+                dm = math.sqrt(2.0) * sig[y] * xq
+                zt = dm + mu[y] - r[y]
+                idx, frac, ncl = _locate(grid.cur, grid.cur + dm)
+                if Nc > 1:
+                    counters.add_window(wq, Nc, ncl)
+                idx2 = np.minimum(idx + 1, Nc - 1)
+                f = frac[None, None, :]
+                for (tbl, jmax), acc in zip(
+                    [(c, s[1]) for c, s in zip(contracted, specs)], out
+                ):
+                    val = tbl[:, :, idx, y] * (1.0 - f) + tbl[:, :, idx2, y] * f
+                    ztj = wq
+                    for j in range(jmax + 1):
+                        acc[j, :, :, :, y] += ztj * val
+                        ztj = ztj * zt
+        return out
+
+    mixture = _jump_mixture(tabs.profile)
+    ic0 = grid.cur_zero_index
+    smoothed = [
+        _loop_presmooth(tbl[:, :, ic0, :], grid, mixture, (gh_x, gh_w), counters)
+        for tbl, _ in specs
+    ]
+    bp = tabs.beta / tabs.phi
+    base = grid.logxi[:, None, None] + bp * grid.prev[None, :, None]
+    for y in range(M):
+        for xq, wq in zip(gh_x, gh_w):
+            dm = math.sqrt(2.0) * sig[y] * xq
+            zt = dm + mu[y] - r[y]
+            wv = grid.cur + dm
+            ip, fp, ncp = _locate(grid.prev, wv)
+            if Np > 1:
+                counters.add_window(wq, Nc, ncp)
+            fp_b = fp[None, None, :]
+            for y2 in range(M):
+                pw = P[y, y2]
+                if pw == 0.0:
+                    continue
+                shift = tabs.interaction_shift(n, y, y2)
+                lx = base + (shift - bp * wv)[None, None, :]
+                ix, fx, ncx = _locate(grid.logxi, lx)
+                counters.add_xi(wq * pw, lx.size, ncx)
+                fx_c = 1.0 - fx
+                for (sm, (_, jmax)), acc in zip(zip(smoothed, specs), out):
+                    t = sm[:, :, y2]
+                    lo = t[ix, ip[None, None, :]]
+                    hi = t[ix + 1, ip[None, None, :]]
+                    lo2 = t[ix, np.minimum(ip + 1, Np - 1)[None, None, :]]
+                    hi2 = t[ix + 1, np.minimum(ip + 1, Np - 1)[None, None, :]]
+                    val = (
+                        fx_c * ((1.0 - fp_b) * lo + fp_b * lo2)
+                        + fx * ((1.0 - fp_b) * hi + fp_b * hi2)
+                    )
+                    ztj = wq * pw
+                    for j in range(jmax + 1):
+                        acc[j, :, :, :, y] += ztj * val
+                        ztj = ztj * zt
+    return out
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A small market, profile, grid, step and moment request."""
+    M = draw(st.integers(1, 3))
+    transition = np.array([
+        draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0, 2.5]),
+                      min_size=M, max_size=M))
+        for _ in range(M)
+    ])
+    for y in range(M):
+        if transition[y].sum() == 0.0:
+            transition[y, y] = 1.0
+    transition /= transition.sum(axis=1, keepdims=True)
+
+    def vector(lo, hi):
+        return np.array([lo + (hi - lo) * draw(_unit) for _ in range(M)])
+
+    market = MarketParams(
+        num_states=M, transition=transition,
+        risk_free=vector(0.0, 0.05), mean_return=vector(-0.1, 0.3),
+        vol_return=vector(0.05, 0.4), steps_per_year=12,
+    )
+    phi = draw(st.integers(1, 3))
+    T = draw(st.integers(1, 7))
+    # A time-varying trend moves the interaction shift with n; without one
+    # (and with a scalar gamma_bar) the shift is exactly zero.
+    eta = (np.array([draw(st.floats(-0.5, 0.5)) for _ in range(T + 1)])
+           if draw(st.booleans()) else None)
+    if phi == 1 and M > 1 and draw(st.booleans()):
+        gamma_bar = 0.5 + 2.0 * np.array(
+            [[draw(_unit) for _ in range(M)] for _ in range(T + 1)])
+    else:
+        gamma_bar = 0.5 + 2.0 * draw(_unit)
+    gamma0 = 1.0 + 7.0 * draw(_unit)
+    profile = RiskProfileParams(
+        gamma0=gamma0, p_eps=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+        sigma_eps=0.1 + draw(_unit), beta=draw(st.sampled_from([0.0, 2.0])),
+        phi=phi, gamma_bar=gamma_bar, eta=eta,
+    )
+    spread = draw(st.floats(1.2, 10.0))
+    spec = GridSpec(
+        xi_count=draw(st.integers(3, 9)), xi_lo=gamma0 / spread,
+        xi_hi=gamma0 * spread, zsum_count=draw(st.integers(3, 7)),
+        zsum_span_sd=draw(st.floats(0.3, 4.0)),
+        quad_points=draw(st.integers(2, 8)),
+    )
+    power = draw(st.integers(0, 4))  # 0: the solve's (a, 1), (b, 2) pair
+    return market, profile, spec, T, power, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+def test_step_operators_match_loop_kernel(case):
+    market, profile, spec, T, power, seed = case
+    grid = Grid.build(spec, market, profile)
+    tabs = _ProfileTables(market, profile, T)
+    rng = np.random.default_rng(seed)
+    powers = [1, 2] if power == 0 else [power]
+    ops = _StepOperators(market, tabs, grid, max(powers))
+    # scale of the j-th moment: E|Ztilde|^j times the table's magnitude
+    gh_x, gh_w = _gh_nodes(grid.quad_points)
+    zt = (math.sqrt(2.0) * market.sigma_step[:, None] * gh_x
+          + market.mu_tilde_step[:, None])
+
+    # every step of a solve with one set of operators, tallies accumulating
+    want_clamps, got_clamps = ClampCounters(), ClampCounters()
+    for n in range(T - 1, -1, -1):
+        specs = [(rng.uniform(0.5, 2.0, grid.shape), j) for j in powers]
+        want = _loop_slice_expectations(n, specs, market, tabs, grid, want_clamps)
+        got = ops.slice_expectations(n, specs, got_clamps)
+        assert asdict(got_clamps) == asdict(want_clamps)
+        for (tbl, j_top), w, g in zip(specs, want, got):
+            assert g.shape == w.shape
+            for j in range(j_top + 1):
+                scale = np.max(np.abs(tbl)) * np.max(np.abs(zt) ** j @ gh_w)
+                assert np.max(np.abs(g[j] - w[j])) <= 1e-12 * scale
+
+
+def test_step_operators_count_rounded_edge_nodes_like_the_loop_kernel(
+        two_state_market):
+    # On this axis the locator puts the last xi node a rounding error past
+    # the edge, so an unshifted lookup there counts as clamped.
+    grid = Grid(np.geomspace(1 / 3.7, 3.7, 8), np.zeros(1), np.zeros(1),
+                quad_points=5, num_states=2)
+    assert _locate(grid.logxi, grid.logxi)[2] == 1
+    profile = RiskProfileParams(gamma0=1.0, p_eps=0.05, sigma_eps=0.64)
+    tabs = _ProfileTables(two_state_market, profile, 2)
+    specs = [(np.ones(grid.shape), 1), (np.ones(grid.shape), 2)]
+    want_clamps, got_clamps = ClampCounters(), ClampCounters()
+    _loop_slice_expectations(0, specs, two_state_market, tabs, grid, want_clamps)
+    _StepOperators(two_state_market, tabs, grid, 2).slice_expectations(
+        0, specs, got_clamps)
+    assert asdict(got_clamps) == asdict(want_clamps)
+
+
+def test_non_finite_solve_raises_numerical_error():
+    market = MarketParams(
+        num_states=1, transition=np.array([[1.0]]), risk_free=np.array([0.0]),
+        mean_return=np.array([1e200]), vol_return=np.array([0.20]),
+        steps_per_year=12,
+    )
+    for profile in (RiskProfileParams(gamma0=3.0),
+                    RiskProfileParams(gamma0=3.0, beta=2.0, phi=3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"non-finite .* at n=2$"):
+                solve(market, profile, 3, GridSpec(xi_count=5, quad_points=8))
