@@ -219,26 +219,80 @@ def sample_paths(
     n_paths: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized path sampler.
+    """Vectorized path sampler, for wide batches and long paths alike.
+
+    Draw-order contract: the sampler draws ``u = rng.random((n_paths,
+    n_steps))`` and then ``rng.standard_normal((n_paths, n_steps))``, and
+    nothing else. The next regime after step n is ``#{k < M-1 : u[:, n] >=
+    cumsum(P[y])[k]}``, and the return is ``mu_step[y] + sigma_step[y] * g``.
+    The output for a given ``rng`` state is therefore fixed, whatever the
+    shape or the internal scheme.
+
+    Block scheme: the time axis is split into B blocks of L steps, with
+    ``B = max(1, isqrt(n_steps // n_paths))``. Every block after the first is
+    run from every possible start regime at once (speculation), one
+    time-major row of uniforms per step, so the Python loop has L
+    iterations. The true start of each block then follows from the end of
+    the previous one in B cheap steps (Blelloch, *Prefix sums and their
+    applications*, CMU-CS-90-190), and each path's regimes are gathered
+    from the matching speculative runs. A wide batch gets B = 1: a plain
+    time-major loop from ``y0``. A single million-step path gets B ~ 1000.
 
     Returns:
-        regimes: int array (n_paths, n_steps + 1); regimes[:, n] is the regime
-            holding over step n -> n+1 (column n_steps is the terminal regime).
-        returns: float array (n_paths, n_steps); returns[:, n] is the market
-            return over step n -> n+1, Gaussian conditional on regimes[:, n].
+        regimes: int64 array (n_paths, n_steps + 1); regimes[:, n] is the
+            regime holding over step n -> n+1 (column n_steps is the
+            terminal regime).
+        returns: float64 array (n_paths, n_steps); returns[:, n] is the
+            market return over step n -> n+1, Gaussian conditional on
+            regimes[:, n].
+
+    Both arrays are C-contiguous. Raises ConfigError when y0 is not an
+    integer regime index, n_steps < 0 or n_paths < 1.
     """
-    regimes = np.empty((n_paths, n_steps + 1), dtype=np.int64)
-    regimes[:, 0] = y0
-    cum = np.cumsum(params.transition, axis=1)
-    # guard against rounding: the last column must be an upper bound for u
-    cum[:, -1] = 1.0
+    M = params.num_states
+    if not (isinstance(y0, (int, np.integer)) and 0 <= y0 < M):
+        raise ConfigError(f"y0={y0!r} is not a regime index in [0, {M})")
+    if n_steps < 0:
+        raise ConfigError(f"n_steps must be >= 0, got {n_steps}")
+    if n_paths < 1:
+        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    # thresholds[k, y] = cumsum(P[y])[k]; the last column would be 1 > u.
+    thresholds = np.cumsum(params.transition, axis=1)[:, :-1].T
+
+    B = max(1, math.isqrt(n_steps // n_paths))
+    L = -(-n_steps // B)  # the last block may be padded
     u = rng.random((n_paths, n_steps))
-    gauss = rng.standard_normal((n_paths, n_steps))
-    returns = np.empty((n_paths, n_steps))
-    for n in range(n_steps):
-        y = regimes[:, n]
-        regimes[:, n + 1] = (u[:, n, None] >= cum[y]).sum(axis=1)
-        returns[:, n] = params.mu_step[y] + params.sigma_step[y] * gauss[:, n]
+    rows = np.zeros((B * L, n_paths))
+    rows[:n_steps] = u.T
+    del u
+    rows = np.ascontiguousarray(rows.reshape(B, L, n_paths).swapaxes(0, 1))
+
+    # runs[t, s, b, p]: regime after t steps of block b on path p, started
+    # in regime s. Block 0 starts at y0, so a lone block needs no speculation.
+    runs = np.empty((L + 1, M if B > 1 else 1, B, n_paths), dtype=np.int64)
+    runs[0] = np.arange(M)[:, None, None] if B > 1 else y0
+    for t in range(L):
+        runs[t + 1] = sum(rows[t] >= thresholds[k][runs[t]] for k in range(M - 1))
+    del rows
+
+    if B == 1:
+        path = runs[:, 0, 0]
+    else:
+        # Chain the blocks: block b + 1 starts in the regime where block b ends.
+        path = np.empty((B * L + 1, n_paths), dtype=np.int64)
+        y, paths = np.full(n_paths, y0), np.arange(n_paths)
+        for b in range(B):
+            path[b * L:(b + 1) * L + 1] = runs[:, y, b, paths]
+            y = runs[L, y, b, paths]
+    regimes = np.ascontiguousarray(path[:n_steps + 1].T)
+    del runs, path
+
+    # u, rows and runs are freed by now: the peak is regimes, returns and
+    # one gathered factor.
+    returns = rng.standard_normal((n_paths, n_steps))
+    ys = regimes[:, :-1]
+    returns *= params.sigma_step[ys]
+    returns += params.mu_step[ys]
     return regimes, returns
 
 

@@ -199,29 +199,16 @@ def long_run_sharpe(
 ) -> float:
     """Per-step Sharpe ratio of pooled excess returns over one long path.
 
-    The regime chain is stepped scalar-wise (a million-step chain does not
-    vectorize across time); returns are then drawn in one shot conditional on
-    the visited regimes.
+    The path is ``sample_paths(market, y0, total_steps, 1, rng)`` with
+    ``rng = default_rng(seed)``, so it shares the regime sampler (and its
+    block scheme for long paths) with `simulate`.
     """
     if total_steps < 10_000:
         raise InsufficientSamples(
             f"need at least 10000 steps for a stable estimate, got {total_steps}"
         )
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(market.transition, axis=1)
-    cum[:, -1] = 1.0
-    rows = [tuple(row) for row in cum]
-    u = rng.random(total_steps)
-    ys = np.empty(total_steps, dtype=np.int64)
-    y = int(y0)
-    for n in range(total_steps):
-        ys[n] = y
-        row = rows[y]
-        k = 0
-        while u[n] >= row[k]:
-            k += 1
-        y = k
-    z = market.mu_step[ys] + market.sigma_step[ys] * rng.standard_normal(total_steps)
+    regimes, z = sample_paths(market, y0, total_steps, 1, np.random.default_rng(seed))
+    ys, z = regimes[0, :-1], z[0]
     alloc = np.asarray(strategy.allocations(market.num_states))
     excess = alloc[ys] * (z - market.r_step[ys])
     sd = float(excess.std(ddof=1))

@@ -880,7 +880,8 @@ def moment_m(
     Runs the recursion mu^(m)_k = E[(R + Ztilde pi_k)^m mu^(m)_{k+1}] from the
     terminal condition mu^(m)_T = 1 down to time n on the policy's own grid,
     then interpolates at `state`. m = 1 and m = 2 reproduce the a and b
-    tables.
+    tables. A step whose moment table is not finite raises NumericalError
+    naming the time index.
     """
     if m < 1:
         raise ConfigError(f"moment order must be >= 1, got {m}")
@@ -893,13 +894,16 @@ def moment_m(
     R = market.R_step
     binom = [math.comb(m, j) for j in range(m + 1)]
     cur = np.ones(grid.shape)
-    for k in range(policy.T - 1, n - 1, -1):
-        (zm,) = ops.slice_expectations(k, [(cur, m)], counters)
-        p_k = policy.pi[k]
-        nxt = np.zeros(grid.shape)
-        for j in range(m + 1):
-            nxt += binom[j] * R ** (m - j) * p_k**j * zm[j]
-        cur = nxt
+    # Overflow and invalid operations surface as NumericalError, not warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(policy.T - 1, n - 1, -1):
+            (zm,) = ops.slice_expectations(k, [(cur, m)], counters)
+            p_k = policy.pi[k]
+            nxt = np.zeros(grid.shape)
+            for j in range(m + 1):
+                nxt += binom[j] * R ** (m - j) * p_k**j * zm[j]
+            _require_finite(f"moment {m} table", nxt, k)
+            cur = nxt
 
     return float(_interp3(grid, cur, math.log(state.xi), state.prev_window_sum,
                           state.cur_window_sum, state.regime))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robo_mv.errors import BadDimension, ConfigError, NegativeVol, NonErgodic, NonStochasticRow
 from robo_mv.market import (
@@ -265,6 +267,61 @@ def test_sample_paths_shapes(two_state_market):
     assert regimes.shape == (7, 37)
     assert z.shape == (7, 36)
     assert np.all(regimes[:, 0] == 1)
+
+
+def test_sample_paths_rejects_bad_inputs(two_state_market):
+    rng = np.random.default_rng(0)
+    for y0, n_steps, n_paths in ((-1, 5, 2), (2, 5, 2), (0.5, 50, 1), (0, -1, 2),
+                                 (0, 5, 0)):
+        with pytest.raises(ConfigError):
+            sample_paths(two_state_market, y0, n_steps, n_paths, rng)
+
+
+def _loop_sample_paths(params, y0, n_steps, n_paths, rng):
+    """The per-column sampler loop that the block scheme replaced, kept
+    verbatim as the bit-exact reference."""
+    regimes = np.empty((n_paths, n_steps + 1), dtype=np.int64)
+    regimes[:, 0] = y0
+    cum = np.cumsum(params.transition, axis=1)
+    # guard against rounding: the last column must be an upper bound for u
+    cum[:, -1] = 1.0
+    u = rng.random((n_paths, n_steps))
+    gauss = rng.standard_normal((n_paths, n_steps))
+    returns = np.empty((n_paths, n_steps))
+    for n in range(n_steps):
+        y = regimes[:, n]
+        regimes[:, n + 1] = (u[:, n, None] >= cum[y]).sum(axis=1)
+        returns[:, n] = params.mu_step[y] + params.sigma_step[y] * gauss[:, n]
+    return regimes, returns
+
+
+@st.composite
+def _sampler_cases(draw):
+    M = draw(st.integers(1, 4))
+    rows = []
+    for y in range(M):
+        # Zero entries are common; an all-zero draw makes the row absorbing.
+        w = np.array(draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=M, max_size=M)))
+        if w.sum() == 0.0:
+            w[y] = 1.0
+        rows.append(w / w.sum())
+    market = _mk(rows, np.linspace(0.0, 0.02, M), np.linspace(0.05, 0.15, M),
+                 np.linspace(0.1, 0.25, M))
+    return (market, draw(st.integers(0, M - 1)), draw(st.integers(0, 3000)),
+            draw(st.integers(1, 64)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(deadline=None)
+@given(_sampler_cases())
+def test_sample_paths_matches_per_column_loop(case):
+    market, y0, n_steps, n_paths, seed = case
+    want = _loop_sample_paths(market, y0, n_steps, n_paths, np.random.default_rng(seed))
+    got = sample_paths(market, y0, n_steps, n_paths, np.random.default_rng(seed))
+    for w, g in zip(want, got):
+        assert g.dtype == w.dtype
+        assert g.flags.c_contiguous
+        assert np.array_equal(g, w)
 
 
 # -- config I/O ---------------------------------------------------------------

@@ -294,6 +294,57 @@ def test_long_run_sharpe_matches_closed_form(two_state_market):
     assert abs(np.mean(runs) - target) < 3 * se
 
 
+def _loop_long_run_sharpe(strategy, market, total_steps, seed, y0=0):
+    """The scalar chain loop that long_run_sharpe used before it was built on
+    sample_paths, kept verbatim as the bit-exact reference."""
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(market.transition, axis=1)
+    cum[:, -1] = 1.0
+    rows = [tuple(row) for row in cum]
+    u = rng.random(total_steps)
+    ys = np.empty(total_steps, dtype=np.int64)
+    y = int(y0)
+    for n in range(total_steps):
+        ys[n] = y
+        row = rows[y]
+        k = 0
+        while u[n] >= row[k]:
+            k += 1
+        y = k
+    z = market.mu_step[ys] + market.sigma_step[ys] * rng.standard_normal(total_steps)
+    alloc = np.asarray(strategy.allocations(market.num_states))
+    excess = alloc[ys] * (z - market.r_step[ys])
+    return float(excess.mean()) / float(excess.std(ddof=1))
+
+
+def test_long_run_sharpe_matches_scalar_chain_loop(single_state_market,
+                                                   two_state_market):
+    three_state = MarketParams(
+        num_states=3,
+        transition=np.array([[0.90, 0.07, 0.03], [0.10, 0.80, 0.10],
+                             [0.00, 0.30, 0.70]]),
+        risk_free=np.array([0.02, 0.01, 0.0]),
+        mean_return=np.array([0.09, 0.05, 0.14]),
+        vol_return=np.array([0.12, 0.18, 0.25]),
+        steps_per_year=12,
+    )
+    cases = [(single_state_market, 0, CycleStrategy(0.6)),
+             (two_state_market, 0, CycleStrategy(0.6, 0.3)),
+             (two_state_market, 1, CycleStrategy(0.6, -0.2)),
+             (three_state, 2, CycleStrategy(0.5, 0.4))]
+    for market, y0, strategy in cases:
+        for steps, seed in ((10_000, 1), (54_321, 2024)):
+            want = _loop_long_run_sharpe(strategy, market, steps, seed, y0)
+            assert long_run_sharpe(strategy, market, steps, seed, y0) == want
+
+
+def test_long_run_sharpe_rejects_unknown_start_regime(two_state_market):
+    for y0 in (-1, 2):
+        with pytest.raises(ConfigError):
+            long_run_sharpe(CycleStrategy(0.6), two_state_market, 20_000, seed=1,
+                            y0=y0)
+
+
 def test_long_run_sharpe_needs_enough_steps(two_state_market):
     with pytest.raises(InsufficientSamples):
         long_run_sharpe(CycleStrategy(0.6), two_state_market, 5_000, seed=1)

@@ -3,7 +3,7 @@
 import csv
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -1014,3 +1014,15 @@ def test_non_finite_solve_raises_numerical_error():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=r"non-finite .* at n=2$"):
                 solve(market, profile, 3, GridSpec(xi_count=5, quad_points=8))
+
+
+def test_moment_m_overflow_raises_numerical_error(single_state_market):
+    tab = solve(single_state_market, RiskProfileParams(gamma0=3.0), 3,
+                GridSpec(xi_count=5, quad_points=8))
+    pi = tab.pi.copy()
+    pi[0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"non-finite moment 4 .* at n=0$"):
+            moment_m(4, replace(tab, pi=pi), ReducedState(xi=3.0), 0)
+    assert math.isfinite(moment_m(4, tab, ReducedState(xi=3.0), 0))
