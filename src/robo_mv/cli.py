@@ -30,7 +30,7 @@ from robo_mv.cycle_analytics import (
     sharpe_general,
 )
 from robo_mv.errors import ConfigError, NumericalError
-from robo_mv.market import market_from_dict, stationary_distribution
+from robo_mv.market import check_regime, market_from_dict, stationary_distribution
 from robo_mv.montecarlo import SimConfig, annualized, simulate, stats
 from robo_mv.personalization import (
     full_information_policy,
@@ -332,6 +332,7 @@ def cmd_personalize(args) -> int:
     profile = profile_from_dict(_need(cfg, "risk_profile", "personalize"))
     T = int(_need(cfg, "horizon", "personalize"))
     y0 = int(cfg.get("y0", 0))
+    check_regime(market, y0, "y0")
     beta = float(_resolve(args.beta, flags, "beta", cfg.get("beta", profile.beta)))
     phis = _parse_phi_range(_resolve(args.phi_range, flags, "phi_range", "1:12"))
     n_paths = int(_resolve(args.paths, flags, "paths", 20_000))

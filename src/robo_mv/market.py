@@ -199,34 +199,43 @@ def stationary_distribution(params: MarketParams) -> np.ndarray:
     return lam
 
 
+def check_regime(params: MarketParams, y, name: str = "y") -> None:
+    """Raise ConfigError unless y is an integer regime index in [0, M)."""
+    M = params.num_states
+    if not (isinstance(y, (int, np.integer)) and 0 <= y < M):
+        raise ConfigError(f"{name}={y!r} is not a regime index in [0, {M})")
+
+
 def sample_step(
     params: MarketParams, y: int, rng: np.random.Generator
 ) -> tuple[int, float]:
     """One market transition: next regime and the step's market return.
 
     The return is drawn from the current regime's per-step Gaussian and is
-    conditionally independent of the next regime.
+    conditionally independent of the next regime. Raises ConfigError when y
+    is not a regime index.
     """
+    check_regime(params, y)
     y_next = int(rng.choice(params.num_states, p=params.transition[y]))
     z = float(rng.normal(params.mu_step[y], params.sigma_step[y]))
     return y_next, z
 
 
-def sample_paths(
+def _sample_steps(
     params: MarketParams,
     y0: int,
     n_steps: int,
     n_paths: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized path sampler, for wide batches and long paths alike.
+    """The regime sampler, time-major: one contiguous row per step.
 
-    Draw-order contract: the sampler draws ``u = rng.random((n_paths,
-    n_steps))`` and then ``rng.standard_normal((n_paths, n_steps))``, and
-    nothing else. The next regime after step n is ``#{k < M-1 : u[:, n] >=
-    cumsum(P[y])[k]}``, and the return is ``mu_step[y] + sigma_step[y] * g``.
-    The output for a given ``rng`` state is therefore fixed, whatever the
-    shape or the internal scheme.
+    Returns regimes, int64 (n_steps + 1, n_paths), and returns, float64
+    (n_steps, n_paths), both C-contiguous: the transposes of what
+    `sample_paths` returns, under the same draw-order contract. The wealth
+    recursion of `montecarlo.simulate` and `montecarlo.long_run_sharpe` read
+    these rows directly; `sample_paths` is the path-major view for everyone
+    else.
 
     Block scheme: the time axis is split into B blocks of L steps, with
     ``B = max(1, isqrt(n_steps // n_paths))``. Every block after the first is
@@ -237,25 +246,13 @@ def sample_paths(
     applications*, CMU-CS-90-190), and each path's regimes are gathered
     from the matching speculative runs. A wide batch gets B = 1: a plain
     time-major loop from ``y0``. A single million-step path gets B ~ 1000.
-
-    Returns:
-        regimes: int64 array (n_paths, n_steps + 1); regimes[:, n] is the
-            regime holding over step n -> n+1 (column n_steps is the
-            terminal regime).
-        returns: float64 array (n_paths, n_steps); returns[:, n] is the
-            market return over step n -> n+1, Gaussian conditional on
-            regimes[:, n].
-
-    Both arrays are C-contiguous. Raises ConfigError when y0 is not an
-    integer regime index, n_steps < 0 or n_paths < 1.
     """
-    M = params.num_states
-    if not (isinstance(y0, (int, np.integer)) and 0 <= y0 < M):
-        raise ConfigError(f"y0={y0!r} is not a regime index in [0, {M})")
+    check_regime(params, y0, "y0")
     if n_steps < 0:
         raise ConfigError(f"n_steps must be >= 0, got {n_steps}")
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    M = params.num_states
     # thresholds[k, y] = cumsum(P[y])[k]; the last column would be 1 > u.
     thresholds = np.cumsum(params.transition, axis=1)[:, :-1].T
 
@@ -276,7 +273,7 @@ def sample_paths(
     del rows
 
     if B == 1:
-        path = runs[:, 0, 0]
+        regimes = runs[:, 0, 0]
     else:
         # Chain the blocks: block b + 1 starts in the regime where block b ends.
         path = np.empty((B * L + 1, n_paths), dtype=np.int64)
@@ -284,16 +281,56 @@ def sample_paths(
         for b in range(B):
             path[b * L:(b + 1) * L + 1] = runs[:, y, b, paths]
             y = runs[L, y, b, paths]
-    regimes = np.ascontiguousarray(path[:n_steps + 1].T)
-    del runs, path
+        del runs
+        regimes = path[:n_steps + 1]
 
-    # u, rows and runs are freed by now: the peak is regimes, returns and
-    # one gathered factor.
-    returns = rng.standard_normal((n_paths, n_steps))
-    ys = regimes[:, :-1]
-    returns *= params.sigma_step[ys]
+    # u and rows are freed by now: the peak is regimes, the Gaussian draws
+    # and the returns, then regimes, returns and one gathered factor.
+    gauss = rng.standard_normal((n_paths, n_steps))
+    ys = regimes[:-1]
+    returns = params.sigma_step[ys]
+    returns *= gauss.T
+    del gauss
     returns += params.mu_step[ys]
     return regimes, returns
+
+
+def sample_paths(
+    params: MarketParams,
+    y0: int,
+    n_steps: int,
+    n_paths: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized path sampler, for wide batches and long paths alike.
+
+    Draw-order contract: the sampler draws ``u = rng.random((n_paths,
+    n_steps))`` and then ``rng.standard_normal((n_paths, n_steps))``, and
+    nothing else. The next regime after step n is ``#{k < M-1 : u[:, n] >=
+    cumsum(P[y])[k]}``, and the return is ``mu_step[y] + sigma_step[y] * g``.
+    The output for a given ``rng`` state is therefore fixed, whatever the
+    shape or the internal scheme.
+
+    This is the path-major layout, one row per path, used by
+    `risk_profile.simulate_clients` and by callers that want whole paths.
+    It copies the time-major output of the one sampler core, `_sample_steps`
+    (see there for the block scheme), which the wealth recursion reads as is.
+
+    Returns:
+        regimes: int64 array (n_paths, n_steps + 1); regimes[:, n] is the
+            regime holding over step n -> n+1 (column n_steps is the
+            terminal regime).
+        returns: float64 array (n_paths, n_steps); returns[:, n] is the
+            market return over step n -> n+1, Gaussian conditional on
+            regimes[:, n].
+
+    Both arrays are C-contiguous. Raises ConfigError when y0 is not an
+    integer regime index, n_steps < 0 or n_paths < 1.
+    """
+    regimes, returns = _sample_steps(params, y0, n_steps, n_paths, rng)
+    # One copy at a time, so at most three of the four arrays are alive.
+    regimes = np.ascontiguousarray(regimes.T)
+    return regimes, np.ascontiguousarray(returns.T)
 
 
 def excess_moments(params: MarketParams, y: int) -> tuple[float, float]:

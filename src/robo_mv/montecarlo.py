@@ -7,9 +7,13 @@ its risk-aversion inputs). Either way the wealth recursion is
     X_{n+1} = R_step(y_n) X_n + (z_{n+1} - r_step(y_n)) * dollars_n,
 
 with dollars_n the fraction-of-wealth allocation times current wealth, or the
-liquidation overlay thereof. Simulation is chunked into fixed-size blocks of
-paths with RNG streams spawned per block from the master seed, so results are
-bit-identical for a given seed regardless of the thread count.
+liquidation overlay thereof. The recursion runs time-major: each step reads
+one contiguous row of regimes and returns, straight from the regime sampler's
+time-major core for a fixed mix, or from `simulate_clients`' path-major
+arrays transposed once per chunk for a solved policy. Simulation is chunked
+into fixed-size blocks of paths with RNG streams spawned per block from the
+master seed, so results are bit-identical for a given seed regardless of the
+thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from robo_mv.cycle_analytics import CycleStrategy
 from robo_mv.errors import ConfigError, InsufficientSamples
-from robo_mv.market import MarketParams, sample_paths
+from robo_mv.market import MarketParams, _sample_steps
 from robo_mv.risk_profile import RiskProfileParams, simulate_clients, window_sums
 from robo_mv.solver import PolicyTables, constrain, liquidation_overlay
 
@@ -79,7 +83,7 @@ class SimConfig:
 def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.ndarray:
     market, T = config.market, config.T
     if isinstance(config.strategy, CycleStrategy):
-        regimes, returns = sample_paths(market, config.y0, T, m, rng)
+        regimes, returns = _sample_steps(market, config.y0, T, m, rng)
         alloc = np.asarray(config.strategy.allocations(market.num_states))
         if config.bounds is not None:
             alloc = constrain(alloc, *config.bounds)
@@ -90,7 +94,9 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
     else:
         policy = config.strategy
         batch = simulate_clients(market, config.profile, T, m, rng, y0=config.y0)
-        regimes, returns = batch["regimes"], batch["returns"]
+        # One time-major copy each; the path-major arrays are dropped as we go.
+        regimes = np.ascontiguousarray(batch.pop("regimes").T)
+        returns = np.ascontiguousarray(batch.pop("returns").T)
         phi = config.profile.phi
 
         def frac_at(n, y):
@@ -100,13 +106,18 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
                 f = constrain(f, *config.bounds)
             return f
 
+    # X_{n+1} = R_step[y] X + (z - r_step[y]) dollars over one contiguous row
+    # per step, in place: IEEE products and sums commute, so every element
+    # gets the same bits as the expression written out.
     r_step, R_step = market.r_step, market.R_step
     X = np.full(m, float(config.x0))
-    for n in range(T):
-        y = regimes[:, n]
+    for n, (y, z) in enumerate(zip(regimes, returns)):
         f = frac_at(n, y)
         dollars = liquidation_overlay(X, f) if config.liquidate else f * X
-        X = R_step[y] * X + (returns[:, n] - r_step[y]) * dollars
+        excess = z - r_step[y]
+        excess *= dollars
+        X *= R_step[y]
+        X += excess
     return X / config.x0 - 1.0
 
 
@@ -199,16 +210,17 @@ def long_run_sharpe(
 ) -> float:
     """Per-step Sharpe ratio of pooled excess returns over one long path.
 
-    The path is ``sample_paths(market, y0, total_steps, 1, rng)`` with
-    ``rng = default_rng(seed)``, so it shares the regime sampler (and its
-    block scheme for long paths) with `simulate`.
+    The path is the one of ``sample_paths(market, y0, total_steps, 1, rng)``
+    with ``rng = default_rng(seed)``, read from the sampler's time-major core
+    without a transposed copy, so it shares the regime sampler (and its block
+    scheme for long paths) with `simulate`.
     """
     if total_steps < 10_000:
         raise InsufficientSamples(
             f"need at least 10000 steps for a stable estimate, got {total_steps}"
         )
-    regimes, z = sample_paths(market, y0, total_steps, 1, np.random.default_rng(seed))
-    ys, z = regimes[0, :-1], z[0]
+    regimes, z = _sample_steps(market, y0, total_steps, 1, np.random.default_rng(seed))
+    ys, z = regimes[:-1, 0], z[:, 0]
     alloc = np.asarray(strategy.allocations(market.num_states))
     excess = alloc[ys] * (z - market.r_step[ys])
     sd = float(excess.std(ddof=1))

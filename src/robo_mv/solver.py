@@ -511,6 +511,10 @@ class _StepOperators:
         self._xi_step = (grid.logxi[-1] - grid.logxi[0]) / (Nxi - 1)
         # coef[j, y, q, y'] = w_q zt^j P[y, y']
         self._coef = powers[..., None] * self.P[:, None, :]
+        # The last interaction shift (as bytes) and its xi positions: with no
+        # trend and a constant gamma_bar the shift repeats at every
+        # interaction step.
+        self._xi_cache: tuple[bytes, tuple] | None = None
 
     def slice_expectations(self, n: int, specs: list[tuple[np.ndarray, int]],
                            counters: ClampCounters) -> list[np.ndarray]:
@@ -546,11 +550,16 @@ class _StepOperators:
         row of the edge-padded smoothed table that the xi node 0 reads, frac
         the common interpolation weight of its successor, and
         n_clamped[y, q, y'] the number of clamped (xi, prev, cur) lookups,
-        identical to what the locator counts node by node.
+        identical to what the locator counts node by node. They depend on n
+        only through the interaction shift, so a repeated shift (bit for bit)
+        reuses the previous result.
         """
         Nxi, Np, Nc, M = self.grid.shape
         shift = np.array([[self.tabs.interaction_shift(n, y, y2) for y2 in range(M)]
                           for y in range(M)])
+        key = shift.tobytes()
+        if self._xi_cache is not None and self._xi_cache[0] == key:
+            return self._xi_cache[1]
         # d[y, q, y', 0, c] = shift - bp w
         d = (shift[:, None, :, None] - self._bp_w[:, :, None, :])[:, :, :, None, :]
         prev = np.arange(Np)[:, None]
@@ -575,7 +584,11 @@ class _StepOperators:
         n_clamped = (below + above).sum(axis=(3, 4))
         s = np.clip(t0, -Nxi, Nxi - 1)
         k0 = np.floor(s)
-        return (k0 + Nxi).astype(np.intp), s - k0, n_clamped
+        positions = ((k0 + Nxi).astype(np.intp), s - k0, n_clamped)
+        for arr in positions:
+            arr.setflags(write=False)
+        self._xi_cache = (key, positions)
+        return positions
 
     def _interaction(self, n, specs, counters):
         """The window completes (w = cur + next demeaned return), xi jumps,

@@ -476,6 +476,23 @@ def test_personalize_rejects_bad_phi_range(tmp_path, text, capsys):
     assert "phi-range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("y0", [2, -1])
+def test_personalize_rejects_unknown_start_regime(tmp_path, y0, capsys):
+    doc = two_state_config()
+    del doc["strategy"]
+    doc["risk_profile"] = {"gamma0": 3.0, "p_eps": 0.05, "sigma_eps": 0.64}
+    doc["horizon"] = 6
+    doc["y0"] = y0
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["personalize", "--config", cfg, "--out", str(out),
+                 "--phi-range", "1:2", "--paths", "100", "--s-paths", "100"]) == 2
+    err = capsys.readouterr().err
+    assert f"y0={y0}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "personalize.csv").exists()
+
+
 # -- error mapping ----------------------------------------------------------------
 
 

@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robo_mv.errors import BadDimension, ConfigError, NegativeVol, NonErgodic, NonStochasticRow
 from robo_mv.market import (
     MarketParams,
+    _sample_steps,
     check,
     excess_moments,
     load_market,
@@ -214,6 +215,13 @@ def test_sample_step_degenerate_vol_recovers_mean():
     assert z == pytest.approx(0.10 / 12, abs=1e-10)
 
 
+def test_sample_step_rejects_unknown_regime(two_state_market):
+    rng = np.random.default_rng(0)
+    for y in (-1, 2, 0.5):
+        with pytest.raises(ConfigError):
+            sample_step(two_state_market, y, rng)
+
+
 def test_sample_step_law_of_large_numbers(two_state_market):
     n = 1_000_000
     rng = np.random.default_rng(3)
@@ -322,6 +330,25 @@ def test_sample_paths_matches_per_column_loop(case):
         assert g.dtype == w.dtype
         assert g.flags.c_contiguous
         assert np.array_equal(g, w)
+
+
+_TWO_STATE = _mk([[0.95, 0.05], [0.10, 0.90]], [0.015, 0.0], [0.081, 0.137],
+                 [0.155, 0.173])
+
+
+@settings(deadline=None)
+@given(_sampler_cases())
+@example((_TWO_STATE, 1, 120, 300, 17))  # wide: one block from y0
+@example((_TWO_STATE, 1, 40_000, 1, 17))  # long: B = 200 chained blocks
+@example((_TWO_STATE, 0, 5_000, 3, 17))  # B = 40 blocks over three paths
+def test_time_major_core_is_the_transpose_of_sample_paths(case):
+    market, y0, n_steps, n_paths, seed = case
+    want = sample_paths(market, y0, n_steps, n_paths, np.random.default_rng(seed))
+    got = _sample_steps(market, y0, n_steps, n_paths, np.random.default_rng(seed))
+    for w, g in zip(want, got):
+        assert g.dtype == w.dtype
+        assert g.flags.c_contiguous
+        assert np.array_equal(g.T, w)
 
 
 # -- config I/O ---------------------------------------------------------------

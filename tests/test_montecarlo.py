@@ -4,19 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robo_mv.cycle_analytics import CycleStrategy, inputs_from_market, sharpe_delta
 from robo_mv.errors import ConfigError, InsufficientSamples
 from robo_mv.market import MarketParams, sample_paths
 from robo_mv.montecarlo import (
     SimConfig,
+    _chunk_returns,
     annualized,
     long_run_sharpe,
     simulate,
     stats,
 )
-from robo_mv.risk_profile import RiskProfileParams
-from robo_mv.solver import GridSpec, solve
+from robo_mv.risk_profile import RiskProfileParams, simulate_clients, window_sums
+from robo_mv.solver import GridSpec, constrain, liquidation_overlay, solve
 
 
 @pytest.fixture
@@ -141,6 +144,94 @@ def test_policy_returns_match_deterministic_fraction_product(
               + frac[None, :] * (batch["returns"] - single_state_market.r_step[0]))
     expected = np.prod(growth, axis=1) - 1.0
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+
+def _path_major_chunk_returns(config, m, rng):
+    """The path-major wealth loop that the time-major recursion replaced,
+    kept verbatim as the bit-exact reference."""
+    market, T = config.market, config.T
+    if isinstance(config.strategy, CycleStrategy):
+        regimes, returns = sample_paths(market, config.y0, T, m, rng)
+        alloc = np.asarray(config.strategy.allocations(market.num_states))
+        if config.bounds is not None:
+            alloc = constrain(alloc, *config.bounds)
+
+        def frac_at(n, y):
+            return alloc[y]
+
+    else:
+        policy = config.strategy
+        batch = simulate_clients(market, config.profile, T, m, rng, y0=config.y0)
+        regimes, returns = batch["regimes"], batch["returns"]
+        phi = config.profile.phi
+
+        def frac_at(n, y):
+            prev, cur = window_sums(batch["window_csum"], phi, n)
+            f = policy.allocation_at(n, batch["xi"][:, n], prev, cur, y)
+            if config.bounds is not None:
+                f = constrain(f, *config.bounds)
+            return f
+
+    r_step, R_step = market.r_step, market.R_step
+    X = np.full(m, float(config.x0))
+    for n in range(T):
+        y = regimes[:, n]
+        f = frac_at(n, y)
+        dollars = liquidation_overlay(X, f) if config.liquidate else f * X
+        X = R_step[y] * X + (returns[:, n] - r_step[y]) * dollars
+    return X / config.x0 - 1.0
+
+
+def _assert_matches_path_major_loop(config, m, seed):
+    want = _path_major_chunk_returns(config, m, np.random.default_rng(seed))
+    got = _chunk_returns(config, m, np.random.default_rng(seed))
+    assert got.shape == (m,)
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def _fixed_mix_cases(draw):
+    M = draw(st.integers(1, 3))
+    transition = np.array([
+        draw(st.lists(st.floats(0.05, 1.0), min_size=M, max_size=M))
+        for _ in range(M)
+    ])
+    transition /= transition.sum(axis=1, keepdims=True)
+    market = MarketParams(
+        num_states=M, transition=transition,
+        risk_free=np.linspace(0.0, 0.03, M), mean_return=np.linspace(0.05, 0.15, M),
+        vol_return=np.linspace(0.1, 0.3, M), steps_per_year=12,
+    )
+    # Large fractions drive wealth negative, so the overlay fires.
+    strategy = CycleStrategy(draw(st.floats(0.1, 30.0)), draw(st.floats(-0.9, 2.0)))
+    bounds = None
+    if draw(st.booleans()):
+        lo = draw(st.floats(-5.0, 5.0))
+        bounds = (lo, lo + draw(st.floats(0.0, 20.0)))
+    config = SimConfig(market=market, strategy=strategy, T=draw(st.integers(1, 60)),
+                       n_paths=1, y0=draw(st.integers(0, M - 1)),
+                       x0=draw(st.floats(0.01, 100.0)), bounds=bounds,
+                       liquidate=draw(st.booleans()))
+    return config, draw(st.integers(1, 300)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None)
+@given(_fixed_mix_cases())
+def test_time_major_recursion_matches_path_major_loop(case):
+    _assert_matches_path_major_loop(*case)
+
+
+@pytest.mark.parametrize("bounds, liquidate", [(None, False), ((-0.5, 3.0), True)])
+def test_time_major_recursion_matches_path_major_loop_under_a_policy(
+        two_state_market, bounds, liquidate):
+    profile = RiskProfileParams(gamma0=3.0, p_eps=0.3, sigma_eps=0.64, beta=2.0,
+                                phi=2)
+    policy = solve(two_state_market, profile, 6,
+                   GridSpec(xi_count=7, zsum_count=5, quad_points=5))
+    config = SimConfig(market=two_state_market, strategy=policy, T=6, n_paths=1,
+                       profile=profile, y0=1, x0=2.0, bounds=bounds,
+                       liquidate=liquidate)
+    _assert_matches_path_major_loop(config, 500, 29)
 
 
 def test_liquidation_overlay_inert_with_unit_bounds(two_state_market):

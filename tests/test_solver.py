@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robo_mv.errors import ConfigError, DegenerateVariance, GridExhausted, NumericalError
@@ -957,8 +957,30 @@ def _kernel_cases(draw):
     return market, profile, spec, T, power, draw(st.integers(0, 2**32 - 1))
 
 
+def _moving_shift_case(phi):
+    """An aging client (alpha > 0) under a gamma_bar that swings in time, so
+    the interaction shift, and with it the xi positions, differ from one
+    interaction step to the next."""
+    market = MarketParams(
+        num_states=2, transition=np.array([[0.9, 0.1], [0.3, 0.7]]),
+        risk_free=np.array([0.02, 0.0]), mean_return=np.array([0.08, 0.14]),
+        vol_return=np.array([0.15, 0.25]), steps_per_year=12,
+    )
+    T = 7
+    swing = 1.0 + 0.6 * np.sin(np.arange(T + 1))[:, None]
+    gamma_bar = swing * (np.array([[1.0, 1.4]]) if phi == 1 else np.ones((1, 2)))
+    profile = RiskProfileParams(gamma0=3.0, alpha=0.05, p_eps=0.05,
+                                sigma_eps=0.64, beta=2.0, phi=phi,
+                                gamma_bar=gamma_bar)
+    spec = GridSpec(xi_count=9, xi_lo=1.0, xi_hi=9.0, zsum_count=5,
+                    quad_points=5)
+    return market, profile, spec, T, 0, 7
+
+
 @settings(max_examples=150, deadline=None)
 @given(_kernel_cases())
+@example(_moving_shift_case(1))
+@example(_moving_shift_case(2))
 def test_step_operators_match_loop_kernel(case):
     market, profile, spec, T, power, seed = case
     grid = Grid.build(spec, market, profile)
