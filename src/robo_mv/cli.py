@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -166,7 +167,9 @@ def _manifest(out: Path, command: str, cfg: dict, flags: dict, outputs) -> None:
 def _seed_value(explicit, stored_flags: dict):
     seed = _resolve(explicit, stored_flags, "seed", None)
     if seed is None:
-        seed = int(np.random.SeedSequence().entropy)
+        return int(np.random.SeedSequence().entropy)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 
 
@@ -205,6 +208,13 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, flags = _load_config(args.config, "simulate")
+    n_paths = int(_resolve(args.paths, flags, "paths", 100_000))
+    seed = _seed_value(args.seed, flags)
+    threads = _threads(args.threads, flags)
+    bins = int(_resolve(args.bins, flags, "bins", 60))
+    if bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {bins}")
+    dump = bool(_resolve(args.dump_paths or None, flags, "dump_paths", False))
     bounds = cfg.get("bounds")
     if bounds is not None:
         bounds = (float(bounds[0]), float(bounds[1]))
@@ -220,12 +230,6 @@ def cmd_simulate(args) -> int:
         strategy = CycleStrategy(**strat_doc)
         profile = None
         T = int(_need(cfg, "horizon", "simulate"))
-
-    n_paths = int(_resolve(args.paths, flags, "paths", 100_000))
-    seed = _seed_value(args.seed, flags)
-    threads = _threads(args.threads, flags)
-    bins = int(_resolve(args.bins, flags, "bins", 60))
-    dump = bool(_resolve(args.dump_paths or None, flags, "dump_paths", False))
 
     sim = SimConfig(
         market=market, strategy=strategy, T=T, n_paths=n_paths, seed=seed,
@@ -270,6 +274,8 @@ def cmd_sharpe(args) -> int:
     sweep = _resolve(args.sweep, flags, "sweep", "delta")
     lo = float(_resolve(getattr(args, "from_"), flags, "from", -0.5))
     hi = float(_resolve(args.to, flags, "to", 0.5))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"--from and --to must be finite, got {lo!r} and {hi!r}")
     steps = int(_resolve(args.steps, flags, "steps", 21))
     if steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {steps}")

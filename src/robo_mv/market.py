@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BadDimension, ConfigError, NegativeVol, NonErgodic, NonStochasticRow
 
@@ -129,17 +128,27 @@ def validate(params: MarketParams) -> None:
 
 
 def _closed_classes(P: np.ndarray) -> list[np.ndarray]:
-    """Strongly connected components with no edges leaving them."""
-    support = P > 0
-    n_comp, comp = connected_components(support, directed=True, connection="strong")
-    closed = []
-    for c in range(n_comp):
-        members = np.nonzero(comp == c)[0]
-        # A class is closed iff no member can transition outside the class.
-        outside = np.ones(P.shape[0], dtype=bool)
-        outside[members] = False
-        if not support[np.ix_(members, outside)].any():
-            closed.append(members)
+    """Communicating classes with no edges leaving them, by boolean closure.
+
+    ``reach[i, j]`` says j is reachable from i in zero or more steps: squaring
+    ``(P > 0) | I`` until it stops changing gets there within ceil(log2 M)
+    squarings. The class of i is ``reach[i] & reach[:, i]``, and it is closed
+    iff i reaches nothing outside it. Members come in ascending order.
+    """
+    M = P.shape[0]
+    reach = (P > 0) | np.eye(M, dtype=bool)
+    while True:
+        nxt = reach @ reach
+        if np.array_equal(nxt, reach):
+            break
+        reach = nxt
+    mutual = reach & reach.T
+    closed, seen = [], np.zeros(M, dtype=bool)
+    for i in range(M):
+        if not seen[i]:
+            seen |= mutual[i]
+            if np.array_equal(reach[i], mutual[i]):
+                closed.append(np.nonzero(mutual[i])[0])
     return closed
 
 

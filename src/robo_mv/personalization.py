@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from robo_mv.errors import ConfigError, InsufficientSamples, ZeroAllocation
 from robo_mv.market import MarketParams
@@ -144,6 +143,10 @@ def phi_star(
     (p_eps = 0 or sigma_eps = 0) -> unbounded; otherwise the root of the
     derivative, which starts negative (if it does) and crosses zero once.
     """
+    # Imported on call: nothing else in the package needs scipy, and
+    # scipy.optimize takes longer to import than most robo-mv commands run.
+    from scipy.optimize import brentq
+
     for name, val in (("beta", beta), ("sigma0", sigma0), ("p_eps", p_eps),
                       ("sigma_eps", sigma_eps)):
         if val < 0:

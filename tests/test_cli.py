@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from robo_mv.cli import main
 from robo_mv.cycle_analytics import CycleStrategy, annualize_sharpe, implied_gamma, sharpe_general
 from robo_mv.errors import DegenerateVariance
 from robo_mv.market import market_from_dict
-from robo_mv.personalization import r_tilde
+from robo_mv.personalization import phi_star, r_tilde
 from robo_mv.solver import load_policy
 
 
@@ -46,6 +48,9 @@ def single_state_config():
         "risk_profile": {"gamma0": 3.0, "p_eps": 0.05, "sigma_eps": 0.64},
         "horizon": 12,
     }
+
+
+SIGMA0 = 0.20 / math.sqrt(12.0)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -300,6 +305,45 @@ def test_simulate_rejects_nan_market_without_artifacts(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command,seed", [("simulate", "-5"), ("personalize", "-1")])
+def test_negative_seed_exits_2_before_any_work(tmp_path, command, seed, capsys):
+    doc = two_state_config()
+    doc["risk_profile"] = {"gamma0": 3.0, "p_eps": 0.05, "sigma_eps": 0.64}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--paths", "100", "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: seed must be a non-negative integer")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-3, 2.5, "7", True])
+def test_bad_stored_seed_exits_2(tmp_path, seed, capsys):
+    cfg = write_config(tmp_path, two_state_config())
+    first = tmp_path / "a"
+    assert main(["simulate", "--config", cfg, "--out", str(first),
+                 "--paths", "100", "--seed", "1"]) == 0
+    manifest = json.loads((first / "run.json").read_text())
+    manifest["flags"]["seed"] = seed
+    rerun = write_config(tmp_path, manifest, name="run.json")
+    out = tmp_path / "b"
+    assert main(["simulate", "--config", rerun, "--out", str(out)]) == 2
+    assert "non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_zero_bins_exits_2_without_artifacts(tmp_path, capsys):
+    cfg = write_config(tmp_path, two_state_config())
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--paths", "100", "--seed", "1", "--bins", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "--bins must be >= 1" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_unseeded_run_records_entropy(tmp_path):
     cfg = write_config(tmp_path, two_state_config())
     first, second = tmp_path / "a", tmp_path / "b"
@@ -364,6 +408,20 @@ def test_sharpe_delta_sweep_matches_direct_evaluation(tmp_path):
             sharpe_general(strat.allocations(2), market), 12)
         assert float(got) == pytest.approx(want, rel=1e-10)
     assert float(lines[11].split(",")[1]) == 0.0
+
+
+@pytest.mark.parametrize("flag,value", [("--to", "inf"), ("--from", "-inf"),
+                                        ("--to", "nan")])
+def test_sharpe_rejects_non_finite_bounds(tmp_path, flag, value, capsys):
+    cfg = write_config(tmp_path, two_state_config())
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would exit 3 here
+        assert main(["sharpe", "--config", cfg, "--out", str(out),
+                     f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "--from and --to must be finite" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sharpe_pi_bar_sweep_is_flat_in_single_state(tmp_path):
@@ -531,12 +589,39 @@ def test_version_flag_reports_package_version(capsys):
     assert "robo-mv" in capsys.readouterr().out
 
 
-def test_console_script_is_installed():
+def _child_env() -> dict:
     # the child imports the same robo_mv as this process, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_console_script_is_installed():
     proc = subprocess.run([sys.executable, "-m", "robo_mv.cli", "--help"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_cli_import_path_loads_no_scipy(tmp_path):
+    # A fresh interpreter: scipy costs more start-up than most commands take,
+    # so only phi_star may import it, and only when called.
+    cfg = write_config(tmp_path, two_state_config())
+    child = f"""
+import json, sys
+import robo_mv, robo_mv.cli
+assert robo_mv.cli.main(["stationary", "--config", {cfg!r}]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+res = robo_mv.phi_star(2.0, {SIGMA0!r}, 0.05, 0.64)
+print(json.dumps({{"scipy": loaded, "phi": res.phi, "phi_int": res.phi_int}}))
+"""
+    proc = subprocess.run([sys.executable, "-c", child],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    first, last = proc.stdout.strip().split("\n")
+    assert first == "0.666667, 0.333333"
+    got = json.loads(last)
+    assert got["scipy"] == []
+    assert got["phi"] == phi_star(2.0, SIGMA0, 0.05, 0.64).phi
+    assert got["phi"] == pytest.approx(2.4829, abs=1e-3)
+    assert got["phi_int"] == 3

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from robo_mv.errors import BadDimension, ConfigError, NegativeVol, NonErgodic, NonStochasticRow
 from robo_mv.market import (
     MarketParams,
+    _closed_classes,
     _sample_steps,
     check,
     excess_moments,
@@ -195,6 +197,79 @@ def test_stationary_accepts_transient_state():
         _mk([[1.0, 0.0], [0.5, 0.5]], [0, 0], [0.1, 0.1], [0.2, 0.2])
     )
     np.testing.assert_allclose(lam, [1.0, 0.0], atol=1e-12)
+
+
+def _csgraph_closed_classes(P: np.ndarray) -> list[np.ndarray]:
+    """Strongly connected components with no edges leaving them: the
+    scipy-based implementation the numpy closure replaced, kept verbatim as
+    the reference."""
+    support = P > 0
+    n_comp, comp = connected_components(support, directed=True, connection="strong")
+    closed = []
+    for c in range(n_comp):
+        members = np.nonzero(comp == c)[0]
+        # A class is closed iff no member can transition outside the class.
+        outside = np.ones(P.shape[0], dtype=bool)
+        outside[members] = False
+        if not support[np.ix_(members, outside)].any():
+            closed.append(members)
+    return closed
+
+
+def _is_aperiodic(support: np.ndarray) -> bool:
+    """An irreducible support is aperiodic iff its Wielandt power
+    (n-1)^2 + 1 is all positive."""
+    n = support.shape[0]
+    power = support
+    for _ in range((n - 1) ** 2):
+        power = power @ support
+    return bool(power.all())
+
+
+@st.composite
+def _supports(draw):
+    """Row-stochastic matrices whose supports mix absorbing, transient and
+    periodic states: a permutation's cycles (periodic classes, or absorbing
+    states at its fixed points) under random extra edges of random density."""
+    M = draw(st.integers(1, 7))
+    support = np.zeros((M, M), dtype=bool)
+    if draw(st.booleans()):
+        support[np.arange(M), draw(st.permutations(range(M)))] = True
+    density = draw(st.integers(0, 4))
+    bits = np.array(draw(st.lists(st.integers(0, 7), min_size=M * M, max_size=M * M)))
+    support |= (bits < density).reshape(M, M)
+    for y in np.nonzero(~support.any(axis=1))[0]:
+        support[y, y] = True
+    return support / support.sum(axis=1, keepdims=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_supports())
+@example(np.eye(3))  # three absorbing states
+@example(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))  # period 3
+@example(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]]))  # transients
+def test_closed_classes_match_csgraph(P):
+    want = _csgraph_closed_classes(P)
+    got = _closed_classes(P)
+    assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+    for c in got:
+        assert c.dtype == np.intp and np.all(np.diff(c) > 0)
+
+    M = P.shape[0]
+    market = _mk(P, np.zeros(M), np.full(M, 0.1), np.full(M, 0.2))
+    ergodic = len(want) == 1 and _is_aperiodic(P[np.ix_(want[0], want[0])] > 0)
+    if ergodic:
+        lam = stationary_distribution(market)
+        np.testing.assert_allclose(lam @ P, lam, atol=1e-9)
+        assert lam.sum() == pytest.approx(1.0)
+    else:
+        with pytest.raises(NonErgodic) as exc:
+            stationary_distribution(market)
+        if len(want) != 1:
+            assert str(exc.value) == (
+                f"chain has {len(want)} closed classes; stationary law not unique")
+        else:
+            assert str(exc.value).startswith("closed class is periodic with period ")
 
 
 # -- sampling ----------------------------------------------------------------
