@@ -242,9 +242,9 @@ def _sample_steps(
     Returns regimes, int64 (n_steps + 1, n_paths), and returns, float64
     (n_steps, n_paths), both C-contiguous: the transposes of what
     `sample_paths` returns, under the same draw-order contract. The wealth
-    recursion of `montecarlo.simulate` and `montecarlo.long_run_sharpe` read
-    these rows directly; `sample_paths` is the path-major view for everyone
-    else.
+    recursion of `montecarlo.simulate` and `montecarlo.long_run_sharpe` and
+    the client simulator `risk_profile._client_steps` read these rows
+    directly; `sample_paths` is the path-major view for everyone else.
 
     Block scheme: the time axis is split into B blocks of L steps, with
     ``B = max(1, isqrt(n_steps // n_paths))``. Every block after the first is
@@ -320,10 +320,10 @@ def sample_paths(
     The output for a given ``rng`` state is therefore fixed, whatever the
     shape or the internal scheme.
 
-    This is the path-major layout, one row per path, used by
-    `risk_profile.simulate_clients` and by callers that want whole paths.
-    It copies the time-major output of the one sampler core, `_sample_steps`
-    (see there for the block scheme), which the wealth recursion reads as is.
+    This is the path-major layout, one row per path, for callers that want
+    whole paths. It copies the time-major output of the one sampler core,
+    `_sample_steps` (see there for the block scheme), which the wealth
+    recursion and the client simulator read as is.
 
     Returns:
         regimes: int64 array (n_paths, n_steps + 1); regimes[:, n] is the

@@ -9,8 +9,10 @@ its risk-aversion inputs). Either way the wealth recursion is
 with dollars_n the fraction-of-wealth allocation times current wealth, or the
 liquidation overlay thereof. The recursion runs time-major: each step reads
 one contiguous row of regimes and returns, straight from the regime sampler's
-time-major core for a fixed mix, or from `simulate_clients`' path-major
-arrays transposed once per chunk for a solved policy. Simulation is chunked
+time-major core (`market._sample_steps`) for a fixed mix, or from the client
+simulator's time-major core (`risk_profile._client_steps`) for a solved
+policy, whose allocations are looked up once per step with the xi and prev
+stencil located once per interaction window. Simulation is chunked
 into fixed-size blocks of paths with RNG streams spawned per block from the
 master seed, so results are bit-identical for a given seed regardless of the
 thread count.
@@ -26,9 +28,14 @@ import numpy as np
 
 from robo_mv.cycle_analytics import CycleStrategy
 from robo_mv.errors import ConfigError, InsufficientSamples
-from robo_mv.market import MarketParams, _sample_steps
-from robo_mv.risk_profile import RiskProfileParams, simulate_clients, window_sums
-from robo_mv.solver import PolicyTables, constrain, liquidation_overlay
+from robo_mv.market import MarketParams, _sample_steps, check_regime
+from robo_mv.risk_profile import RiskProfileParams, _client_steps
+from robo_mv.solver import (
+    PolicyTables,
+    _window_allocations,
+    constrain,
+    liquidation_overlay,
+)
 
 _CHUNK = 1 << 15
 
@@ -62,8 +69,7 @@ class SimConfig:
             raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
         if not (math.isfinite(self.x0) and self.x0 > 0):
             raise ConfigError(f"x0 must be finite and > 0, got {self.x0}")
-        if not 0 <= self.y0 < self.market.num_states:
-            raise ConfigError(f"y0={self.y0} outside the market's regimes")
+        check_regime(self.market, self.y0, "y0")
         if self.bounds is not None:
             if not all(math.isfinite(v) for v in self.bounds):
                 raise ConfigError(f"bounds must be finite, got {self.bounds}")
@@ -87,32 +93,23 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
         alloc = np.asarray(config.strategy.allocations(market.num_states))
         if config.bounds is not None:
             alloc = constrain(alloc, *config.bounds)
-
-        def frac_at(n, y):
-            return alloc[y]
-
+        fracs = (alloc[y] for y in regimes)
     else:
-        policy = config.strategy
-        batch = simulate_clients(market, config.profile, T, m, rng, y0=config.y0)
-        # One time-major copy each; the path-major arrays are dropped as we go.
-        regimes = np.ascontiguousarray(batch.pop("regimes").T)
-        returns = np.ascontiguousarray(batch.pop("returns").T)
-        phi = config.profile.phi
-
-        def frac_at(n, y):
-            prev, cur = window_sums(batch["window_csum"], phi, n)
-            f = policy.allocation_at(n, batch["xi"][:, n], prev, cur, y)
-            if config.bounds is not None:
-                f = constrain(f, *config.bounds)
-            return f
+        rows = _client_steps(market, config.profile, T, m, rng, config.y0,
+                             ("regimes", "returns", "xi", "window_csum"))
+        regimes, returns = rows["regimes"], rows["returns"]
+        fracs = _window_allocations(config.strategy, rows["xi"],
+                                    rows["window_csum"], regimes[:T],
+                                    config.profile.phi)
+        if config.bounds is not None:
+            fracs = (constrain(f, *config.bounds) for f in fracs)
 
     # X_{n+1} = R_step[y] X + (z - r_step[y]) dollars over one contiguous row
     # per step, in place: IEEE products and sums commute, so every element
     # gets the same bits as the expression written out.
     r_step, R_step = market.r_step, market.R_step
     X = np.full(m, float(config.x0))
-    for n, (y, z) in enumerate(zip(regimes, returns)):
-        f = frac_at(n, y)
+    for y, z, f in zip(regimes, returns, fracs):
         dollars = liquidation_overlay(X, f) if config.liquidate else f * X
         excess = z - r_step[y]
         excess *= dollars

@@ -17,15 +17,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from robo_mv.errors import ConfigError, InsufficientSamples, ZeroAllocation
-from robo_mv.market import MarketParams
+from robo_mv.market import MarketParams, check_regime
 from robo_mv.risk_profile import (
     RiskProfileParams,
+    _client_steps,
+    _cumsum_rows,
+    _time_sums,
     sample_eps,
-    simulate_clients,
     window_log_bias,
-    window_sums,
 )
-from robo_mv.solver import GridSpec, PolicyTables, solve
+from robo_mv.solver import (
+    GridSpec,
+    PolicyTables,
+    _params_digest,
+    _window_allocations,
+    solve,
+)
 
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -193,20 +200,19 @@ def _reduced_gamma_ratio(
     profile: RiskProfileParams, sigma0: float, T: int, n_paths: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-path, per-step ratio gamma^C_n / gamma_n in the frozen-regime
-    reduction, where everything except the idiosyncratic martingale and the
-    window bias cancels: ratio = gamma^id_n / (gamma^id_tau * gamma^Z_tau)."""
+    """Time-major rows (T, n_paths) of the ratio gamma^C_n / gamma_n in the
+    frozen-regime reduction, where everything except the idiosyncratic
+    martingale and the window bias cancels:
+    ratio = gamma^id_n / (gamma^id_tau * gamma^Z_tau)."""
     phi, beta = profile.phi, profile.beta
     demeaned = rng.normal(0.0, sigma0, size=(n_paths, T))
     eps = sample_eps(profile, rng, size=(n_paths, T))
-    log_id = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(eps, axis=1)], axis=1)
+    log_id = _cumsum_rows(eps.T)
 
-    log_gz = window_log_bias(demeaned, beta, phi)
+    log_gz = window_log_bias(demeaned.T, beta, phi)
     times = np.arange(T)
     tau_of_n = phi * (times // phi)
-    return np.exp(
-        log_id[:, times] - log_id[:, tau_of_n] - log_gz[:, times // phi]
-    )
+    return np.exp(log_id[times] - log_id[tau_of_n] - log_gz[times // phi])
 
 
 def r_measure(
@@ -229,16 +235,26 @@ def r_measure(
     built on) and no market paths are simulated; the default simulates the
     full regime-switching dynamics.
     """
+    check_regime(market, y0, "y0")
     if n_paths < 100:
         raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
     prof = replace(profile, phi=int(phi), beta=float(beta))
     rng = np.random.default_rng(seed)
+    # Per-path time averages of |ratio - 1| over time-major ratio rows. The
+    # two branches sum in different orders (in time order, and pairwise like
+    # a contiguous path-major row) so that each estimate keeps its bits for
+    # a given seed.
     if reduced:
         ratio = _reduced_gamma_ratio(prof, float(market.sigma_step[y0]), T, n_paths, rng)
+        ratio -= 1.0
+        per_path = np.abs(ratio, out=ratio).mean(axis=0)
     else:
-        batch = simulate_clients(market, prof, T, n_paths, rng, y0=y0)
-        ratio = batch["gamma_client"][:, :T] / batch["gamma_robo"][:, :T]
-    per_path = np.abs(ratio - 1.0).mean(axis=1)
+        rows = _client_steps(market, prof, T, n_paths, rng, y0,
+                             ("gamma_client", "gamma_robo"))
+        ratio = rows["gamma_client"][:T]
+        ratio /= rows["gamma_robo"][:T]
+        ratio -= 1.0
+        per_path = _time_sums(np.abs(ratio, out=ratio)) / T
     est = float(per_path.mean())
     se = float(per_path.std(ddof=1) / math.sqrt(n_paths))
     return est, se
@@ -263,7 +279,11 @@ def full_information_policy(
     """The benchmark policy of S: every-step interaction (phi = 1) and no
     behavioral bias (beta = 0). It does not depend on the phi and beta under
     study, so a sweep over them needs it only once."""
-    return solve(market, replace(profile, phi=1, beta=0.0), T, grid)
+    return solve(market, _full_information(profile), T, grid)
+
+
+def _full_information(profile: RiskProfileParams) -> RiskProfileParams:
+    return replace(profile, phi=1, beta=0.0)
 
 
 def s_measure(
@@ -285,19 +305,20 @@ def s_measure(
     Both policies are solved on the same grid and evaluated along shared
     simulated paths; `full_policy`, if given, is the full-information policy
     already solved by full_information_policy for the same market, profile,
-    T and grid. Path-steps where the full-information allocation is below
+    T and grid; its parameter digest must match, or ConfigError is raised.
+    Path-steps where the full-information allocation is below
     1e-10 in magnitude are excluded from the average and counted in
     excluded_steps; if nothing remains the estimate is undefined.
     """
+    check_regime(market, y0, "y0")
     if n_paths < 100:
         raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
-    if full_policy is not None and (
-        full_policy.T != T or full_policy.profile.phi != 1
-        or full_policy.profile.beta != 0.0
+    if full_policy is not None and full_policy.params_sha256 != _params_digest(
+        market, _full_information(profile), T, grid, None
     ):
         raise ConfigError(
-            "full_policy must be solved with phi = 1 and beta = 0 over the "
-            f"same horizon T = {T}"
+            "full_policy is not the full_information_policy of this market, "
+            f"profile, grid and horizon T = {T}"
         )
     robo_prof = replace(profile, phi=int(phi), beta=float(beta))
     policy_robo = solve(market, robo_prof, T, grid)
@@ -305,18 +326,16 @@ def s_measure(
                    else full_information_policy(market, profile, T, grid))
 
     rng = np.random.default_rng(seed)
-    batch = simulate_clients(market, robo_prof, T, n_paths, rng, y0=y0)
-    regimes = batch["regimes"]
-    zeros = np.zeros(n_paths)
+    rows = _client_steps(market, robo_prof, T, n_paths, rng, y0,
+                         ("regimes", "gamma_client", "xi", "window_csum"))
+    regimes = rows["regimes"][:T]
+    robo = _window_allocations(policy_robo, rows["xi"], rows["window_csum"],
+                               regimes, robo_prof.phi)
+    # The full-information client reports gamma^C every step, unbiased.
+    full = _window_allocations(policy_full, rows["gamma_client"], None, regimes, 1)
     path_sum = np.zeros(n_paths)
     path_cnt = np.zeros(n_paths, dtype=int)
-    for n in range(T):
-        prev, cur = window_sums(batch["window_csum"], robo_prof.phi, n)
-        y = regimes[:, n]
-        pi_robo = policy_robo.allocation_at(n, batch["xi"][:, n], prev, cur, y)
-        pi_full = policy_full.allocation_at(
-            n, batch["gamma_client"][:, n], zeros, zeros, y
-        )
+    for pi_robo, pi_full in zip(robo, full):
         ok = np.abs(pi_full) >= 1e-10
         gap = np.where(
             ok, np.abs(pi_robo - pi_full) / np.where(ok, np.abs(pi_full), 1.0), 0.0

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NotInteractionTime, WindowLengthMismatch
-from .market import MarketParams, sample_paths
+from .market import MarketParams, _sample_steps
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,10 @@ def sample_eps(
     scalar = size is None
     n = 1 if scalar else size
     jump = rng.random(n) < params.p_eps
-    w = rng.standard_normal(n)
-    eps = np.where(jump, params.sigma_eps * w - 0.5 * params.sigma_eps**2, 0.0)
+    eps = rng.standard_normal(n)
+    eps *= params.sigma_eps
+    eps -= 0.5 * params.sigma_eps**2
+    np.copyto(eps, 0.0, where=~jump)
     return float(eps[0]) if scalar else eps
 
 
@@ -177,6 +179,13 @@ class ClientTrajectory:
         return len(self.returns)
 
 
+# The fields of simulate_clients, in the order it returns them.
+_CLIENT_FIELDS = (
+    "regimes", "returns", "gamma_id", "gamma_client", "gamma_z", "xi",
+    "gamma_robo", "tau", "window_csum",
+)
+
+
 def simulate_clients(
     market: MarketParams,
     profile: RiskProfileParams,
@@ -189,63 +198,159 @@ def simulate_clients(
 
     Returns a dict of arrays shaped (n_paths, T+1) (returns: (n_paths, T))
     with the same fields as ClientTrajectory, plus `window_csum` for
-    `window_sums`. This is the workhorse behind the personalization
-    measures; `simulate_trajectory` wraps a single path.
+    `window_sums`; `simulate_trajectory` wraps a single path. This is the
+    path-major layout: it copies the rows of the time-major core
+    `_client_steps`, which the personalization measures and the policy
+    simulation read as they are.
+    """
+    rows = _client_steps(market, profile, T, n_paths, rng, y0)
+    # One copy at a time, dropping each time-major array as it is copied.
+    return {
+        name: rows[name].T if name == "tau"
+        else np.ascontiguousarray(rows.pop(name).T)
+        for name in _CLIENT_FIELDS
+    }
+
+
+def _client_steps(
+    market: MarketParams,
+    profile: RiskProfileParams,
+    T: int,
+    n_paths: int,
+    rng: np.random.Generator,
+    y0: int = 0,
+    fields=_CLIENT_FIELDS,
+) -> dict:
+    """The client simulator, time-major: one contiguous row per time.
+
+    Builds only the named `simulate_clients` fields, each the transpose of
+    that function's array: float rows (T+1, n_paths), returns (T, n_paths),
+    int64 regimes, and `tau` as a read-only broadcast view. All are
+    C-contiguous except `tau`. Whatever the fields, the draws are those of
+    `simulate_clients`: `market._sample_steps`, then `sample_eps` of size
+    (n_paths, T). Every element gets the same arithmetic, so each row holds
+    the bits of that function's column.
     """
     phi, beta = profile.phi, profile.beta
-    regimes, returns = sample_paths(market, y0, T, n_paths, rng)
+    regimes, returns = _sample_steps(market, y0, T, n_paths, rng)
     gbar = profile.gamma_bar_table(T, market.num_states)
     eta = np.asarray(profile.eta_at(np.arange(T + 1), T), dtype=float)
-
     # Idiosyncratic martingale: one potential jump per step 1..T.
     eps = sample_eps(profile, rng, size=(n_paths, T))
-    log_id = np.concatenate(
-        [np.zeros((n_paths, 1)), np.cumsum(eps, axis=1)], axis=1
-    )
-    gamma_id = profile.gamma0 * np.exp(log_id)
 
-    demeaned = returns - market.mu_step[regimes[:, :-1]]
-    window_csum = np.concatenate(
-        [np.zeros((n_paths, 1)), np.cumsum(demeaned, axis=1)], axis=1
-    )
-    gz_at_inter = np.exp(window_log_bias(demeaned, beta, phi))
-
+    want = set(fields)
+    robo = bool(want & {"xi", "gamma_robo"})
     times = np.arange(T + 1)
     tau_of_n = phi * (times // phi)
-    k_of_n = times // phi
+    out = {}
+    if "window_csum" in want or "gamma_z" in want or robo:
+        demeaned = market.mu_step[regimes[:-1]]
+        np.subtract(returns, demeaned, out=demeaned)
+        if "window_csum" in want:
+            out["window_csum"] = _cumsum_rows(demeaned)
+        # Log bias, then bias, at each interaction time k*phi.
+        gz_at_inter = window_log_bias(demeaned, beta, phi)
+        np.exp(gz_at_inter, out=gz_at_inter)
+        del demeaned
+        if "gamma_z" in want:
+            out["gamma_z"] = gz_at_inter[times // phi]
+    if "returns" in want:
+        out["returns"] = returns
+    del returns
 
-    gbar_path = gbar[np.broadcast_to(times, regimes.shape), regimes]
-    gamma_client = np.exp(eta)[None, :] * gamma_id * gbar_path
-    gamma_z = gz_at_inter[:, k_of_n]
-    xi = gamma_client[np.arange(n_paths)[:, None], tau_of_n[None, :]] * gamma_z
-    gbar_now = gbar_path
-    gbar_anchor = gbar[
-        np.broadcast_to(tau_of_n, regimes.shape),
-        regimes[np.arange(n_paths)[:, None], tau_of_n[None, :]],
-    ]
-    gamma_robo = np.exp(eta - eta[tau_of_n])[None, :] * xi * gbar_now / gbar_anchor
+    if want & {"gamma_id", "gamma_client"} or robo:
+        gamma_id = _cumsum_rows(eps.T)
+        del eps
+        np.exp(gamma_id, out=gamma_id)
+        gamma_id *= profile.gamma0
+        if "gamma_id" in want:
+            out["gamma_id"] = gamma_id
+            gamma_client = gamma_id * np.exp(eta)[:, None]
+        else:
+            gamma_client = gamma_id
+            gamma_client *= np.exp(eta)[:, None]
+        # gamma_bar_n(Y_n) per path; one column when it ignores the regime.
+        if profile.gamma_bar_is_state_constant():
+            gbar_path = gbar[:, :1]
+        else:
+            gbar_path = gbar[times[:, None], regimes]
+        gamma_client *= gbar_path
+        if "gamma_client" in want:
+            out["gamma_client"] = gamma_client
+    if robo:
+        xi = gamma_client[tau_of_n]
+        xi *= gz_at_inter[times // phi]
+        if "xi" in want:
+            out["xi"] = xi
+        if "gamma_robo" in want:
+            gamma_robo = np.exp(eta - eta[tau_of_n])[:, None] * xi
+            gamma_robo *= gbar_path
+            gamma_robo /= gbar_path[tau_of_n]
+            out["gamma_robo"] = gamma_robo
+    if "regimes" in want:
+        out["regimes"] = regimes
+    if "tau" in want:
+        out["tau"] = np.broadcast_to(tau_of_n[:, None], (T + 1, n_paths))
+    return out
 
-    return {
-        "regimes": regimes,
-        "returns": returns,
-        "gamma_id": gamma_id,
-        "gamma_client": gamma_client,
-        "gamma_z": gamma_z,
-        "xi": xi,
-        "gamma_robo": gamma_robo,
-        "tau": np.broadcast_to(tau_of_n, (n_paths, T + 1)),
-        "window_csum": window_csum,
-    }
+
+def _cumsum_rows(rows: np.ndarray) -> np.ndarray:
+    """Running sums of the rows after a zero row: out[0] = 0 and
+    out[t + 1] = out[t] + rows[t], the recurrence of ``np.cumsum`` along a
+    path-major row, one contiguous row at a time (numpy's accumulate along
+    the first axis strides down each column, several times slower)."""
+    out = np.empty((len(rows) + 1,) + rows.shape[1:])
+    out[0] = 0.0
+    out[1:] = rows
+    for t in range(2, len(out)):
+        out[t] += out[t - 1]
+    return out
+
+
+def _time_sums(rows: np.ndarray) -> np.ndarray:
+    """Sums over the first axis, with the bits of numpy's ``sum(axis=-1)``
+    over the transpose: the sum path-major code gets from each path's row.
+
+    numpy reduces a contiguous row pairwise (fewer than 8 terms in order
+    from 0.0, up to 128 in eight interleaved accumulators, more by halves
+    at multiples of 8) and adds the result to the identity 0.0. Summing
+    time-major rows in order instead moves the last bits from 8 terms on.
+    """
+    out = _pairwise_rows(rows)
+    out += 0.0  # the identity: turns an all -0.0 sum into +0.0, as numpy does
+    return out
+
+
+def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
+    k = len(rows)
+    if k < 8:
+        out = np.zeros(rows.shape[1:])
+        for row in rows:
+            out += row
+        return out
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
+    acc = rows[:8].copy()
+    stop = k - k % 8
+    for i in range(8, stop, 8):
+        acc += rows[i:i + 8]
+    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in rows[stop:]:
+        out += row
+    return out
 
 
 def window_log_bias(demeaned: np.ndarray, beta: float, phi: int) -> np.ndarray:
     """Log bias factor at interaction times k*phi, k = 0..T//phi, from
-    demeaned returns of shape (n_paths, T); 0 at time 0 (no pre-history)."""
-    n_paths, T = demeaned.shape
-    out = np.zeros((n_paths, T // phi + 1))
+    time-major demeaned returns of shape (T, n_paths); row 0 is 0 (no
+    pre-history). Each window sums like the path-major row sum (see
+    `_time_sums`), so the bits do not depend on the layout."""
+    T = len(demeaned)
+    out = np.zeros((T // phi + 1,) + demeaned.shape[1:])
     for k in range(1, T // phi + 1):
         tau = k * phi
-        out[:, k] = -beta * demeaned[:, tau - phi:tau].sum(axis=1) / phi
+        out[k] = -beta * _time_sums(demeaned[tau - phi:tau]) / phi
     return out
 
 

@@ -279,27 +279,83 @@ def _interp3(grid: Grid, table: np.ndarray, logxi, prev, cur, regime,
     """Trilinear interpolation of a (xi, prev, cur, regime) table at
     broadcast queries, clamped to the grid box; clamped lookups are tallied
     into `counters` if given. A collapsed axis has corner stride 0."""
-    Nx, Np, Nc, M = table.shape
-    y = np.asarray(regime)
-    if y.size and (y.min() < 0 or y.max() >= M):
-        raise ConfigError(f"regime queries must lie in [0, {M})")
-    ix, fx, cx = _locate(grid.logxi, logxi)
-    ip, fp, cp = _locate(grid.prev, prev)
+    y = _checked_regimes(regime, table.shape[-1])
+    xp, corners, cx, cp = _xp_stencil(grid, table.shape, logxi, prev)
     ic, fc, cc = _locate(grid.cur, cur)
     if counters is not None:
         counters.add_xi(1.0, np.size(logxi), cx)
         counters.add_window(1.0, np.size(logxi) * 2, cp + cc)
-    sc = M if Nc > 1 else 0
+    return _corner_sum(table, xp, corners, ic, fc, y)
+
+
+def _checked_regimes(regime, M: int) -> np.ndarray:
+    y = np.asarray(regime)
+    if y.size and (y.min() < 0 or y.max() >= M):
+        raise ConfigError(f"regime queries must lie in [0, {M})")
+    return y
+
+
+def _xp_stencil(grid: Grid, shape, logxi, prev):
+    """The xi and prev half of the trilinear stencil: the partial flat index
+    ``ix * Np + ip``, the four (wx * wp, offset) corner pairs in the order
+    the corner sum takes them, and the two clamp counts."""
+    Nx, Np, Nc, M = shape
+    ix, fx, cx = _locate(grid.logxi, logxi)
+    ip, fp, cp = _locate(grid.prev, prev)
     sp = Nc * M if Np > 1 else 0
     sx = Np * Nc * M if Nx > 1 else 0
+    corners = [(wx * wp, ox + op)
+               for wx, ox in ((1.0 - fx, 0), (fx, sx))
+               for wp, op in ((1.0 - fp, 0), (fp, sp))]
+    return ix * Np + ip, corners, cx, cp
+
+
+def _corner_sum(table: np.ndarray, xp, corners, ic, fc, y) -> np.ndarray:
+    """Sum of the 8 weighted corners, each term ``wx * wp * wc * value``
+    added in (xi, prev, cur) corner order onto 0.0."""
+    Nx, Np, Nc, M = table.shape
+    sc = M if Nc > 1 else 0
     flat = table.ravel()
-    base = ((ix * Np + ip) * Nc + ic) * M + y
-    out = np.zeros(np.broadcast(logxi, prev, cur, y).shape)
-    for wx, ox in ((1.0 - fx, 0), (fx, sx)):
-        for wp, op in ((1.0 - fp, 0), (fp, sp)):
-            for wc, oc in ((1.0 - fc, 0), (fc, sc)):
-                out += wx * wp * wc * flat[base + (ox + op + oc)]
+    base = (xp * Nc + ic) * M + y
+    out = np.zeros(np.shape(base))
+    cur_corners = ((1.0 - fc, 0), (fc, sc))
+    for wxp, oxp in corners:
+        for wc, oc in cur_corners:
+            out += wxp * wc * flat[base + (oxp + oc)]
     return out
+
+
+def _window_allocations(policy: "PolicyTables", xi, window_csum, regimes, phi: int):
+    """Yield ``policy.allocation_at(n, xi[n], prev_n, cur_n, regimes[n])``
+    bit for bit, for n = 0 .. len(regimes) - 1, from time-major rows.
+
+    The window sums (prev_n, cur_n) come from the rows of a
+    `window_csum` as `risk_profile.window_sums` forms them, or are zero
+    when it is None. xi must be constant over each interaction window
+    [k*phi, (k+1)*phi), as the client simulator's is: xi and prev are then
+    checked and located once per window, and only cur moves the stencil.
+    """
+    if len(regimes) > policy.T:
+        raise ConfigError(f"time index {policy.T} outside [0, {policy.T})")
+    table_shape = policy.pi.shape[1:]
+    _checked_regimes(regimes, table_shape[-1])
+    zeros = np.zeros(np.shape(regimes)[1:]) if window_csum is None else None
+    for n, y in enumerate(regimes):
+        if n % phi == 0:
+            tau = n
+            x = np.asarray(xi[n], dtype=float)
+            if np.any(x <= 0):
+                raise ConfigError("xi queries must be strictly positive")
+            if zeros is not None:
+                prev = zeros
+            elif tau >= phi:
+                prev = window_csum[tau] - window_csum[tau - phi]
+            else:
+                prev = np.zeros(len(y))
+            xp, corners, _, _ = _xp_stencil(policy.grid, table_shape, np.log(x), prev)
+        cur = zeros if zeros is not None else window_csum[n] - window_csum[tau]
+        ic, fc, _ = _locate(policy.grid.cur, cur)
+        yield _corner_sum(policy.pi[n], xp, corners, ic, fc, y)
 
 
 # -- advisor gamma bookkeeping ---------------------------------------------------
@@ -383,6 +439,13 @@ class PolicyTables:
     V: np.ndarray
     bounds: tuple[float, float] | None = None
     solve_clamps: ClampCounters = field(default_factory=ClampCounters)
+
+    @property
+    def params_sha256(self) -> str:
+        """Digest of the market, profile, grid, T and bounds the tables were
+        solved for, as stored in the manifest."""
+        return _params_digest(self.market, self.profile, self.T, self.grid,
+                              self.bounds)
 
     def gamma_table(self, n: int) -> np.ndarray:
         """Advisor gamma over (xi, regime) at time n."""
@@ -805,6 +868,15 @@ def _require_finite(name: str, values: np.ndarray, n: int) -> None:
         raise NumericalError(f"non-finite {name} at n={n}")
 
 
+def _solve_grid(grid: GridSpec | Grid | None, market: MarketParams,
+                profile: RiskProfileParams) -> Grid:
+    """The grid `solve` runs on: a Grid as given, else one built from the
+    spec (GridSpec() when None)."""
+    if isinstance(grid, Grid):
+        return grid
+    return Grid.build(grid if grid is not None else GridSpec(), market, profile)
+
+
 def solve(
     market: MarketParams,
     profile: RiskProfileParams,
@@ -826,10 +898,7 @@ def solve(
         raise ConfigError(f"horizon T must be >= 1, got {T}")
     if bounds is not None and bounds[0] > bounds[1]:
         raise ConfigError(f"bounds out of order: {bounds}")
-    if isinstance(grid, Grid):
-        g = grid
-    else:
-        g = Grid.build(grid if grid is not None else GridSpec(), market, profile)
+    g = _solve_grid(grid, market, profile)
     tabs = _ProfileTables(market, profile, T)
 
     shape = g.shape
@@ -1014,12 +1083,14 @@ def brute_force_equilibrium(
 
 
 def _params_digest(market: MarketParams, profile: RiskProfileParams, T: int,
-                   grid: Grid, bounds) -> str:
+                   grid: GridSpec | Grid | None, bounds) -> str:
+    """`params_sha256` of the tables ``solve(market, profile, T, grid,
+    bounds)`` returns."""
     doc = {
         "market": _market_doc(market),
         "risk_profile": _profile_doc(profile),
         "T": T,
-        "grid": grid.to_dict(),
+        "grid": _solve_grid(grid, market, profile).to_dict(),
         "bounds": list(bounds) if bounds is not None else None,
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -1119,9 +1190,7 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
         for name in _TABLE_NAMES:
             with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as f:
                 np.lib.format.write_array(f, arrays[name], allow_pickle=False)
-    params_sha256 = _params_digest(
-        tables.market, tables.profile, tables.T, g, tables.bounds
-    )
+    params_sha256 = tables.params_sha256
     clamps = tables.solve_clamps
     manifest = {
         "kind": "policy_tables",

@@ -334,6 +334,73 @@ def test_bad_stored_seed_exits_2(tmp_path, seed, capsys):
     assert not out.exists()
 
 
+_SMALL_FLAGS = {
+    "simulate": {"paths": 100, "seed": 1, "bins": 5, "threads": 1},
+    "solve": {"quad_points": 4},
+    "sharpe": {"steps": 3, "from": 0.1, "to": 0.3},
+    "implied-gamma": {"horizon": 4},
+    "personalize": {"paths": 100, "s_paths": 100, "seed": 1, "phi_range": "1:1"},
+}
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("simulate", "flags", "bins", "x"),
+    ("simulate", "flags", "paths", "100"),
+    ("simulate", "flags", "paths", 100.5),
+    ("simulate", "flags", "threads", 1.5),
+    ("simulate", "config", "horizon", "x"),
+    ("simulate", "config", "horizon", 12.7),
+    ("simulate", "config", "y0", "x"),
+    ("simulate", "config", "y0", 0.5),
+    ("simulate", "config", "x0", "one"),
+    ("simulate", "config", "bounds", [0.0, "x"]),
+    ("solve", "config", "horizon", True),
+    ("solve", "config", "horizon", float("nan")),
+    ("solve", "flags", "quad_points", "x"),
+    ("sharpe", "flags", "steps", 2.5),
+    ("sharpe", "flags", "from", "a"),
+    ("sharpe", "flags", "to", float("inf")),
+    ("sharpe", "flags", "sweep", "gamma"),
+    ("implied-gamma", "flags", "horizon", "x"),
+    ("implied-gamma", "flags", "horizon", 4.2),
+    ("personalize", "config", "horizon", 12.7),
+    ("personalize", "config", "y0", "x"),
+    ("personalize", "config", "beta", "x"),
+    ("personalize", "flags", "beta", float("nan")),
+    ("personalize", "flags", "s_paths", "x"),
+    ("personalize", "flags", "paths", float("inf")),
+    ("personalize", "flags", "phi_range", 3),
+])
+def test_bad_number_in_config_or_stored_flags_exits_2(tmp_path, command, section,
+                                                     key, value, capsys):
+    cfg = two_state_config()
+    cfg["horizon"] = 6
+    cfg["risk_profile"] = {"gamma0": 3.0, "p_eps": 0.05, "sigma_eps": 0.64}
+    cfg["grid"] = {"xi_count": 5, "zsum_count": 3}
+    flags = dict(_SMALL_FLAGS[command])
+    {"config": cfg, "flags": flags}[section][key] = value
+    manifest = {"kind": "run_manifest", "command": command, "config": cfg,
+                "flags": flags}
+    path = write_config(tmp_path, manifest, name="run.json")
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_integral_float_numbers_are_accepted(tmp_path):
+    cfg = two_state_config()
+    cfg["horizon"] = 6.0
+    cfg["y0"] = 1.0
+    manifest = {"kind": "run_manifest", "command": "simulate", "config": cfg,
+                "flags": {"paths": 100.0, "seed": 1, "bins": 5.0}}
+    path = write_config(tmp_path, manifest, name="run.json")
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    flags = json.loads((tmp_path / "o" / "run.json").read_text())["flags"]
+    assert flags["paths"] == 100 and flags["bins"] == 5
+
+
 def test_simulate_zero_bins_exits_2_without_artifacts(tmp_path, capsys):
     cfg = write_config(tmp_path, two_state_config())
     out = tmp_path / "sim"

@@ -42,6 +42,8 @@ def test_config_validation(two_state_market, small_policy):
         {"x0": 0.0},
         {"x0": -1.0},
         {"y0": 2},
+        {"y0": -1},
+        {"y0": 1.0},
         {"bounds": (1.0, 0.0)},
         {"x0": float("inf")},
         {"x0": float("nan")},

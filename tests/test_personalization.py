@@ -18,8 +18,13 @@ from robo_mv.personalization import (
     r_tilde_sandwich,
     s_measure,
 )
-from robo_mv.risk_profile import RiskProfileParams, simulate_clients
-from robo_mv.solver import GridSpec
+from robo_mv.risk_profile import (
+    RiskProfileParams,
+    sample_eps,
+    simulate_clients,
+    window_sums,
+)
+from robo_mv.solver import GridSpec, solve
 
 ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -318,6 +323,48 @@ def test_r_measure_tracks_closed_form_band(single_state_market, beta, phi):
     assert lo - err - 4.0 * se <= est <= hi + 0.02 * rt + 4.0 * se
 
 
+def _path_major_r_measure(phi, beta, market, profile, T, n_paths, seed, y0=0,
+                          reduced=False):
+    """R as first written, on path-major arrays: the bit-exact reference."""
+    prof = replace(profile, phi=int(phi), beta=float(beta))
+    rng = np.random.default_rng(seed)
+    if reduced:
+        demeaned = rng.normal(0.0, float(market.sigma_step[y0]), size=(n_paths, T))
+        eps = sample_eps(prof, rng, size=(n_paths, T))
+        log_id = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(eps, axis=1)], axis=1)
+        log_gz = np.zeros((n_paths, T // phi + 1))
+        for k in range(1, T // phi + 1):
+            log_gz[:, k] = -beta * demeaned[:, k * phi - phi:k * phi].sum(axis=1) / phi
+        times = np.arange(T)
+        tau_of_n = phi * (times // phi)
+        ratio = np.exp(log_id[:, times] - log_id[:, tau_of_n] - log_gz[:, times // phi])
+    else:
+        batch = simulate_clients(market, prof, T, n_paths, rng, y0=y0)
+        ratio = batch["gamma_client"][:, :T] / batch["gamma_robo"][:, :T]
+    per_path = np.abs(ratio - 1.0).mean(axis=1)
+    return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n_paths))
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("phi", [1, 2, 4, 6, 8, 9, 12, 13])
+def test_r_measure_equals_path_major_formula(two_state_market, phi, reduced):
+    # Floats, not a printed digest: %.12g would hide a last-bit change.
+    prof = shocky_profile(alpha=0.05, gamma_bar=np.array([1.0, 1.3]))
+    got = r_measure(phi, 2.0, two_state_market, prof, 30, 3000, seed=phi, y0=1,
+                    reduced=reduced)
+    want = _path_major_r_measure(phi, 2.0, two_state_market, prof, 30, 3000,
+                                 seed=phi, y0=1, reduced=reduced)
+    assert got == want
+
+
+@pytest.mark.parametrize("y0", [-1, 2, 1.0])
+def test_r_measure_rejects_unknown_start_regime(two_state_market, y0):
+    for reduced in (False, True):
+        with pytest.raises(ConfigError, match="y0"):
+            r_measure(3, 2.0, two_state_market, shocky_profile(), 12, 200, seed=1,
+                      y0=y0, reduced=reduced)
+
+
 # -- Monte Carlo measure of the allocation gap ------------------------------------
 
 
@@ -373,3 +420,74 @@ def test_s_measure_gap_to_r_measure_within_band(single_state_market):
     band = 2.5 * ((phi - 1) * SHOCK_P * SHOCK_SD**2 + beta**2 * 0.20**2 / phi**2)
     assert gap > 4.0 * (se_r + s.se)
     assert gap < band
+
+
+def _path_major_s_measure(phi, beta, market, profile, T, grid, n_paths, seed, y0,
+                          full_policy):
+    """S as first written, one allocation_at per policy and step on
+    path-major arrays: the bit-exact reference."""
+    robo_prof = replace(profile, phi=int(phi), beta=float(beta))
+    policy_robo = solve(market, robo_prof, T, grid)
+    batch = simulate_clients(market, robo_prof, T, n_paths,
+                             np.random.default_rng(seed), y0=y0)
+    regimes = batch["regimes"]
+    zeros = np.zeros(n_paths)
+    path_sum = np.zeros(n_paths)
+    path_cnt = np.zeros(n_paths, dtype=int)
+    for n in range(T):
+        prev, cur = window_sums(batch["window_csum"], robo_prof.phi, n)
+        y = regimes[:, n]
+        pi_robo = policy_robo.allocation_at(n, batch["xi"][:, n], prev, cur, y)
+        pi_full = full_policy.allocation_at(n, batch["gamma_client"][:, n], zeros, zeros, y)
+        ok = np.abs(pi_full) >= 1e-10
+        gap = np.where(
+            ok, np.abs(pi_robo - pi_full) / np.where(ok, np.abs(pi_full), 1.0), 0.0
+        )
+        path_sum += gap
+        path_cnt += ok
+    live = path_cnt > 0
+    per_path = path_sum[live] / path_cnt[live]
+    return (float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(live.sum())),
+            int(T * n_paths - path_cnt.sum()))
+
+
+@pytest.mark.parametrize("phi", [1, 2, 3, 9])
+def test_s_measure_equals_path_major_formula(two_state_market, phi):
+    prof = shocky_profile(gamma0=3.0, alpha=0.02)
+    grid, T = GridSpec(xi_count=9, zsum_count=7, quad_points=5), 18
+    full = full_information_policy(two_state_market, prof, T, grid)
+    got = s_measure(phi, 2.0, two_state_market, prof, T, grid, 500, seed=phi, y0=1,
+                    full_policy=full)
+    want = _path_major_s_measure(phi, 2.0, two_state_market, prof, T, grid, 500,
+                                 phi, 1, full)
+    assert (got.estimate, got.se, got.excluded_steps) == want
+
+
+def test_s_measure_rejects_unknown_start_regime_before_solving(two_state_market,
+                                                              monkeypatch):
+    import robo_mv.personalization as personalization
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking y0")
+
+    monkeypatch.setattr(personalization, "solve", no_solve)
+    for y0 in (-1, 2, 1.0):
+        with pytest.raises(ConfigError, match="y0"):
+            s_measure(3, 2.0, two_state_market, shocky_profile(), 12, GridSpec(), 200,
+                      seed=1, y0=y0)
+
+
+def test_s_measure_rejects_a_full_policy_solved_for_other_inputs(single_state_market,
+                                                                two_state_market):
+    prof, grid, T = shocky_profile(), GridSpec(xi_count=9, quad_points=8), 12
+    others = [
+        full_information_policy(two_state_market, prof, T, grid),
+        full_information_policy(single_state_market, replace(prof, gamma0=2.0), T, grid),
+        full_information_policy(single_state_market, prof, T, replace(grid, xi_count=11)),
+        solve(single_state_market, replace(prof, phi=1, beta=0.0), T, grid,
+              bounds=(-1.0, 2.0)),
+    ]
+    for other in others:
+        with pytest.raises(ConfigError, match="full_policy"):
+            s_measure(2, 2.0, single_state_market, prof, T, grid, 300, seed=11,
+                      full_policy=other)

@@ -4,10 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robo_mv.errors import ConfigError, NotInteractionTime, WindowLengthMismatch
+from robo_mv.market import MarketParams, sample_paths
 from robo_mv.risk_profile import (
+    _CLIENT_FIELDS,
     RiskProfileParams,
+    _client_steps,
+    _time_sums,
     bias_factor,
     client_gamma,
     communicated_xi,
@@ -336,6 +342,164 @@ def test_robo_gamma_consistency_on_paths(two_state_market):
             int(traj.regimes[tau]), p, T=18, num_states=2,
         )
         assert traj.gamma_robo[n] == pytest.approx(expect, rel=1e-13)
+
+
+# -- the time-major core against the path-major simulator -------------------------
+
+
+def _path_major_sample_eps(params, rng, size):
+    """The idiosyncratic draw as first written, kept as the reference."""
+    jump = rng.random(size) < params.p_eps
+    w = rng.standard_normal(size)
+    return np.where(jump, params.sigma_eps * w - 0.5 * params.sigma_eps**2, 0.0)
+
+
+def _path_major_window_log_bias(demeaned, beta, phi):
+    n_paths, T = demeaned.shape
+    out = np.zeros((n_paths, T // phi + 1))
+    for k in range(1, T // phi + 1):
+        tau = k * phi
+        out[:, k] = -beta * demeaned[:, tau - phi:tau].sum(axis=1) / phi
+    return out
+
+
+def _path_major_simulate_clients(market, profile, T, n_paths, rng, y0=0):
+    """The path-major client simulator that the time-major core replaced,
+    kept verbatim as the bit-exact reference."""
+    phi, beta = profile.phi, profile.beta
+    regimes, returns = sample_paths(market, y0, T, n_paths, rng)
+    gbar = profile.gamma_bar_table(T, market.num_states)
+    eta = np.asarray(profile.eta_at(np.arange(T + 1), T), dtype=float)
+
+    # Idiosyncratic martingale: one potential jump per step 1..T.
+    eps = _path_major_sample_eps(profile, rng, size=(n_paths, T))
+    log_id = np.concatenate(
+        [np.zeros((n_paths, 1)), np.cumsum(eps, axis=1)], axis=1
+    )
+    gamma_id = profile.gamma0 * np.exp(log_id)
+
+    demeaned = returns - market.mu_step[regimes[:, :-1]]
+    window_csum = np.concatenate(
+        [np.zeros((n_paths, 1)), np.cumsum(demeaned, axis=1)], axis=1
+    )
+    gz_at_inter = np.exp(_path_major_window_log_bias(demeaned, beta, phi))
+
+    times = np.arange(T + 1)
+    tau_of_n = phi * (times // phi)
+    k_of_n = times // phi
+
+    gbar_path = gbar[np.broadcast_to(times, regimes.shape), regimes]
+    gamma_client = np.exp(eta)[None, :] * gamma_id * gbar_path
+    gamma_z = gz_at_inter[:, k_of_n]
+    xi = gamma_client[np.arange(n_paths)[:, None], tau_of_n[None, :]] * gamma_z
+    gbar_now = gbar_path
+    gbar_anchor = gbar[
+        np.broadcast_to(tau_of_n, regimes.shape),
+        regimes[np.arange(n_paths)[:, None], tau_of_n[None, :]],
+    ]
+    gamma_robo = np.exp(eta - eta[tau_of_n])[None, :] * xi * gbar_now / gbar_anchor
+
+    return {
+        "regimes": regimes,
+        "returns": returns,
+        "gamma_id": gamma_id,
+        "gamma_client": gamma_client,
+        "gamma_z": gamma_z,
+        "xi": xi,
+        "gamma_robo": gamma_robo,
+        "tau": np.broadcast_to(tau_of_n, (n_paths, T + 1)),
+        "window_csum": window_csum,
+    }
+
+
+@st.composite
+def _client_cases(draw):
+    M = draw(st.integers(1, 3))
+    transition = np.array([
+        draw(st.lists(st.floats(0.05, 1.0), min_size=M, max_size=M))
+        for _ in range(M)
+    ])
+    transition /= transition.sum(axis=1, keepdims=True)
+    market = MarketParams(
+        num_states=M, transition=transition,
+        risk_free=np.linspace(0.0, 0.03, M), mean_return=np.linspace(0.05, 0.15, M),
+        vol_return=np.linspace(0.1, 0.3, M), steps_per_year=12,
+    )
+    phi = draw(st.integers(1, 13))
+    T = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["scalar", "per_regime", "table"]))
+    if kind == "scalar":
+        gamma_bar = draw(st.floats(0.5, 2.0))
+    elif kind == "per_regime":
+        gamma_bar = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=M, max_size=M)))
+    else:
+        gamma_bar = np.exp(np.random.default_rng(T).normal(0.0, 0.2, (T + 1, M)))
+    eta = None
+    if draw(st.booleans()):
+        eta = np.random.default_rng(phi).normal(0.0, 0.3, T + 1)
+    profile = RiskProfileParams(
+        gamma0=draw(st.floats(0.5, 6.0)), alpha=draw(st.floats(0.0, 0.2)),
+        p_eps=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+        sigma_eps=draw(st.floats(0.1, 1.0)), beta=draw(st.floats(0.0, 4.0)),
+        phi=phi, gamma_bar=gamma_bar, eta=eta,
+    )
+    fields = draw(st.lists(st.sampled_from(_CLIENT_FIELDS), min_size=1, unique=True))
+    return (market, profile, T, draw(st.integers(1, 40)), draw(st.integers(0, M - 1)),
+            draw(st.integers(0, 2**32 - 1)), fields)
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_client_cases())
+def test_client_core_matches_path_major_simulator(case):
+    market, profile, T, n_paths, y0, seed, fields = case
+    rng = np.random.default_rng(seed)
+    want = _path_major_simulate_clients(market, profile, T, n_paths, rng, y0)
+    after = rng.random()
+
+    rng = np.random.default_rng(seed)
+    got = simulate_clients(market, profile, T, n_paths, rng, y0)
+    assert rng.random() == after
+    assert list(got) == list(want)
+    for name in want:
+        _assert_same_array(got[name], want[name])
+        assert got[name].flags.writeable == want[name].flags.writeable
+
+    # The core draws the same numbers whatever it builds, and builds only
+    # the named fields, as contiguous time-major rows.
+    rng = np.random.default_rng(seed)
+    rows = _client_steps(market, profile, T, n_paths, rng, y0, fields)
+    assert rng.random() == after
+    assert sorted(rows) == sorted(fields)
+    for name in fields:
+        _assert_same_array(rows[name], want[name].T)
+        assert rows[name].flags.c_contiguous or name == "tau"
+
+
+def test_client_core_window_bias_sums_pairwise_from_eight_terms(two_state_market):
+    # numpy sums 8 or more terms of a row pairwise, so an in-order time-major
+    # sum would miss the path-major window bias in its last bits.
+    p = RiskProfileParams(gamma0=2.0, p_eps=0.3, beta=3.0, phi=12)
+    want = _path_major_simulate_clients(two_state_market, p, 36, 2000,
+                                        np.random.default_rng(8))
+    rows = _client_steps(two_state_market, p, 36, 2000, np.random.default_rng(8),
+                         fields=("gamma_z", "xi"))
+    for name in ("gamma_z", "xi"):
+        assert np.array_equal(rows[name], want[name].T)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 8, 9, 15, 16, 17, 63, 128, 129, 200, 1000])
+def test_time_sums_match_numpy_row_sums(k):
+    rows = np.random.default_rng(k).standard_normal((k, 300))
+    rows *= np.exp(np.random.default_rng(k + 1).normal(0.0, 4.0, (k, 300)))
+    assert np.array_equal(_time_sums(rows), np.ascontiguousarray(rows.T).sum(axis=1))
+    zeros = np.full((k, 2), -0.0)
+    assert np.array_equal(np.signbit(_time_sums(zeros)),
+                          np.signbit(np.ascontiguousarray(zeros.T).sum(axis=1)))
 
 
 # -- config I/O ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from robo_mv.errors import ConfigError, DegenerateVariance, GridExhausted, NumericalError
 from robo_mv.market import MarketParams
-from robo_mv.risk_profile import RiskProfileParams
+from robo_mv.risk_profile import RiskProfileParams, simulate_clients, window_sums
 from robo_mv.solver import (
     ClampCounters,
     Grid,
@@ -20,6 +20,7 @@ from robo_mv.solver import (
     PolicyTables,
     ReducedState,
     _gh_nodes,
+    _interp3,
     _jump_mixture,
     _locate,
     _ProfileTables,
@@ -29,6 +30,7 @@ from robo_mv.solver import (
     brute_force_equilibrium,
     constrain,
     liquidation_overlay,
+    _window_allocations,
     load_policy,
     moment_m,
     save_policy,
@@ -682,6 +684,96 @@ def test_allocation_matches_regular_grid_interpolator(two_state_market):
             for y in range(M):
                 want = RegularGridInterpolator(axes, tab.pi[n, ..., y])(box)
                 np.testing.assert_allclose(got[:, y], want, rtol=1e-13, atol=1e-13)
+
+
+def _one_pass_interp3(grid, table, logxi, prev, cur, regime, counters=None):
+    """The trilinear kernel in one pass, as first written: the reference for
+    the stencil halves that `_interp3` and `_window_allocations` share."""
+    Nx, Np, Nc, M = table.shape
+    y = np.asarray(regime)
+    if y.size and (y.min() < 0 or y.max() >= M):
+        raise ConfigError(f"regime queries must lie in [0, {M})")
+    ix, fx, cx = _locate(grid.logxi, logxi)
+    ip, fp, cp = _locate(grid.prev, prev)
+    ic, fc, cc = _locate(grid.cur, cur)
+    if counters is not None:
+        counters.add_xi(1.0, np.size(logxi), cx)
+        counters.add_window(1.0, np.size(logxi) * 2, cp + cc)
+    sc = M if Nc > 1 else 0
+    sp = Nc * M if Np > 1 else 0
+    sx = Np * Nc * M if Nx > 1 else 0
+    flat = table.ravel()
+    base = ((ix * Np + ip) * Nc + ic) * M + y
+    out = np.zeros(np.broadcast(logxi, prev, cur, y).shape)
+    for wx, ox in ((1.0 - fx, 0), (fx, sx)):
+        for wp, op in ((1.0 - fp, 0), (fp, sp)):
+            for wc, oc in ((1.0 - fc, 0), (fc, sc)):
+                out += wx * wp * wc * flat[base + (ox + op + oc)]
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_interp3_matches_one_pass_kernel(nx, npv, nc, M, seed, scalar):
+    rng = np.random.default_rng(seed)
+    grid = Grid(np.geomspace(0.5, 8.0, nx) if nx > 1 else np.array([2.0]),
+                np.linspace(-0.3, 0.3, npv), np.linspace(-0.2, 0.2, nc), 5, M)
+    table = rng.standard_normal((nx, npv, nc, M))
+    k = 1 if scalar else 50
+    q = (rng.uniform(-1.5, 3.0, k), rng.uniform(-0.5, 0.5, k),
+         rng.uniform(-0.4, 0.4, k), rng.integers(0, M, k))
+    if scalar:
+        q = tuple(v[0].item() for v in q)
+    got_c, want_c = ClampCounters(), ClampCounters()
+    got = _interp3(grid, table, *q, counters=got_c)
+    want = _one_pass_interp3(grid, table, *q, counters=want_c)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    assert got_c == want_c
+
+
+@pytest.mark.parametrize("phi", [1, 2, 3, 9, 10])
+def test_window_allocations_match_per_step_lookups(two_state_market, phi):
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.3, sigma_eps=0.64, beta=2.0, phi=phi)
+    T = 21
+    tab = solve(two_state_market, prof, T,
+                GridSpec(xi_count=7, zsum_count=5, quad_points=5))
+    batch = simulate_clients(two_state_market, prof, T, 400,
+                             np.random.default_rng(phi), y0=1)
+    xi, csum, gc, regimes = (np.ascontiguousarray(batch[k].T) for k in
+                             ("xi", "window_csum", "gamma_client", "regimes"))
+    got = list(_window_allocations(tab, xi, csum, regimes[:T], phi))
+    # With no window sums every step is its own window, as for the
+    # full-information client of the S measure.
+    got_zero = list(_window_allocations(tab, gc, None, regimes[:T], 1))
+    assert len(got) == len(got_zero) == T
+    zeros = np.zeros(400)
+    for n in range(T):
+        prev, cur = window_sums(batch["window_csum"], phi, n)
+        y = batch["regimes"][:, n]
+        assert np.array_equal(got[n], tab.allocation_at(n, batch["xi"][:, n], prev, cur, y))
+        assert np.array_equal(
+            got_zero[n], tab.allocation_at(n, batch["gamma_client"][:, n], zeros, zeros, y))
+
+
+def test_window_allocations_keep_the_lookup_checks(two_state_market):
+    prof = RiskProfileParams(gamma0=3.0, beta=2.0, phi=2)
+    tab = solve(two_state_market, prof, 4, GridSpec(xi_count=5, zsum_count=3, quad_points=3))
+    xi, csum = np.full((5, 6), 3.0), np.zeros((5, 6))
+    regimes = np.zeros((4, 6), dtype=np.int64)
+    assert len(list(_window_allocations(tab, xi, csum, regimes, 2))) == 4
+    with pytest.raises(ConfigError, match="outside"):
+        list(_window_allocations(tab, xi, csum, np.zeros((5, 6), dtype=np.int64), 2))
+    for bad in (-1, 2):
+        wrong = regimes.copy()
+        wrong[3, 5] = bad
+        with pytest.raises(ConfigError, match="regime"):
+            list(_window_allocations(tab, xi, csum, wrong, 2))
+    for value in (0.0, -1.0):
+        nonpositive = xi.copy()
+        nonpositive[2, 1] = value
+        with pytest.raises(ConfigError, match="positive"):
+            list(_window_allocations(tab, nonpositive, csum, regimes, 2))
 
 
 # -- advisor-gamma bookkeeping ---------------------------------------------------
