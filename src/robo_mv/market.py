@@ -208,11 +208,24 @@ def stationary_distribution(params: MarketParams) -> np.ndarray:
     return lam
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def check_regime(params: MarketParams, y, name: str = "y") -> None:
-    """Raise ConfigError unless y is an integer regime index in [0, M)."""
+    """Raise ConfigError unless y is an integer regime index in [0, M).
+
+    A bool is not a regime index, though Python counts it as an int."""
     M = params.num_states
-    if not (isinstance(y, (int, np.integer)) and 0 <= y < M):
+    if not (_is_int(y) and 0 <= y < M):
         raise ConfigError(f"{name}={y!r} is not a regime index in [0, {M})")
+
+
+def check_count(n, name: str, lo: int) -> None:
+    """Raise ConfigError unless n is an integer >= lo (Python or numpy, not
+    a bool)."""
+    if not (_is_int(n) and n >= lo):
+        raise ConfigError(f"{name} must be an integer >= {lo}, got {n!r}")
 
 
 def sample_step(
@@ -228,6 +241,23 @@ def sample_step(
     y_next = int(rng.choice(params.num_states, p=params.transition[y]))
     z = float(rng.normal(params.mu_step[y], params.sigma_step[y]))
     return y_next, z
+
+
+# Numbers per drawn block, about 1 MB of float64: a block is transposed into
+# the time-major rows while it is still in cache.
+_BLOCK = 1 << 17
+
+
+def _path_blocks(draw, n_steps: int, n_paths: int):
+    """Yield ``(cols, block.T)`` for ``draw((n_paths, n_steps))`` drawn in
+    consecutive blocks of whole paths, about `_BLOCK` numbers each (one path
+    per block when n_steps > _BLOCK). ``Generator.random`` and
+    ``standard_normal`` fill in order, so the blocks concatenate to the
+    one-call draw and leave the generator in the same state."""
+    k = max(1, _BLOCK // max(n_steps, 1))
+    for p0 in range(0, n_paths, k):
+        p1 = min(p0 + k, n_paths)
+        yield slice(p0, p1), draw((p1 - p0, n_steps)).T
 
 
 def _sample_steps(
@@ -246,6 +276,11 @@ def _sample_steps(
     the client simulator `risk_profile._client_steps` read these rows
     directly; `sample_paths` is the path-major view for everyone else.
 
+    Draws: the uniforms, and then the Gaussians, are drawn path-major in
+    blocks of whole paths (`_path_blocks`), and each block is transposed
+    into the time-major rows while it is in cache. No full path-major draw
+    is ever alive, and the bits are those of the one-call draws.
+
     Block scheme: the time axis is split into B blocks of L steps, with
     ``B = max(1, isqrt(n_steps // n_paths))``. Every block after the first is
     run from every possible start regime at once (speculation), one
@@ -257,20 +292,23 @@ def _sample_steps(
     time-major loop from ``y0``. A single million-step path gets B ~ 1000.
     """
     check_regime(params, y0, "y0")
-    if n_steps < 0:
-        raise ConfigError(f"n_steps must be >= 0, got {n_steps}")
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    check_count(n_steps, "n_steps", 0)
+    check_count(n_paths, "n_paths", 1)
     M = params.num_states
     # thresholds[k, y] = cumsum(P[y])[k]; the last column would be 1 > u.
     thresholds = np.cumsum(params.transition, axis=1)[:, :-1].T
 
     B = max(1, math.isqrt(n_steps // n_paths))
     L = -(-n_steps // B)  # the last block may be padded
-    u = rng.random((n_paths, n_steps))
+    # The first block is drawn before its destination exists, so a batch of
+    # one block allocates in the order a single full-size draw did.
+    blocks = _path_blocks(rng.random, n_steps, n_paths)
+    cols, ut = next(blocks)
     rows = np.zeros((B * L, n_paths))
-    rows[:n_steps] = u.T
-    del u
+    rows[:n_steps, cols] = ut
+    for cols, ut in blocks:
+        rows[:n_steps, cols] = ut
+    del ut
     rows = np.ascontiguousarray(rows.reshape(B, L, n_paths).swapaxes(0, 1))
 
     # runs[t, s, b, p]: regime after t steps of block b on path p, started
@@ -293,14 +331,19 @@ def _sample_steps(
         del runs
         regimes = path[:n_steps + 1]
 
-    # u and rows are freed by now: the peak is regimes, the Gaussian draws
-    # and the returns, then regimes, returns and one gathered factor.
-    gauss = rng.standard_normal((n_paths, n_steps))
+    # The uniforms are freed by now: the peak is regimes, the returns and two
+    # blocks of Gaussians, and the means go in a few rows at a time.
     ys = regimes[:-1]
+    blocks = _path_blocks(rng.standard_normal, n_steps, n_paths)
+    cols, gt = next(blocks)
     returns = params.sigma_step[ys]
-    returns *= gauss.T
-    del gauss
-    returns += params.mu_step[ys]
+    returns[:, cols] *= gt
+    for cols, gt in blocks:
+        returns[:, cols] *= gt
+    del gt
+    step = max(1, _BLOCK // n_paths)
+    for r in range(0, n_steps, step):
+        returns[r:r + step] += params.mu_step[ys[r:r + step]]
     return regimes, returns
 
 
@@ -334,7 +377,8 @@ def sample_paths(
             regimes[:, n].
 
     Both arrays are C-contiguous. Raises ConfigError when y0 is not an
-    integer regime index, n_steps < 0 or n_paths < 1.
+    integer regime index, or n_steps and n_paths are not integers with
+    n_steps >= 0 and n_paths >= 1 (a bool counts as neither).
     """
     regimes, returns = _sample_steps(params, y0, n_steps, n_paths, rng)
     # One copy at a time, so at most three of the four arrays are alive.

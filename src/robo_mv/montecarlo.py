@@ -28,10 +28,11 @@ import numpy as np
 
 from robo_mv.cycle_analytics import CycleStrategy
 from robo_mv.errors import ConfigError, InsufficientSamples
-from robo_mv.market import MarketParams, _sample_steps, check_regime
+from robo_mv.market import MarketParams, _sample_steps, check_count, check_regime
 from robo_mv.risk_profile import RiskProfileParams, _client_steps
 from robo_mv.solver import (
     PolicyTables,
+    _params_digest,
     _window_allocations,
     constrain,
     liquidation_overlay,
@@ -46,9 +47,10 @@ class SimConfig:
 
     profile is required when the strategy is a solved policy (it drives the
     client's communicated risk aversion along each path) and ignored for
-    fixed cycles. bounds, when given, clamp every allocation fraction; the
-    liquidate flag zeroes the risky position on any path whose wealth has
-    gone negative.
+    fixed cycles. A solved policy must have been solved for this market and
+    profile (its `params_sha256` is checked). bounds, when given, clamp
+    every allocation fraction; the liquidate flag zeroes the risky position
+    on any path whose wealth has gone negative.
     """
 
     market: MarketParams
@@ -63,10 +65,8 @@ class SimConfig:
     liquidate: bool = False
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
-        if self.n_paths < 1:
-            raise ConfigError(f"n_paths must be >= 1, got {self.n_paths}")
+        check_count(self.T, "T", 1)
+        check_count(self.n_paths, "n_paths", 1)
         if not (math.isfinite(self.x0) and self.x0 > 0):
             raise ConfigError(f"x0 must be finite and > 0, got {self.x0}")
         check_regime(self.market, self.y0, "y0")
@@ -81,6 +81,12 @@ class SimConfig:
             if self.T > self.strategy.T:
                 raise ConfigError(
                     f"horizon {self.T} exceeds the policy's {self.strategy.T}"
+                )
+            s = self.strategy
+            if _params_digest(self.market, self.profile, s.T, s.grid,
+                              s.bounds) != s.params_sha256:
+                raise ConfigError(
+                    "the policy was solved for another market or client profile"
                 )
         elif not isinstance(self.strategy, CycleStrategy):
             raise ConfigError(f"unsupported strategy {type(self.strategy).__name__}")
@@ -125,8 +131,7 @@ def simulate(config: SimConfig, threads: int = 1) -> np.ndarray:
     chunks with independently spawned RNG streams, so neither the thread
     count nor the total path count changes the values of earlier chunks.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    check_count(threads, "threads", 1)
     sizes = [
         min(_CHUNK, config.n_paths - start)
         for start in range(0, config.n_paths, _CHUNK)
@@ -212,6 +217,7 @@ def long_run_sharpe(
     without a transposed copy, so it shares the regime sampler (and its block
     scheme for long paths) with `simulate`.
     """
+    check_count(total_steps, "total_steps", 0)
     if total_steps < 10_000:
         raise InsufficientSamples(
             f"need at least 10000 steps for a stable estimate, got {total_steps}"

@@ -1093,7 +1093,17 @@ def _params_digest(market: MarketParams, profile: RiskProfileParams, T: int,
         "grid": _solve_grid(grid, market, profile).to_dict(),
         "bounds": list(bounds) if bounds is not None else None,
     }
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True, default=_json_int).encode()
+    ).hexdigest()
+
+
+def _json_int(value) -> int:
+    """A numpy integer (say, a T or steps_per_year taken from an array)
+    serializes as the Python int it equals, so it digests the same."""
+    if isinstance(value, np.integer):
+        return int(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _market_doc(market: MarketParams) -> dict:

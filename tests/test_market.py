@@ -1,6 +1,7 @@
 """Tests for the regime-switching market model."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,20 +396,29 @@ def _sampler_cases(draw):
             draw(st.integers(1, 64)), draw(st.integers(0, 2**32 - 1)))
 
 
+_TWO_STATE = _mk([[0.95, 0.05], [0.10, 0.90]], [0.015, 0.0], [0.081, 0.137],
+                 [0.155, 0.173])
+_THREE_STATE = _mk([[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.3, 0.0, 0.7]],
+                   [0.0, 0.01, 0.02], [0.05, 0.1, 0.15], [0.1, 0.2, 0.25])
+
+
 @settings(deadline=None)
 @given(_sampler_cases())
+# Draw-block boundaries, at market._BLOCK = 2**17 numbers per block of paths.
+@example((_TWO_STATE, 1, 120, 3_000, 17))  # three blocks, the last partial
+@example((_TWO_STATE, 0, 200_000, 2, 17))  # one-path blocks, B = 316
+@example((_TWO_STATE, 1, 0, 5, 17))  # no steps: empty draws
+@example((_THREE_STATE, 2, 1_500, 100, 17))  # M = 3, B = 3, two blocks
 def test_sample_paths_matches_per_column_loop(case):
     market, y0, n_steps, n_paths, seed = case
-    want = _loop_sample_paths(market, y0, n_steps, n_paths, np.random.default_rng(seed))
-    got = sample_paths(market, y0, n_steps, n_paths, np.random.default_rng(seed))
+    rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _loop_sample_paths(market, y0, n_steps, n_paths, rng_want)
+    got = sample_paths(market, y0, n_steps, n_paths, rng_got)
     for w, g in zip(want, got):
         assert g.dtype == w.dtype
         assert g.flags.c_contiguous
         assert np.array_equal(g, w)
-
-
-_TWO_STATE = _mk([[0.95, 0.05], [0.10, 0.90]], [0.015, 0.0], [0.081, 0.137],
-                 [0.155, 0.173])
+    assert rng_got.random() == rng_want.random()
 
 
 @settings(deadline=None)
@@ -416,14 +426,47 @@ _TWO_STATE = _mk([[0.95, 0.05], [0.10, 0.90]], [0.015, 0.0], [0.081, 0.137],
 @example((_TWO_STATE, 1, 120, 300, 17))  # wide: one block from y0
 @example((_TWO_STATE, 1, 40_000, 1, 17))  # long: B = 200 chained blocks
 @example((_TWO_STATE, 0, 5_000, 3, 17))  # B = 40 blocks over three paths
+# Draw-block boundaries, at market._BLOCK = 2**17 numbers per block of paths.
+@example((_TWO_STATE, 1, 120, 3_000, 17))  # three blocks, the last partial
+@example((_TWO_STATE, 0, 200_000, 2, 17))  # one-path blocks, B = 316
+@example((_TWO_STATE, 1, 0, 5, 17))  # no steps: empty draws
+@example((_THREE_STATE, 2, 1_500, 100, 17))  # M = 3, B = 3, two blocks
 def test_time_major_core_is_the_transpose_of_sample_paths(case):
     market, y0, n_steps, n_paths, seed = case
-    want = sample_paths(market, y0, n_steps, n_paths, np.random.default_rng(seed))
-    got = _sample_steps(market, y0, n_steps, n_paths, np.random.default_rng(seed))
+    rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = sample_paths(market, y0, n_steps, n_paths, rng_want)
+    got = _sample_steps(market, y0, n_steps, n_paths, rng_got)
     for w, g in zip(want, got):
         assert g.dtype == w.dtype
         assert g.flags.c_contiguous
         assert np.array_equal(g.T, w)
+    assert rng_got.random() == rng_want.random()
+
+
+@pytest.mark.parametrize("draw", ["random", "standard_normal"])
+def test_block_draws_concatenate_to_one_draw(draw):
+    """The sampler draws in blocks of whole paths: numpy fills sequentially,
+    so uneven blocks concatenate to the one-call draw and leave the
+    generator where the one call does."""
+    one, blocked = np.random.default_rng(5), np.random.default_rng(5)
+    want = getattr(one, draw)((1_000, 37))
+    got = np.concatenate([getattr(blocked, draw)((k, 37))
+                          for k in (1, 0, 333, 2, 600, 64)])
+    assert np.array_equal(got, want)
+    assert blocked.random() == one.random()
+
+
+def test_sample_steps_peak_memory_is_its_outputs_plus_blocks(two_state_market):
+    """No full-size path-major draw or temporary is alive: the peak is the
+    two outputs plus a few draw blocks (the one-call draws needed ~1.5x)."""
+    tracemalloc.start()
+    try:
+        regimes, returns = _sample_steps(two_state_market, 0, 120, 8192,
+                                         np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= regimes.nbytes + returns.nbytes + 4 * 2**20
 
 
 # -- config I/O ---------------------------------------------------------------

@@ -63,6 +63,76 @@ def test_config_validation(two_state_market, small_policy):
               profile=profile)
 
 
+def test_config_rejects_a_policy_solved_for_another_market_or_profile(
+        single_state_market, small_policy):
+    profile, policy = small_policy
+    other_market = MarketParams(
+        num_states=1, transition=np.array([[1.0]]), risk_free=np.array([0.01]),
+        mean_return=np.array([0.10]), vol_return=np.array([0.20]))
+    for market, prof in (
+        (policy.market, RiskProfileParams(gamma0=30.0, p_eps=0.0, phi=1)),
+        (policy.market, RiskProfileParams(gamma0=3.0, p_eps=0.0, beta=2.0)),
+        (other_market, profile),
+    ):
+        with pytest.raises(ConfigError, match="solved for another"):
+            SimConfig(market=market, strategy=policy, T=8, n_paths=10,
+                      profile=prof)
+    # Equal parameters in fresh objects are the same market and profile.
+    cfg = SimConfig(market=MarketParams(**vars(single_state_market)),
+                    strategy=policy, T=8, n_paths=10,
+                    profile=RiskProfileParams(gamma0=3.0, p_eps=0.0), seed=1)
+    assert simulate(cfg).shape == (10,)
+    # A numpy-integer horizon digests as the int it equals.
+    policy = solve(single_state_market, profile, np.int64(8), GridSpec(xi_count=5))
+    SimConfig(market=single_state_market, strategy=policy, T=8, n_paths=10,
+              profile=profile)
+
+
+def _cfg(market, **kw):
+    return SimConfig(**{"market": market, "strategy": CycleStrategy(0.6),
+                        "T": 12, "n_paths": 10, "seed": 1, **kw})
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: sample_paths(m, 0, 10.0, 3, np.random.default_rng(0)),
+    lambda m: sample_paths(m, 0, 10, 3.0, np.random.default_rng(0)),
+    lambda m: sample_paths(m, 0, True, 3, np.random.default_rng(0)),
+    lambda m: sample_paths(m, 0, 10, True, np.random.default_rng(0)),
+    lambda m: sample_paths(m, True, 10, 3, np.random.default_rng(0)),
+    lambda m: sample_paths(m, np.bool_(True), 10, 3, np.random.default_rng(0)),
+    lambda m: sample_paths(m, 0, "10", 3, np.random.default_rng(0)),
+    lambda m: long_run_sharpe(CycleStrategy(0.6), m, 20000.0, seed=1),
+    lambda m: long_run_sharpe(CycleStrategy(0.6), m, 20_000, seed=1, y0=True),
+    lambda m: _cfg(m, T=12.5),
+    lambda m: _cfg(m, T=True),
+    lambda m: _cfg(m, n_paths=10.5),
+    lambda m: _cfg(m, n_paths=True),
+    lambda m: _cfg(m, y0=True),
+    lambda m: simulate(_cfg(m), threads=1.5),
+    lambda m: simulate(_cfg(m), threads=True),
+], ids=["steps-float", "paths-float", "steps-bool", "paths-bool", "y0-bool",
+        "y0-numpy-bool", "steps-str", "lrs-steps-float", "lrs-y0-bool",
+        "T-float", "T-bool", "n_paths-float", "n_paths-bool", "cfg-y0-bool",
+        "threads-float", "threads-bool"])
+def test_sampler_and_simulator_reject_non_integer_arguments(two_state_market, call):
+    """Counts and regimes must be Python or numpy integers, never bools or
+    floats: each of these raises ConfigError rather than a bare TypeError,
+    IndexError or a silent run."""
+    with pytest.raises(ConfigError):
+        call(two_state_market)
+
+
+def test_sampler_and_simulator_accept_numpy_integers(two_state_market):
+    m = two_state_market
+    regimes, _ = sample_paths(m, np.int64(1), np.int32(10), np.int64(3),
+                              np.random.default_rng(0))
+    assert regimes.shape == (3, 11) and np.all(regimes[:, 0] == 1)
+    cfg = _cfg(m, T=np.int64(12), n_paths=np.int32(10), y0=np.int64(1))
+    assert np.array_equal(simulate(cfg, threads=np.int64(2)), simulate(_cfg(m, y0=1)))
+    assert math.isfinite(long_run_sharpe(CycleStrategy(0.6), m, np.int64(20_000),
+                                         seed=1, y0=np.int64(1)))
+
+
 # -- wealth recursion ----------------------------------------------------------
 
 
