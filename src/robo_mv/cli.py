@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -31,7 +30,12 @@ from robo_mv.cycle_analytics import (
     sharpe_general,
 )
 from robo_mv.errors import ConfigError, NumericalError
-from robo_mv.market import check_regime, market_from_dict, stationary_distribution
+from robo_mv.market import (
+    check_number,
+    check_regime,
+    market_from_dict,
+    stationary_distribution,
+)
 from robo_mv.montecarlo import SimConfig, annualized, simulate, stats
 from robo_mv.personalization import (
     full_information_policy,
@@ -94,27 +98,8 @@ def _grid_spec(cfg: dict, quad_points=None) -> GridSpec:
     doc = dict(cfg.get("grid", {}))
     _check_keys(doc, _GRID_KEYS, "grid")
     if quad_points is not None:
-        doc["quad_points"] = _number(quad_points, "quad_points", integer=True)
+        doc["quad_points"] = quad_points
     return GridSpec(**doc)
-
-
-def _number(value, name: str, integer: bool = False):
-    """A config value or stored flag as a float, or as an int when integer.
-
-    Rejects with ConfigError anything else: a string, a bool, NaN or inf,
-    or a value with a fractional part for an integer field.
-    """
-    if isinstance(value, (bool, np.bool_)) or not isinstance(
-        value, (int, float, np.integer, np.floating)
-    ):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if integer:
-        if value != int(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    return float(value)
 
 
 def _resolve(explicit, stored_flags: dict, name: str, default):
@@ -136,7 +121,7 @@ def _threads(explicit, stored_flags: dict) -> int:
                 raise ConfigError(f"ROBO_MV_THREADS must be an integer, got {env!r}")
         else:
             val = 1
-    val = _number(val, "threads", integer=True)
+    val = check_number(val, "threads", integer=True)
     if val < 0:
         raise ConfigError(f"threads must be >= 0, got {val}")
     return val if val > 0 else (os.cpu_count() or 1)
@@ -212,7 +197,7 @@ def cmd_solve(args) -> int:
     cfg, flags = _load_config(args.config, "solve")
     market = market_from_dict(_need(cfg, "market", "solve"))
     profile = profile_from_dict(_need(cfg, "risk_profile", "solve"))
-    T = _number(_need(cfg, "horizon", "solve"), "horizon", integer=True)
+    T = check_number(_need(cfg, "horizon", "solve"), "horizon", integer=True)
     qp = _resolve(args.quad_points, flags, "quad_points", None)
     grid = _grid_spec(cfg, quad_points=qp)
     tables = solve(market, profile, T, grid)
@@ -227,11 +212,12 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, flags = _load_config(args.config, "simulate")
-    n_paths = _number(_resolve(args.paths, flags, "paths", 100_000), "--paths",
-                      integer=True)
+    n_paths = check_number(_resolve(args.paths, flags, "paths", 100_000),
+                           "--paths", integer=True)
     seed = _seed_value(args.seed, flags)
     threads = _threads(args.threads, flags)
-    bins = _number(_resolve(args.bins, flags, "bins", 60), "--bins", integer=True)
+    bins = check_number(_resolve(args.bins, flags, "bins", 60), "--bins",
+                        integer=True)
     if bins < 1:
         raise ConfigError(f"--bins must be >= 1, got {bins}")
     dump = bool(_resolve(args.dump_paths or None, flags, "dump_paths", False))
@@ -239,24 +225,24 @@ def cmd_simulate(args) -> int:
     if bounds is not None:
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise ConfigError(f"bounds must be a [lower, upper] pair, got {bounds!r}")
-        bounds = (_number(bounds[0], "bounds"), _number(bounds[1], "bounds"))
+        bounds = tuple(check_number(v, "bounds") for v in bounds)
 
     if "policy_dir" in cfg:
         tables = load_policy(cfg["policy_dir"])
         market, strategy, profile = tables.market, tables, tables.profile
-        T = _number(cfg.get("horizon", tables.T), "horizon", integer=True)
+        T = check_number(cfg.get("horizon", tables.T), "horizon", integer=True)
     else:
         market = market_from_dict(_need(cfg, "market", "simulate"))
         strat_doc = dict(_need(cfg, "strategy", "simulate"))
         _check_keys(strat_doc, {"pi_bar", "delta"}, "strategy")
         strategy = CycleStrategy(**strat_doc)
         profile = None
-        T = _number(_need(cfg, "horizon", "simulate"), "horizon", integer=True)
+        T = check_number(_need(cfg, "horizon", "simulate"), "horizon", integer=True)
 
     sim = SimConfig(
         market=market, strategy=strategy, T=T, n_paths=n_paths, seed=seed,
-        profile=profile, y0=_number(cfg.get("y0", 0), "y0", integer=True),
-        x0=_number(cfg.get("x0", 1.0), "x0"),
+        profile=profile, y0=check_number(cfg.get("y0", 0), "y0", integer=True),
+        x0=check_number(cfg.get("x0", 1.0), "x0"),
         bounds=bounds, liquidate=bool(cfg.get("liquidate", False)),
     )
     returns = simulate(sim, threads=threads)
@@ -291,19 +277,19 @@ def cmd_sharpe(args) -> int:
     market = market_from_dict(_need(cfg, "market", "sharpe"))
     strat_doc = dict(cfg.get("strategy", {}))
     _check_keys(strat_doc, {"pi_bar", "delta"}, "strategy")
-    base_pi = _number(strat_doc.get("pi_bar", 0.6), "pi_bar")
-    base_delta = _number(strat_doc.get("delta", 0.0), "delta")
+    base_pi = check_number(strat_doc.get("pi_bar", 0.6), "pi_bar")
+    base_delta = check_number(strat_doc.get("delta", 0.0), "delta")
 
     sweep = _resolve(args.sweep, flags, "sweep", "delta")
     if sweep not in ("delta", "pi_bar"):
         raise ConfigError(f"--sweep must be 'delta' or 'pi_bar', got {sweep!r}")
     lo, hi = (
-        _number(_resolve(explicit, flags, key, default), "--from and --to")
+        check_number(_resolve(explicit, flags, key, default), "--from and --to")
         for explicit, key, default in ((getattr(args, "from_"), "from", -0.5),
                                        (args.to, "to", 0.5))
     )
-    steps = _number(_resolve(args.steps, flags, "steps", 21), "--steps",
-                    integer=True)
+    steps = check_number(_resolve(args.steps, flags, "steps", 21), "--steps",
+                         integer=True)
     if steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {steps}")
     values = np.linspace(lo, hi, steps)
@@ -330,12 +316,12 @@ def cmd_implied_gamma(args) -> int:
     market = market_from_dict(_need(cfg, "market", "implied-gamma"))
     strat_doc = dict(cfg.get("strategy", {}))
     _check_keys(strat_doc, {"pi_bar", "delta"}, "strategy")
-    pi_bar = _number(_resolve(args.pi_bar, flags, "pi_bar",
-                              strat_doc.get("pi_bar", 0.6)), "pi_bar")
-    delta = _number(_resolve(args.delta, flags, "delta",
-                             strat_doc.get("delta", 0.0)), "delta")
-    T = _number(_resolve(args.horizon, flags, "horizon", cfg.get("horizon", 0)),
-                "horizon", integer=True)
+    pi_bar = check_number(_resolve(args.pi_bar, flags, "pi_bar",
+                                   strat_doc.get("pi_bar", 0.6)), "pi_bar")
+    delta = check_number(_resolve(args.delta, flags, "delta",
+                                  strat_doc.get("delta", 0.0)), "delta")
+    T = check_number(_resolve(args.horizon, flags, "horizon", cfg.get("horizon", 0)),
+                     "horizon", integer=True)
     if T < 1:
         raise ConfigError("implied-gamma needs a horizon >= 1 (config or --horizon)")
     gam = implied_gamma(pi_bar, delta, market, T)
@@ -366,16 +352,16 @@ def cmd_personalize(args) -> int:
     cfg, flags = _load_config(args.config, "personalize")
     market = market_from_dict(_need(cfg, "market", "personalize"))
     profile = profile_from_dict(_need(cfg, "risk_profile", "personalize"))
-    T = _number(_need(cfg, "horizon", "personalize"), "horizon", integer=True)
-    y0 = _number(cfg.get("y0", 0), "y0", integer=True)
+    T = check_number(_need(cfg, "horizon", "personalize"), "horizon", integer=True)
+    y0 = check_number(cfg.get("y0", 0), "y0", integer=True)
     check_regime(market, y0, "y0")
-    beta = _number(_resolve(args.beta, flags, "beta", cfg.get("beta", profile.beta)),
-                   "beta")
+    beta = check_number(
+        _resolve(args.beta, flags, "beta", cfg.get("beta", profile.beta)), "beta")
     phis = _parse_phi_range(_resolve(args.phi_range, flags, "phi_range", "1:12"))
-    n_paths = _number(_resolve(args.paths, flags, "paths", 20_000), "--paths",
-                      integer=True)
-    s_paths = _number(_resolve(args.s_paths, flags, "s_paths", 4_000), "--s-paths",
-                      integer=True)
+    n_paths = check_number(_resolve(args.paths, flags, "paths", 20_000),
+                           "--paths", integer=True)
+    s_paths = check_number(_resolve(args.s_paths, flags, "s_paths", 4_000),
+                           "--s-paths", integer=True)
     seed = _seed_value(args.seed, flags)
     grid = _grid_spec(cfg)
     sigma0 = float(market.sigma_step[y0])

@@ -22,7 +22,12 @@ from robo_mv.errors import (
     DegenerateDenominator,
     RootBracketFailure,
 )
-from robo_mv.market import MarketParams, stationary_distribution, validate
+from robo_mv.market import (
+    MarketParams,
+    check_number,
+    stationary_distribution,
+    validate,
+)
 from robo_mv.solver import state_only_ab
 
 
@@ -36,8 +41,7 @@ class CycleStrategy:
 
     def __post_init__(self):
         for name in ("pi_bar", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            check_number(getattr(self, name), name)
         if not self.pi_bar > 0:
             raise ConfigError(f"pi_bar must be > 0, got {self.pi_bar}")
         if not self.delta > -1.0:

@@ -46,11 +46,13 @@ class MarketParams:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # Normalize to read-only float arrays so instances are safely shareable.
+        # Counts become ints; the arrays become read-only float arrays, so
+        # instances are safely shareable. Values are checked by check().
+        for name in ("num_states", "steps_per_year"):
+            object.__setattr__(
+                self, name, check_number(getattr(self, name), name, integer=True))
         for name in ("transition", "risk_free", "mean_return", "vol_return"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, check_array(getattr(self, name), name))
 
     # Per-step quantities. Annual rates scale by 1/k, volatility by 1/sqrt(k).
 
@@ -226,6 +228,44 @@ def check_count(n, name: str, lo: int) -> None:
     a bool)."""
     if not (_is_int(n) and n >= lo):
         raise ConfigError(f"{name} must be an integer >= {lo}, got {n!r}")
+
+
+def check_number(value, name: str, integer: bool = False):
+    """A config value or parameter as a float, or as an int when integer.
+
+    The one rule for numbers read from configs and given to the params
+    dataclasses: anything but a finite Python or numpy number (a string, a
+    bool, NaN or inf) raises ConfigError, and so does a value with a
+    fractional part when integer. An integral float such as 12.0 is a valid
+    integer.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if integer:
+        if value != int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
+def check_array(value, name: str) -> np.ndarray:
+    """value as a read-only float array.
+
+    A numpy array of integers or floats is taken as it is, and its caller
+    checks it for NaN and inf. Anything else (a number, or nested lists of
+    numbers as a config holds them) must hold only entries that pass
+    check_number, so a string, a bool or a ragged list raises ConfigError.
+    """
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        for v in np.asarray(value, dtype=object).flat:
+            check_number(v, name)
+    arr = np.array(value, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def sample_step(
@@ -409,26 +449,26 @@ def market_from_dict(doc: dict) -> MarketParams:
         raise BadDimension(f"missing market config keys: {sorted(missing)}")
 
     states = doc["states"]
-    if isinstance(states, int):
-        M, labels = states, None
-    elif isinstance(states, Sequence) and not isinstance(states, (str, bytes)):
+    if isinstance(states, Sequence) and not isinstance(states, (str, bytes)):
         M, labels = len(states), tuple(str(s) for s in states)
     else:
-        raise BadDimension("'states' must be an integer count or a list of labels")
+        M, labels = check_number(states, "states", integer=True), None
+        if M < 1:
+            raise BadDimension(f"'states' must be >= 1, got {M}")
 
     def per_state(key):
         v = doc[key]
-        if isinstance(v, (int, float)):
-            return np.full(M, float(v))
-        return np.asarray(v, dtype=float)
+        if isinstance(v, (list, tuple, np.ndarray)):
+            return v
+        return np.full(M, check_number(v, key))
 
     params = MarketParams(
         num_states=M,
-        transition=np.asarray(doc["transition"], dtype=float),
+        transition=doc["transition"],
         risk_free=per_state("risk_free"),
         mean_return=per_state("mean_return"),
         vol_return=per_state("vol_return"),
-        steps_per_year=int(doc["steps_per_year"]),
+        steps_per_year=doc["steps_per_year"],
         labels=labels,
     )
     validate(params)

@@ -28,7 +28,13 @@ import numpy as np
 
 from robo_mv.cycle_analytics import CycleStrategy
 from robo_mv.errors import ConfigError, InsufficientSamples
-from robo_mv.market import MarketParams, _sample_steps, check_count, check_regime
+from robo_mv.market import (
+    MarketParams,
+    _sample_steps,
+    check_count,
+    check_number,
+    check_regime,
+)
 from robo_mv.risk_profile import RiskProfileParams, _client_steps
 from robo_mv.solver import (
     PolicyTables,
@@ -67,13 +73,15 @@ class SimConfig:
     def __post_init__(self):
         check_count(self.T, "T", 1)
         check_count(self.n_paths, "n_paths", 1)
-        if not (math.isfinite(self.x0) and self.x0 > 0):
+        if not check_number(self.x0, "x0") > 0:
             raise ConfigError(f"x0 must be finite and > 0, got {self.x0}")
         check_regime(self.market, self.y0, "y0")
         if self.bounds is not None:
-            if not all(math.isfinite(v) for v in self.bounds):
-                raise ConfigError(f"bounds must be finite, got {self.bounds}")
-            if self.bounds[0] > self.bounds[1]:
+            if not (isinstance(self.bounds, (tuple, list)) and len(self.bounds) == 2):
+                raise ConfigError(
+                    f"bounds must be a (lower, upper) pair, got {self.bounds!r}")
+            lower, upper = (check_number(v, "bounds") for v in self.bounds)
+            if lower > upper:
                 raise ConfigError(f"bounds out of order: {self.bounds}")
         if isinstance(self.strategy, PolicyTables):
             if self.profile is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from robo_mv.errors import ConfigError, InsufficientSamples, ZeroAllocation
-from robo_mv.market import MarketParams, check_regime
+from robo_mv.market import MarketParams, check_number, check_regime
 from robo_mv.risk_profile import (
     RiskProfileParams,
     _client_steps,
@@ -128,8 +128,9 @@ class PhiStar:
     """Minimizer of r_tilde over phi >= 1.
 
     phi is +inf with unbounded=True when r_tilde is strictly decreasing
-    (no idiosyncratic shocks to track). phi_int is the better of the two
-    adjacent integers, since actual schedules are integer-spaced.
+    (no idiosyncratic shocks to track) or still falling at phi_max. phi_int
+    is the better of the two adjacent integers, since actual schedules are
+    integer-spaced.
     """
 
     phi: float
@@ -144,38 +145,62 @@ def phi_star(
     sigma_eps: float,
     phi_max: float = 1200.0,
 ) -> PhiStar:
-    """Unique minimizer of r_tilde in phi.
+    """Unique minimizer of r_tilde in phi, in closed form.
 
     Case table: no bias (beta*sigma0 = 0) -> 1; bias but no shocks to chase
-    (p_eps = 0 or sigma_eps = 0) -> unbounded; otherwise the root of the
-    derivative, which starts negative (if it does) and crosses zero once.
-    """
-    # Imported on call: nothing else in the package needs scipy, and
-    # scipy.optimize takes longer to import than most robo-mv commands run.
-    from scipy.optimize import brentq
+    (p_eps = 0 or sigma_eps = 0) -> unbounded; r_tilde already rising at
+    phi = 1 -> 1; otherwise the root of the derivative, which starts
+    negative and crosses zero once. A root above phi_max reports unbounded;
+    a root at or below it is returned.
 
+    With c = beta*sigma0, p = p_eps, s = sigma_eps and
+    v = sqrt(c^2/phi + s^2), the derivative vanishes where
+
+        c sqrt(phi) v (2 + p + p phi) = p (2 s^2 phi^2 + c^2 phi + c^2).
+
+    Both sides are positive, so squaring loses nothing: the derivative has
+    the sign of the quartic
+
+        p^2 (2 s^2 phi^2 + c^2 phi + c^2)^2 - c^2 (s^2 phi + c^2) (p phi + 2 + p)^2,
+
+    and the root is the quartic's one root >= 1. The quartic is negative at
+    phi = 1 and its leading coefficient is positive, so that root is its
+    largest real root (np.roots returns real roots with imaginary part
+    exactly 0), and it lies above phi_max exactly when the quartic is still
+    negative there. Divided by c^4 the quartic depends on p and s/c alone,
+    so c and s are scaled to max(c, s) = 1 and it is divided by c^2, which
+    keeps its coefficients in floating-point range. A root a rounding error
+    outside [1, phi_max] is read as the nearer end.
+    """
     for name, val in (("beta", beta), ("sigma0", sigma0), ("p_eps", p_eps),
                       ("sigma_eps", sigma_eps)):
-        if val < 0:
+        if check_number(val, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got {val}")
+    if check_number(phi_max, "phi_max") < 1:
+        raise ConfigError(f"phi_max must be >= 1, got {phi_max}")
     if beta * sigma0 == 0.0:
         return PhiStar(phi=1.0, unbounded=False, phi_int=1)
     if p_eps == 0.0 or sigma_eps == 0.0:
         return PhiStar(phi=math.inf, unbounded=True, phi_int=None)
 
-    def d(x):
-        return r_tilde_dphi(x, beta, sigma0, p_eps, sigma_eps)
-
-    if d(1.0) >= 0.0:
-        return PhiStar(phi=1.0, unbounded=False, phi_int=1)
-    lo, hi = 1.0, 2.0
-    while d(hi) <= 0.0:
-        lo, hi = hi, hi * 2.0
-        if hi > phi_max:
-            return PhiStar(phi=math.inf, unbounded=True, phi_int=None)
-    phi0 = float(brentq(d, lo, hi, xtol=1e-10, maxiter=200))
-    fl, ce = math.floor(phi0), math.ceil(phi0)
     args = (beta, sigma0, p_eps, sigma_eps)
+    if r_tilde_dphi(1.0, *args) >= 0.0:
+        return PhiStar(phi=1.0, unbounded=False, phi_int=1)
+
+    scale = max(beta * sigma0, sigma_eps)
+    c, s = beta * sigma0 / scale, sigma_eps / scale
+    u = p_eps / c
+    bias = [2.0 * s * s, c * c, c * c]
+    shock = [p_eps, 2.0 + p_eps]
+    quartic = np.polysub(
+        u * u * np.polymul(bias, bias),
+        np.polymul([s * s, c * c], np.polymul(shock, shock)),
+    )
+    if np.polyval(quartic, phi_max) < 0.0:
+        return PhiStar(phi=math.inf, unbounded=True, phi_int=None)
+    roots = np.roots(quartic)
+    phi0 = min(max(float(roots.real[roots.imag == 0.0].max()), 1.0), phi_max)
+    fl, ce = math.floor(phi0), math.ceil(phi0)
     best = fl if r_tilde(fl, *args) <= r_tilde(ce, *args) else ce
     return PhiStar(phi=phi0, unbounded=False, phi_int=int(best))
 

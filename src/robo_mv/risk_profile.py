@@ -12,14 +12,13 @@ value fixed, adjusting only for the age trend and regime changes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NotInteractionTime, WindowLengthMismatch
-from .market import MarketParams, _sample_steps
+from .market import MarketParams, _sample_steps, check_array, check_number
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,11 @@ class RiskProfileParams:
     eta: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("gamma0", "alpha", "p_eps", "sigma_eps", "beta", "phi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        # Values are checked, not converted, so that a profile digests as
+        # it was given; phi becomes an int.
+        for name in ("gamma0", "alpha", "p_eps", "sigma_eps", "beta"):
+            check_number(getattr(self, name), name)
+        object.__setattr__(self, "phi", check_number(self.phi, "phi", integer=True))
         if self.gamma0 <= 0:
             raise ConfigError(f"gamma0 must be > 0, got {self.gamma0}")
         if self.alpha < 0:
@@ -63,19 +64,20 @@ class RiskProfileParams:
             raise ConfigError(f"sigma_eps must be > 0, got {self.sigma_eps}")
         if self.beta < 0:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if int(self.phi) != self.phi or self.phi < 1:
+        if self.phi < 1:
             raise ConfigError(f"phi must be an integer >= 1, got {self.phi}")
-        object.__setattr__(self, "phi", int(self.phi))
         gb = self.gamma_bar
-        if not np.all(np.isfinite(gb)):
-            raise ConfigError("gamma_bar must be finite")
-        if isinstance(gb, np.ndarray):
+        if isinstance(gb, (list, tuple, np.ndarray)):
+            gb = check_array(gb, "gamma_bar")
+            object.__setattr__(self, "gamma_bar", gb)
+            if not np.all(np.isfinite(gb)):
+                raise ConfigError("gamma_bar must be finite")
             if np.any(gb <= 0):
                 raise ConfigError("gamma_bar must be strictly positive")
-        elif gb <= 0:
+        elif check_number(gb, "gamma_bar") <= 0:
             raise ConfigError(f"gamma_bar must be strictly positive, got {gb}")
         if self.eta is not None:
-            object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
+            object.__setattr__(self, "eta", check_array(self.eta, "eta"))
             if not np.all(np.isfinite(self.eta)):
                 raise ConfigError("eta must be finite")
 
@@ -465,12 +467,7 @@ def profile_from_dict(doc: dict) -> RiskProfileParams:
         raise ConfigError(f"unknown risk_profile keys: {sorted(unknown)}")
     if "gamma0" not in doc:
         raise ConfigError("risk_profile requires 'gamma0'")
-    kwargs = dict(doc)
-    if "gamma_bar" in kwargs and isinstance(kwargs["gamma_bar"], list):
-        kwargs["gamma_bar"] = np.asarray(kwargs["gamma_bar"], dtype=float)
-    if "eta" in kwargs and kwargs["eta"] is not None:
-        kwargs["eta"] = np.asarray(kwargs["eta"], dtype=float)
-    return RiskProfileParams(**kwargs)
+    return RiskProfileParams(**doc)
 
 
 def load_profile(path: str | Path) -> RiskProfileParams:

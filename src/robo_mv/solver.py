@@ -74,7 +74,13 @@ from .errors import (
     GridExhausted,
     NumericalError,
 )
-from .market import MarketParams, market_from_dict, validate
+from .market import (
+    MarketParams,
+    check_count,
+    check_number,
+    market_from_dict,
+    validate,
+)
 from .risk_profile import RiskProfileParams, profile_from_dict
 
 # Hard sanity cap on clamped xi quadrature mass during a solve. Edge nodes of
@@ -96,10 +102,11 @@ class ReducedState:
     regime: int = 0
 
     def __post_init__(self):
+        for name in ("xi", "prev_window_sum", "cur_window_sum"):
+            check_number(getattr(self, name), name)
         if not self.xi > 0:
             raise ConfigError(f"xi must be > 0, got {self.xi}")
-        if self.regime < 0:
-            raise ConfigError(f"regime must be a valid index, got {self.regime}")
+        check_count(self.regime, "regime", 0)
 
 
 @dataclass(frozen=True)
@@ -122,10 +129,13 @@ class GridSpec:
     max_clamp_fraction: float = 0.005
 
     def __post_init__(self):
+        for name in ("xi_count", "zsum_count", "quad_points"):
+            object.__setattr__(
+                self, name, check_number(getattr(self, name), name, integer=True))
         for name in ("zsum_span_sd", "max_clamp_fraction", "xi_lo", "xi_hi"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            if value is not None:
+                check_number(value, name)
         if self.xi_count < 2:
             raise ConfigError(f"xi_count must be >= 2, got {self.xi_count}")
         if self.zsum_count < 2:
@@ -1213,8 +1223,10 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
         "params_sha256": params_sha256,
         "tables_sha256": _tables_digest(params_sha256, arrays, clamps),
     }
-    with open(outdir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    # Serialized before the file is opened, so a failure leaves no partial
+    # manifest.
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_int)
+    (outdir / "manifest.json").write_text(text)
     return outdir
 
 

@@ -389,6 +389,71 @@ def test_bad_number_in_config_or_stored_flags_exits_2(tmp_path, command, section
     assert not out.exists()
 
 
+def _small_run_config() -> dict:
+    cfg = two_state_config()
+    cfg["horizon"] = 6
+    cfg["risk_profile"] = {"gamma0": 3.0, "p_eps": 0.05, "sigma_eps": 0.64}
+    cfg["grid"] = {"xi_count": 5, "zsum_count": 3}
+    return cfg
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("solve", "risk_profile", "gamma0", "3"),
+    ("solve", "risk_profile", "gamma_bar", "x"),
+    ("solve", "risk_profile", "gamma_bar", [1.0, "x"]),
+    ("solve", "risk_profile", "alpha", float("nan")),
+    ("solve", "risk_profile", "phi", True),
+    ("solve", "risk_profile", "phi", 1.5),
+    ("solve", "grid", "xi_count", "41"),
+    ("solve", "grid", "xi_count", 41.5),
+    ("solve", "grid", "zsum_count", True),
+    ("solve", "grid", "max_clamp_fraction", "x"),
+    ("solve", "grid", "xi_lo", float("inf")),
+    ("solve", "market", "steps_per_year", "12"),
+    ("solve", "market", "steps_per_year", 12.5),
+    ("solve", "market", "steps_per_year", True),
+    ("solve", "market", "vol_return", ["a", "b"]),
+    ("solve", "market", "risk_free", [0.0, True]),
+    ("solve", "market", "mean_return", "0.1"),
+    ("solve", "market", "transition", [[0.95, 0.05], [0.1]]),
+    ("solve", "market", "states", True),
+    ("simulate", "strategy", "pi_bar", "0.6"),
+    ("simulate", "strategy", "delta", float("nan")),
+    ("simulate", "market", "steps_per_year", "12"),
+    ("personalize", "risk_profile", "phi", True),
+    ("personalize", "grid", "quad_points", 4.5),
+])
+def test_bad_number_in_config_section_exits_2(tmp_path, command, section, key,
+                                              value, capsys):
+    # The market, risk_profile, grid and strategy sections follow the same
+    # number rule as the top-level keys and the stored flags.
+    cfg = _small_run_config()
+    cfg[section][key] = value
+    manifest = {"kind": "run_manifest", "command": command, "config": cfg,
+                "flags": dict(_SMALL_FLAGS[command])}
+    path = write_config(tmp_path, manifest, name="run.json")
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_integral_floats_in_config_sections_solve_as_ints(tmp_path):
+    cfg = _small_run_config()
+    ints = write_config(tmp_path, cfg, name="ints.json")
+    cfg["market"]["steps_per_year"] = 12.0
+    cfg["risk_profile"]["phi"] = 1.0
+    cfg["grid"] = {"xi_count": 5.0, "zsum_count": 3.0}
+    floats = write_config(tmp_path, cfg, name="floats.json")
+    for name, path in (("a", ints), ("b", floats)):
+        assert main(["solve", "--config", path, "--out", str(tmp_path / name),
+                     "--quad-points", "4"]) == 0
+    for name in ("manifest.json", "policy.npz"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+
+
 def test_integral_float_numbers_are_accepted(tmp_path):
     cfg = two_state_config()
     cfg["horizon"] = 6.0
@@ -671,16 +736,19 @@ def test_console_script_is_installed():
 
 
 def test_cli_import_path_loads_no_scipy(tmp_path):
-    # A fresh interpreter: scipy costs more start-up than most commands take,
-    # so only phi_star may import it, and only when called.
+    # A fresh interpreter: the runtime needs numpy alone, so neither a
+    # command nor phi_star may import scipy.
     cfg = write_config(tmp_path, two_state_config())
     child = f"""
 import json, sys
 import robo_mv, robo_mv.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert robo_mv.cli.main(["stationary", "--config", {cfg!r}]) == 0
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = scipy_modules()
 res = robo_mv.phi_star(2.0, {SIGMA0!r}, 0.05, 0.64)
-print(json.dumps({{"scipy": loaded, "phi": res.phi, "phi_int": res.phi_int}}))
+print(json.dumps({{"scipy": loaded, "scipy_after_phi_star": scipy_modules(),
+                  "phi": res.phi, "phi_int": res.phi_int}}))
 """
     proc = subprocess.run([sys.executable, "-c", child],
                           capture_output=True, text=True, env=_child_env())
@@ -688,7 +756,7 @@ print(json.dumps({{"scipy": loaded, "phi": res.phi, "phi_int": res.phi_int}}))
     first, last = proc.stdout.strip().split("\n")
     assert first == "0.666667, 0.333333"
     got = json.loads(last)
-    assert got["scipy"] == []
+    assert got["scipy"] == [] and got["scipy_after_phi_star"] == []
     assert got["phi"] == phi_star(2.0, SIGMA0, 0.05, 0.64).phi
     assert got["phi"] == pytest.approx(2.4829, abs=1e-3)
     assert got["phi_int"] == 3

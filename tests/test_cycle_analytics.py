@@ -96,6 +96,7 @@ def test_cycle_strategy_allocations():
 @pytest.mark.parametrize("pi_bar,delta", [
     (0.0, 0.0), (-0.4, 0.0), (0.6, -1.0), (0.6, -1.5),
     (float("inf"), 0.0), (float("nan"), 0.0), (0.6, float("inf")), (0.6, float("nan")),
+    ("0.6", 0.0), (True, 0.0), (0.6, "0"), (0.6, None),
 ])
 def test_cycle_strategy_rejects_bad_fields(pi_bar, delta):
     with pytest.raises(ConfigError):

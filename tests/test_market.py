@@ -515,6 +515,28 @@ def test_market_from_dict_rejects_missing_key():
         market_from_dict(doc)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("states", True), ("states", "2"), ("states", 2.5), ("states", -1),
+    ("steps_per_year", "12"), ("steps_per_year", 12.5), ("steps_per_year", True),
+    ("steps_per_year", float("nan")), ("transition", [[0.95, 0.05], [0.1]]),
+    ("transition", [[0.95, 0.05], [0.1, "0.9"]]), ("risk_free", [0.0, True]),
+    ("mean_return", "0.1"), ("vol_return", ["a", "b"]), ("vol_return", False),
+    ("vol_return", [0.2, float("inf")]),
+])
+def test_market_from_dict_rejects_non_numbers(key, value):
+    with pytest.raises(ConfigError):
+        market_from_dict(dict(DOC, **{key: value}))
+
+
+def test_market_counts_accept_integral_floats():
+    m = market_from_dict(dict(DOC, states=2.0, steps_per_year=12.0))
+    assert type(m.num_states) is int and type(m.steps_per_year) is int
+    assert m.steps_per_year == 12
+    with pytest.raises(ConfigError):
+        MarketParams(num_states=1, transition=[[1.0]], risk_free=[0.0],
+                     mean_return=[0.1], vol_return=np.array([True]))
+
+
 def test_load_market(tmp_path, two_state_market):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(DOC))

@@ -49,6 +49,14 @@ def test_config_validation(two_state_market, small_policy):
         {"x0": float("nan")},
         {"bounds": (0.0, float("nan"))},
         {"bounds": (float("-inf"), 1.0)},
+        {"x0": "1"},
+        {"x0": True},
+        {"bounds": (0.0, "x")},
+        {"bounds": ("0", 1.0)},
+        {"bounds": (0.0, True)},
+        {"bounds": (0.0,)},
+        {"bounds": (0.0, 1.0, 2.0)},
+        {"bounds": "01"},
         {"strategy": object()},
     ):
         with pytest.raises(ConfigError):

@@ -5,10 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from robo_mv.errors import ConfigError, InsufficientSamples
 from robo_mv.personalization import (
     PersonalizationInputs,
+    PhiStar,
     full_information_policy,
     interact_every_step_suboptimal,
     phi_star,
@@ -249,6 +253,85 @@ def test_phi_star_scan_exhaustion_reports_unbounded():
 def test_phi_star_rejects_negative_parameters():
     with pytest.raises(ConfigError):
         phi_star(-1.0, SIGMA0, SHOCK_P, SHOCK_SD)
+    # Non-numbers too, and a phi_max below 1.
+    good = dict(beta=2.0, sigma0=SIGMA0, p_eps=SHOCK_P, sigma_eps=SHOCK_SD)
+    for bad in ({"beta": "2"}, {"sigma0": math.nan}, {"p_eps": True},
+                {"sigma_eps": math.inf}, {"phi_max": 0.5}, {"phi_max": math.nan}):
+        with pytest.raises(ConfigError):
+            phi_star(**{**good, **bad})
+
+
+def _bracket_phi_star(
+    beta: float,
+    sigma0: float,
+    p_eps: float,
+    sigma_eps: float,
+    phi_max: float = 1200.0,
+) -> PhiStar:
+    """The bracket-doubling and brentq search the closed-form quartic root
+    replaced, kept verbatim as the reference (scipy is imported above)."""
+    for name, val in (("beta", beta), ("sigma0", sigma0), ("p_eps", p_eps),
+                      ("sigma_eps", sigma_eps)):
+        if val < 0:
+            raise ConfigError(f"{name} must be >= 0, got {val}")
+    if beta * sigma0 == 0.0:
+        return PhiStar(phi=1.0, unbounded=False, phi_int=1)
+    if p_eps == 0.0 or sigma_eps == 0.0:
+        return PhiStar(phi=math.inf, unbounded=True, phi_int=None)
+
+    def d(x):
+        return r_tilde_dphi(x, beta, sigma0, p_eps, sigma_eps)
+
+    if d(1.0) >= 0.0:
+        return PhiStar(phi=1.0, unbounded=False, phi_int=1)
+    lo, hi = 1.0, 2.0
+    while d(hi) <= 0.0:
+        lo, hi = hi, hi * 2.0
+        if hi > phi_max:
+            return PhiStar(phi=math.inf, unbounded=True, phi_int=None)
+    phi0 = float(brentq(d, lo, hi, xtol=1e-10, maxiter=200))
+    fl, ce = math.floor(phi0), math.ceil(phi0)
+    args = (beta, sigma0, p_eps, sigma_eps)
+    best = fl if r_tilde(fl, *args) <= r_tilde(ce, *args) else ce
+    return PhiStar(phi=phi0, unbounded=False, phi_int=int(best))
+
+
+def _zero_or(lo: float, hi: float):
+    return st.just(0.0) | st.floats(min_value=lo, max_value=hi)
+
+
+# Each parameter is 0 or spans several decades of its range. Far below
+# these floors the products inside r_tilde_dphi underflow, and the
+# reference's derivative (not the quartic) loses its sign.
+@settings(deadline=None, max_examples=500)
+@given(_zero_or(1e-3, 20.0), _zero_or(1e-4, 1.0), _zero_or(1e-12, 1.0),
+       _zero_or(1e-6, 10.0))
+# The scan stopped doubling at 1024, so a root in (1024, 1200] read as
+# unbounded; phi_max is now applied as it is named.
+@example(2.6667911490944576, 0.2421014889943255, 0.00014086359160606616,
+         0.1499496208061462)
+@example(2.0, SIGMA0, SHOCK_P, SHOCK_SD)  # interior minimum at 2.48
+@example(2.0, 0.06, 1e-9, 1e-6)  # root far above phi_max
+def test_phi_star_matches_bracket_search(beta, sigma0, p_eps, sigma_eps):
+    got = phi_star(beta, sigma0, p_eps, sigma_eps)
+    ref = _bracket_phi_star(beta, sigma0, p_eps, sigma_eps)
+    if ref.unbounded and not got.unbounded:
+        assert 1024.0 < got.phi <= 1200.0
+        return
+    assert got.unbounded == ref.unbounded
+    assert got.phi_int == ref.phi_int
+    if not ref.unbounded:
+        assert abs(got.phi - ref.phi) <= 1e-9 * ref.phi
+
+
+def test_phi_star_applies_phi_max_as_named():
+    args = (2.6667911490944576, 0.2421014889943255, 0.00014086359160606616,
+            0.1499496208061462)
+    res = phi_star(*args)
+    assert not res.unbounded and res.phi == pytest.approx(1024.07, abs=0.01)
+    assert _bracket_phi_star(*args).unbounded
+    assert phi_star(*args, phi_max=1024.0).unbounded
+    assert phi_star(*args, phi_max=res.phi + 1e-6).phi == res.phi
 
 
 # -- sandwich arithmetic ----------------------------------------------------------

@@ -53,6 +53,14 @@ from robo_mv.risk_profile import (
         {"gamma0": 1.0, "gamma_bar": float("nan")},
         {"gamma0": 1.0, "gamma_bar": np.array([1.0, float("inf")])},
         {"gamma0": 1.0, "eta": np.array([0.0, float("nan")])},
+        {"gamma0": "3"},
+        {"gamma0": 1.0, "alpha": "0"},
+        {"gamma0": 1.0, "phi": True},
+        {"gamma0": 1.0, "gamma_bar": "x"},
+        {"gamma0": 1.0, "gamma_bar": True},
+        {"gamma0": 1.0, "gamma_bar": [1.0, "x"]},
+        {"gamma0": 1.0, "gamma_bar": [1.0, float("nan")]},
+        {"gamma0": 1.0, "eta": ["a", 0.0]},
     ],
 )
 def test_bad_parameters_rejected(kwargs):

@@ -91,6 +91,12 @@ def center_policy(tables):
         {"max_clamp_fraction": float("nan")},
         {"xi_lo": 1.0, "xi_hi": float("inf")},
         {"xi_lo": float("nan"), "xi_hi": 2.0},
+        {"xi_count": "41"},
+        {"xi_count": 41.5},
+        {"zsum_count": True},
+        {"quad_points": float("nan")},
+        {"max_clamp_fraction": "0.01"},
+        {"xi_lo": "1", "xi_hi": 2.0},
     ],
 )
 def test_gridspec_rejects_bad_requests(kwargs):
@@ -141,8 +147,17 @@ def test_reduced_state_validation():
         ReducedState(xi=0.0)
     with pytest.raises(ConfigError):
         ReducedState(xi=1.0, regime=-1)
+    # A finite xi and window sums, and an integer regime that is not a bool.
+    for bad in ({"xi": math.inf}, {"xi": math.nan}, {"xi": "1"},
+                {"xi": 1.0, "prev_window_sum": math.nan},
+                {"xi": 1.0, "cur_window_sum": "0"},
+                {"xi": 1.0, "regime": 1.5}, {"xi": 1.0, "regime": True},
+                {"xi": 1.0, "regime": np.bool_(False)}):
+        with pytest.raises(ConfigError):
+            ReducedState(**bad)
     st = ReducedState(xi=2.0, prev_window_sum=-0.05, cur_window_sum=0.01, regime=1)
     assert st.xi == 2.0 and st.regime == 1
+    assert ReducedState(xi=np.float64(2.0), regime=np.int64(1)).regime == 1
 
 
 def test_solve_rejects_bad_horizon_and_bounds(single_state_market):
@@ -816,6 +831,26 @@ def test_policy_round_trip(tmp_path, single_state_market):
     assert back.allocation_at(1, 2.0, 0.0, 0.0, 0) == tab.allocation_at(
         1, 2.0, 0.0, 0.0, 0
     )
+
+
+def test_policy_with_numpy_integer_horizon_round_trips(tmp_path,
+                                                       single_state_market):
+    # The manifest stores a numpy-integer T as the int it equals.
+    tab = solve(single_state_market, RiskProfileParams(gamma0=2.0), np.int64(2),
+                GridSpec(xi_count=5))
+    back = load_policy(save_policy(tab, tmp_path))
+    assert type(back.T) is int and back.T == 2
+    assert back.params_sha256 == tab.params_sha256
+
+
+def test_save_policy_leaves_no_partial_manifest(tmp_path, single_state_market):
+    tab = solve(single_state_market, RiskProfileParams(gamma0=2.0), 2,
+                GridSpec(xi_count=5))
+    # A float32 tally digests as a float but is not JSON serializable.
+    clamps = replace(tab.solve_clamps, xi_mass=np.float32(1.0))
+    with pytest.raises(TypeError, match="float32"):
+        save_policy(replace(tab, solve_clamps=clamps), tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_policy_store_is_byte_deterministic(tmp_path, single_state_market):
