@@ -9,11 +9,13 @@ from n to the horizon, as functions of a reduced state
 
     d = (xi, prev_window_sum, cur_window_sum, regime),
 
-where xi is the risk aversion communicated at the last client interaction and
-the window sums hold demeaned market returns (the completed window before the
-last interaction, and the partial window since). Together with the time index
-these four coordinates are a sufficient statistic for the advisor's model of
-client risk aversion and its law of motion.
+where xi is the risk aversion communicated at the last client interaction
+tau over that time's business-cycle factor, xi_tau / gamma_bar_tau(Y_tau),
+and the window sums hold demeaned market returns (the completed window before
+the last interaction, and the partial window since). The advisor's gamma is
+exp(eta_n - eta_tau) xi gamma_bar_n(Y_n), so with the time index these four
+coordinates are a sufficient statistic for the advisor's model of client risk
+aversion and its law of motion, for every phi and gamma_bar.
 
 Two kinds of time step alternate:
 
@@ -21,9 +23,9 @@ Two kinds of time step alternate:
   frozen; cur_window_sum picks up the next demeaned return;
 * interaction steps (n+1 = k*phi): the window completes, the client
   communicates a new xi, cur resets to zero. The new xi equals the old one
-  times a deterministic trend/regime adjustment, times the exponential of the
-  phi-fold sum of idiosyncratic jump shocks, times the ratio of behavioral
-  bias factors exp(-beta w/phi)/exp(-beta p/phi) of the new and old windows.
+  times exp(eta_{n+1} - eta_tau), times the exponential of the phi-fold sum
+  of idiosyncratic jump shocks, times the ratio of behavioral bias factors
+  exp(-beta w/phi)/exp(-beta p/phi) of the new and old windows.
 
 Expectations over the Gaussian return use Gauss-Hermite quadrature; the
 phi-fold jump-shock sum is integrated exactly as a binomial mixture of
@@ -38,20 +40,14 @@ is fixed for a solve, so the engine builds its operators once per solve:
 * plain step: the quadrature shift along cur depends only on (regime, node),
   so sum_q w_q Ztilde_q^j Interp_q is one Nc x Nc matrix C[y, j], and the
   step is (X @ P.T)[..., y] @ C[y, j].T;
-* interaction step: the jump-shock smoothing is one Nxi x Nxi matrix K.
-  The return quadrature then interpolates the smoothed slice along prev (an
-  Nc x Np matrix per (regime, node)) and along log xi. The log-xi axis is
-  uniform and the displacement does not depend on the xi node, so every xi
-  node reads the same fraction of a window of consecutive rows of the
-  edge-padded slice (the padding reproduces the clamp), and the sum over
-  nodes and next regimes is a matrix product with w_q P[y, y'] Ztilde_q^j.
-
-The reduced state can only carry the advisor's gamma if the business-cycle
-factor at the anchor time, gamma_bar_{tau_n}(Y_{tau_n}), is recoverable from
-(n, current state). That holds when gamma_bar is constant across regimes
-(any phi), or when phi = 1 (the anchor regime is the current one). The
-remaining combination -- regime-varying gamma_bar with phi > 1 -- is rejected
-at solve time.
+* interaction step: xi moves alike for every next regime, so the step takes
+  X @ P.T too. The jump-shock smoothing is one Nxi x Nxi matrix K. The return
+  quadrature then interpolates the smoothed slice along prev (an Nc x Np
+  matrix per (regime, node)) and along log xi. The log-xi axis is uniform and
+  the displacement does not depend on the xi node, so every xi node reads
+  the same fraction of a window of consecutive rows of the edge-padded slice
+  (the padding reproduces the clamp), and the sum over nodes is a matrix
+  product with w_q Ztilde_q^j.
 """
 
 from __future__ import annotations
@@ -114,10 +110,10 @@ class GridSpec:
     """Discretization request; concrete axes are derived from the parameters.
 
     xi nodes are log-spaced over [xi_lo, xi_hi] (defaults: gamma0/8 to
-    8*gamma0). Each window-sum axis is uniform over +/- zsum_span_sd per-step
-    return SDs times sqrt(phi). Axes that cannot matter are collapsed to a
-    single node: both window axes when beta = 0, the current-window axis when
-    phi = 1.
+    8*gamma0, whatever gamma_bar: xi divides out the cycle factor). Each
+    window-sum axis is uniform over +/- zsum_span_sd per-step return SDs
+    times sqrt(phi). Axes that cannot matter are collapsed to a single node:
+    both window axes when beta = 0, the current-window axis when phi = 1.
     """
 
     xi_count: int = 41
@@ -336,8 +332,10 @@ def _corner_sum(table: np.ndarray, xp, corners, ic, fc, y) -> np.ndarray:
 
 
 def _window_allocations(policy: "PolicyTables", xi, window_csum, regimes, phi: int):
-    """Yield ``policy.allocation_at(n, xi[n], prev_n, cur_n, regimes[n])``
-    bit for bit, for n = 0 .. len(regimes) - 1, from time-major rows.
+    """Yield ``policy.allocation_at(n, xi[n] / gamma_bar_tau(regimes[tau]),
+    prev_n, cur_n, regimes[n])`` bit for bit, for n = 0 .. len(regimes) - 1,
+    from time-major rows, with tau the window's first time and xi the
+    communicated risk aversion of the client simulator.
 
     The window sums (prev_n, cur_n) come from the rows of a
     `window_csum` as `risk_profile.window_sums` forms them, or are zero
@@ -349,11 +347,12 @@ def _window_allocations(policy: "PolicyTables", xi, window_csum, regimes, phi: i
         raise ConfigError(f"time index {policy.T} outside [0, {policy.T})")
     table_shape = policy.pi.shape[1:]
     _checked_regimes(regimes, table_shape[-1])
+    gbar = policy.profile.gamma_bar_table(policy.T, table_shape[-1])
     zeros = np.zeros(np.shape(regimes)[1:]) if window_csum is None else None
     for n, y in enumerate(regimes):
         if n % phi == 0:
             tau = n
-            x = np.asarray(xi[n], dtype=float)
+            x = np.asarray(xi[n], dtype=float) / gbar[tau, y]
             if np.any(x <= 0):
                 raise ConfigError("xi queries must be strictly positive")
             if zeros is not None:
@@ -375,12 +374,6 @@ class _ProfileTables:
     """Dense per-time tables derived from a risk profile for a horizon T."""
 
     def __init__(self, market: MarketParams, profile: RiskProfileParams, T: int):
-        if not profile.gamma_bar_is_state_constant() and profile.phi > 1:
-            raise ConfigError(
-                "regime-varying gamma_bar requires phi = 1: with sparser "
-                "interactions the anchor-time cycle factor is not recoverable "
-                "from the reduced state"
-            )
         self.T = T
         self.phi = profile.phi
         self.beta = profile.beta
@@ -388,28 +381,15 @@ class _ProfileTables:
         self.eta = np.asarray(profile.eta_at(np.arange(T + 1), T), dtype=float)
         self.gbar = profile.gamma_bar_table(T, market.num_states)
         self.tau = profile.phi * (np.arange(T + 1) // profile.phi)
-        # anchor[n, y]: cycle factor at the last interaction, as recoverable
-        # from (n, current regime y)
-        if profile.gamma_bar_is_state_constant():
-            self.anchor = np.repeat(
-                self.gbar[self.tau, :1], market.num_states, axis=1
-            )
-        else:  # phi == 1, so tau_n = n and the anchor regime is the current one
-            self.anchor = self.gbar[np.arange(T + 1)]
 
     def gamma_slice(self, n: int, xi: np.ndarray) -> np.ndarray:
         """Advisor gamma over (xi, regime) at time n: shape (len(xi), M)."""
         trend = math.exp(self.eta[n] - self.eta[self.tau[n]])
-        return trend * xi[:, None] * (self.gbar[n] / self.anchor[n])[None, :]
+        return trend * xi[:, None] * self.gbar[n][None, :]
 
-    def interaction_shift(self, n: int, y: int, y_next: int) -> float:
+    def interaction_shift(self, n: int) -> float:
         """Deterministic log-xi displacement when the step into n+1 interacts."""
-        return (
-            self.eta[n + 1]
-            - self.eta[self.tau[n]]
-            + math.log(self.gbar[n + 1, y_next])
-            - math.log(self.anchor[n, y])
-        )
+        return self.eta[n + 1] - self.eta[self.tau[n]]
 
 
 def _jump_mixture(profile: RiskProfileParams) -> list[tuple[float, float, float]]:
@@ -458,7 +438,8 @@ class PolicyTables:
                               self.bounds)
 
     def gamma_table(self, n: int) -> np.ndarray:
-        """Advisor gamma over (xi, regime) at time n."""
+        """Advisor gamma over (xi node, regime) at time n:
+        exp(eta_n - eta_tau) * xi * gamma_bar_n(y)."""
         return _ProfileTables(self.market, self.profile, self.T).gamma_slice(
             n, self.grid.xi
         )
@@ -474,12 +455,17 @@ class PolicyTables:
     ) -> np.ndarray:
         """Interpolated equilibrium allocation at scattered states at time n.
 
-        Queries outside the grid are clamped to the boundary; if `counters`
-        is given, clamped lookups are tallied per lookup (xi axis and window
-        axes separately).
+        `xi` is the risk aversion communicated at the last interaction over
+        that time's cycle factor gamma_bar_tau(Y_tau). NaN or inf queries
+        raise ConfigError; queries outside the grid are clamped to the
+        boundary; if `counters` is given, clamped lookups are tallied per
+        lookup (xi axis and window axes separately).
         """
         if not 0 <= n < self.T:
             raise ConfigError(f"time index {n} outside [0, {self.T})")
+        for name, values in (("xi", xi), ("prev", prev), ("cur", cur)):
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"{name} queries must be finite")
         xi = np.asarray(xi, dtype=float)
         if np.any(xi <= 0):
             raise ConfigError("xi queries must be strictly positive")
@@ -575,19 +561,17 @@ class _StepOperators:
         self._K_padded = K[np.clip(np.arange(-Nxi, 2 * Nxi), 0, Nxi - 1)]
 
         # Interaction step, xi axis: the displacement of log xi depends on
-        # (y, q, y', p, c) but not on the xi node. Keep the operands of the
+        # (y, q, p, c) but not on the xi node. Keep the operands of the
         # unclamped locator position, t = (logxi + bp prev + shift - bp w
         # - logxi[0]) / step, in the order the locator rounds them.
         bp = tabs.beta / tabs.phi
         self._base = grid.logxi[:, None] + bp * grid.prev[None, :]  # (Nxi, Np)
         self._bp_w = bp * (grid.cur + dm[:, :, None])  # (M, Q, Nc)
         self._xi_step = (grid.logxi[-1] - grid.logxi[0]) / (Nxi - 1)
-        # coef[j, y, q, y'] = w_q zt^j P[y, y']
-        self._coef = powers[..., None] * self.P[:, None, :]
-        # The last interaction shift (as bytes) and its xi positions: with no
-        # trend and a constant gamma_bar the shift repeats at every
-        # interaction step.
-        self._xi_cache: tuple[bytes, tuple] | None = None
+        self._powers = powers
+        # The last interaction shift and its xi positions: with no trend the
+        # shift repeats at every interaction step.
+        self._xi_cache: tuple[float, tuple] | None = None
 
     def slice_expectations(self, n: int, specs: list[tuple[np.ndarray, int]],
                            counters: ClampCounters) -> list[np.ndarray]:
@@ -619,33 +603,30 @@ class _StepOperators:
         """Where each quadrature branch of the interaction step into n+1
         lands on the log-xi axis.
 
-        Returns (start, frac, n_clamped): start[y, q, y', p, c] is the first
-        row of the edge-padded smoothed table that the xi node 0 reads, frac
-        the common interpolation weight of its successor, and
-        n_clamped[y, q, y'] the number of clamped (xi, prev, cur) lookups,
-        identical to what the locator counts node by node. They depend on n
-        only through the interaction shift, so a repeated shift (bit for bit)
-        reuses the previous result.
+        Returns (start, frac, n_clamped): start[y, q, p, c] is the first row
+        of the edge-padded smoothed table that the xi node 0 reads, frac the
+        common interpolation weight of its successor, and n_clamped[y, q] the
+        number of clamped (xi, prev, cur) lookups, identical to what the
+        locator counts node by node. They depend on n only through the
+        interaction shift, so a repeated shift reuses the previous result.
         """
         Nxi, Np, Nc, M = self.grid.shape
-        shift = np.array([[self.tabs.interaction_shift(n, y, y2) for y2 in range(M)]
-                          for y in range(M)])
-        key = shift.tobytes()
-        if self._xi_cache is not None and self._xi_cache[0] == key:
+        shift = self.tabs.interaction_shift(n)
+        if self._xi_cache is not None and self._xi_cache[0] == shift:
             return self._xi_cache[1]
-        # d[y, q, y', 0, c] = shift - bp w
-        d = (shift[:, None, :, None] - self._bp_w[:, :, None, :])[:, :, :, None, :]
+        # d[y, q, 0, c] = shift - bp w
+        d = (shift - self._bp_w)[:, :, None, :]
         prev = np.arange(Np)[:, None]
         x0 = self.grid.logxi[0]
 
         def t_at(k):
             """The locator's position of xi node k (-inf/+inf beyond the
-            axis), shape (M, Q, M, Np, Nc)."""
+            axis), shape (M, Q, Np, Nc)."""
             lx = self._base[np.clip(k, 0, Nxi - 1), prev] + d
             t = (lx - x0) / self._xi_step
             return np.where(k < 0, -np.inf, np.where(k >= Nxi, np.inf, t))
 
-        t0 = t_at(np.zeros((M, len(self.gh_w), M, Np, Nc), dtype=np.intp))
+        t0 = t_at(np.zeros((M, len(self.gh_w), Np, Nc), dtype=np.intp))
         # Node i sits at t0 + i up to rounding, so the clamped nodes follow
         # in closed form; the rounded positions are monotone in i, so
         # checking the two nodes next to each boundary makes the count exact.
@@ -654,13 +635,13 @@ class _StepOperators:
         first_above = Nxi - np.clip(np.ceil(t0), 0, Nxi).astype(np.intp)
         above = (Nxi - first_above - 1 + (t_at(first_above - 1) > Nxi - 1)
                  + (t_at(first_above) > Nxi - 1))
-        n_clamped = (below + above).sum(axis=(3, 4))
+        n_clamped = (below + above).sum(axis=(2, 3))
         s = np.clip(t0, -Nxi, Nxi - 1)
         k0 = np.floor(s)
         positions = ((k0 + Nxi).astype(np.intp), s - k0, n_clamped)
         for arr in positions:
             arr.setflags(write=False)
-        self._xi_cache = (key, positions)
+        self._xi_cache = (shift, positions)
         return positions
 
     def _interaction(self, n, specs, counters):
@@ -682,38 +663,38 @@ class _StepOperators:
                     counters.add_window(self.gh_w[q], Nc, int(self._prev_clamped[y, q]))
                 for y2 in range(M):
                     if self.P[y, y2] != 0.0:  # weight w_q P[y, y']
-                        counters.add_xi(self._coef[0, y, q, y2], Nxi * Np * Nc,
-                                        int(n_clamped[y, q, y2]))
+                        counters.add_xi(self.gh_w[q] * self.P[y, y2], Nxi * Np * Nc,
+                                        int(n_clamped[y, q]))
 
         S, J = len(specs), max(jmax for _, jmax in specs) + 1
         ic0 = self.grid.cur_zero_index
-        table0 = np.stack([tbl[:, :, ic0, :] for tbl, _ in specs], axis=-1)
+        # table0[xi, prev, y, spec]: the next-regime sum given current y
+        table0 = np.stack([tbl[:, :, ic0, :] @ self.P.T for tbl, _ in specs], axis=-1)
         smoothed = np.tensordot(self._K_padded, table0, axes=(1, 0))
-        # rows[y', prev, padded xi, spec], flattened for the prev interpolation
+        # rows[y, prev, padded xi, spec], flattened for the prev interpolation
         smoothed = np.ascontiguousarray(smoothed.transpose(2, 1, 0, 3)).reshape(
             M, Np, 3 * Nxi * S)
-        # start and frac as (y, p, c, q, y'): one batch per (p, c)
-        start = start.transpose(0, 3, 4, 1, 2)
-        frac = frac.transpose(0, 3, 4, 1, 2).reshape(M, Np * Nc, Q * M)
+        # start and frac as (y, p, c, q): one batch per (p, c)
+        start = start.transpose(0, 2, 3, 1)
+        frac = frac.transpose(0, 2, 3, 1).reshape(M, Np * Nc, 1, Q)
         out = [np.empty((jmax + 1,) + self.grid.shape) for _, jmax in specs]
         for y in range(M):
             acc = np.zeros((Np * Nc, J, Nxi * S))
             for q0 in range(0, Q, _Q_CHUNK):
                 qs = slice(q0, min(q0 + _Q_CHUNK, Q))
                 Qc = qs.stop - qs.start
-                rows = (self._prev_interp[y, qs, None] @ smoothed[None]).reshape(
-                    Qc, M, Nc, 3 * Nxi, S)
+                rows = (self._prev_interp[y, qs] @ smoothed[y]).reshape(
+                    Qc, Nc, 3 * Nxi, S)
                 # every window of Nxi+1 consecutive xi rows, each contiguous
                 st = rows.strides
                 windows = np.lib.stride_tricks.as_strided(
-                    rows, shape=(Qc, M, Nc, 2 * Nxi, (Nxi + 1) * S),
-                    strides=st[:4] + (st[4],), writeable=False)
-                W = windows[np.arange(Qc)[:, None], np.arange(M),
-                            np.arange(Nc)[:, None, None],
-                            start[y, :, :, qs]].reshape(Np * Nc, Qc * M, -1)
-                # sum over (q, y') of coef * ((1-f) row_i + f row_i+1)
-                coef = self._coef[:J, y, qs].reshape(J, Qc * M)
-                f = frac[y, :, None, q0 * M: qs.stop * M]
+                    rows, shape=(Qc, Nc, 2 * Nxi, (Nxi + 1) * S),
+                    strides=st[:3] + (st[3],), writeable=False)
+                W = windows[np.arange(Qc), np.arange(Nc)[:, None],
+                            start[y, :, :, qs]].reshape(Np * Nc, Qc, -1)
+                # sum over q of coef * ((1-f) row_i + f row_i+1)
+                coef = self._powers[:J, y, qs]
+                f = frac[y, :, :, qs]
                 acc += ((coef * (1.0 - f)) @ W[:, :, : Nxi * S]
                         + (coef * f) @ W[:, :, S:])
             # (p, c, j, xi, spec) -> (j, xi, p, c) per spec
@@ -830,7 +811,7 @@ def step_moments(
                 w = state.cur_window_sum + dm
                 base_lx = (
                     lxi
-                    + tabs.interaction_shift(n, y, y2)
+                    + tabs.interaction_shift(n)
                     + (tabs.beta / tabs.phi) * (state.prev_window_sum - w)
                 )
                 av = bv = 0.0
@@ -1104,15 +1085,17 @@ def _params_digest(market: MarketParams, profile: RiskProfileParams, T: int,
         "bounds": list(bounds) if bounds is not None else None,
     }
     return hashlib.sha256(
-        json.dumps(doc, sort_keys=True, default=_json_int).encode()
+        json.dumps(doc, sort_keys=True, default=_json_number).encode()
     ).hexdigest()
 
 
-def _json_int(value) -> int:
-    """A numpy integer (say, a T or steps_per_year taken from an array)
-    serializes as the Python int it equals, so it digests the same."""
+def _json_number(value) -> int | float:
+    """A numpy integer or float (a T taken from an array, a float32 gamma0)
+    serializes as the Python number it equals, so it digests the same."""
     if isinstance(value, np.integer):
         return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -1146,6 +1129,9 @@ def _profile_doc(profile: RiskProfileParams) -> dict:
 
 
 _POLICY_STORE = "policy.npz"
+# Manifest "format" of save_policy's stores; unmarked older stores hold the
+# communicated xi, not xi over the last interaction's cycle factor.
+_STORE_FORMAT = 2
 # Fixed table order of the store and of its digest; a and b carry the
 # terminal slice, so they hold T+1 periods and pi and V hold T.
 _TABLE_NAMES = ("pi", "a", "b", "V")
@@ -1184,8 +1170,9 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
 
     `policy.npz` holds pi, a, b and V as solved (float64, a and b with their
     terminal slice) and is what load_policy reads. `manifest.json`, written
-    last, stores the market, risk profile, grid, bounds, clamp tallies, the
-    parameter digest `params_sha256` and the table digest `tables_sha256`.
+    last, stores the store format, the market, risk profile, grid, bounds,
+    clamp tallies, the parameter digest `params_sha256` and the table digest
+    `tables_sha256`.
     `policy_NNNN.csv` exports period NNNN: rows enumerate the grid in
     (xi, prev, cur, regime) order with columns
     (xi, prev_sum, cur_sum, regime, pi_star, a, b, V), 12 significant digits.
@@ -1214,6 +1201,7 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
     clamps = tables.solve_clamps
     manifest = {
         "kind": "policy_tables",
+        "format": _STORE_FORMAT,
         "T": tables.T,
         "bounds": list(tables.bounds) if tables.bounds is not None else None,
         "grid": g.to_dict(),
@@ -1225,7 +1213,7 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
     }
     # Serialized before the file is opened, so a failure leaves no partial
     # manifest.
-    text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_int)
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_number)
     (outdir / "manifest.json").write_text(text)
     return outdir
 
@@ -1234,9 +1222,9 @@ def load_policy(indir: str | Path) -> PolicyTables:
     """Rebuild PolicyTables from the store save_policy wrote, verified.
 
     Reads only `manifest.json` and `policy.npz`, then checks in order: the
-    parameter digest, recomputed from the manifest's market, risk profile,
-    grid, T and bounds; each table's dtype and shape; the table digest, which
-    also covers the manifest's raw clamp tallies. Any
+    store format; the parameter digest, recomputed from the manifest's
+    market, risk profile, grid, T and bounds; each table's dtype and shape;
+    the table digest, which also covers the manifest's raw clamp tallies. Any
     mismatch, a malformed manifest or store, or a missing `policy.npz` raises
     ConfigError.
     """
@@ -1249,6 +1237,9 @@ def load_policy(indir: str | Path) -> PolicyTables:
             raise ConfigError(f"{manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("kind") != "policy_tables":
         raise ConfigError(f"{indir} does not hold policy tables")
+    if manifest.get("format") != _STORE_FORMAT:
+        raise ConfigError(f"{manifest_path} is not a format-{_STORE_FORMAT} policy "
+                          f"store (xi in an older coordinate); re-run solve")
     if not store_path.is_file():
         raise ConfigError(
             f"{indir} has no {_POLICY_STORE} (CSV-only policy directories from "

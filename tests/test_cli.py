@@ -207,6 +207,8 @@ def _tamper(pol, how):
         elif how == "edited_xi_clamped":
             assert doc["solve_clamps"]["xi_clamped"] > 0.0
             doc["solve_clamps"]["xi_clamped"] = 0.0
+        elif how == "missing_format":  # as written before the xi coordinate
+            del doc["format"]
         else:
             doc["tables_sha256"] = "0" * 64
         manifest.write_text(json.dumps(doc))
@@ -214,7 +216,8 @@ def _tamper(pol, how):
 
 @pytest.mark.parametrize("tamper", [
     "changed_value", "edited_horizon", "edited_market", "edited_tables_digest",
-    "edited_xi_clamped", "flipped_byte", "missing_store", "wrong_shape",
+    "edited_xi_clamped", "flipped_byte", "missing_format", "missing_store",
+    "wrong_shape",
 ])
 def test_simulate_rejects_tampered_policy_store(tmp_path, tamper, capsys):
     doc = single_state_config()
@@ -233,8 +236,10 @@ def test_simulate_rejects_tampered_policy_store(tmp_path, tamper, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert not (out / "summary.json").exists()
-    if tamper == "missing_store":
+    if tamper in ("missing_format", "missing_store"):
         assert "re-run solve" in err
+    if tamper == "missing_format":
+        assert "format-2 policy store" in err
 
 
 # -- simulate --------------------------------------------------------------------
@@ -292,6 +297,25 @@ def test_simulate_from_policy_dir(tmp_path):
                  "--paths", "300", "--seed", "9"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert np.isfinite(summary["total"]["mean"])
+
+
+def test_regime_varying_gamma_bar_policy_solves_and_simulates_at_phi_3(tmp_path):
+    doc = two_state_config()
+    del doc["strategy"]
+    doc["risk_profile"] = {"gamma0": 3.0, "p_eps": 0.05, "sigma_eps": 0.64,
+                           "beta": 2.0, "phi": 3, "gamma_bar": [1.0, 1.5]}
+    doc["horizon"] = 6
+    doc["grid"] = {"xi_count": 7, "zsum_count": 5, "quad_points": 6}
+    pol = tmp_path / "pol"
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(pol)]) == 0
+
+    sim_cfg = write_config(tmp_path, {"policy_dir": str(pol)}, "sim.json")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", sim_cfg, "--out", str(out),
+                 "--paths", "300", "--seed", "9"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert all(np.isfinite(v) for v in summary["total"].values())
 
 
 def test_simulate_rejects_nan_market_without_artifacts(tmp_path, capsys):
@@ -655,6 +679,22 @@ def test_personalize_solves_full_information_policy_once(tmp_path, monkeypatch):
     assert sorted(calls) == [1, 1, 1, 1, 2, 3]
     assert ((tmp_path / "once" / "personalize.csv").read_bytes()
             == (tmp_path / "each" / "personalize.csv").read_bytes())
+
+
+def test_personalize_with_regime_varying_gamma_bar_reaches_phi_3(tmp_path):
+    doc = two_state_config()
+    del doc["strategy"]
+    doc["risk_profile"] = {"gamma0": 3.0, "p_eps": 0.05, "sigma_eps": 0.64,
+                           "gamma_bar": [1.0, 1.5]}
+    doc["horizon"] = 6
+    doc["grid"] = {"xi_count": 7, "zsum_count": 5, "quad_points": 6}
+    out = tmp_path / "o"
+    assert main(["personalize", "--config", write_config(tmp_path, doc),
+                 "--out", str(out), "--phi-range", "1:3", "--beta", "2",
+                 "--paths", "200", "--s-paths", "200", "--seed", "4"]) == 0
+    lines = (out / "personalize.csv").read_text().strip().split("\n")
+    assert len(lines) == 4
+    assert all(math.isfinite(float(c)) for row in lines[1:] for c in row.split(","))
 
 
 @pytest.mark.parametrize("text", ["3", "0:4", "5:2", "a:b"])

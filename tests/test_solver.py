@@ -4,6 +4,7 @@ import csv
 import math
 import warnings
 from dataclasses import asdict, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from robo_mv.errors import ConfigError, DegenerateVariance, GridExhausted, NumericalError
 from robo_mv.market import MarketParams
+from robo_mv.personalization import s_measure
 from robo_mv.risk_profile import RiskProfileParams, simulate_clients, window_sums
 from robo_mv.solver import (
     ClampCounters,
@@ -548,26 +550,40 @@ def test_two_state_solve_and_state_only_recursion(two_state_market):
     assert np.min(b - a * a) >= -1e-12
 
 
-def test_state_varying_baseline_needs_every_step_interaction(two_state_market):
-    varying = RiskProfileParams(
-        gamma0=2.0, beta=2.0, phi=3, gamma_bar=np.array([1.0, 1.5])
-    )
-    with pytest.raises(ConfigError, match="phi"):
-        solve(two_state_market, varying, T=6)
-    ok = RiskProfileParams(
-        gamma0=2.0, beta=2.0, phi=1, gamma_bar=np.array([1.0, 1.5])
-    )
-    tab = solve(two_state_market, ok, T=6)
-    # with an update every step the slice gamma is xi itself; the baseline
-    # ratio only enters the xi transitions, so the terminal policy is the
-    # per-regime Markowitz ratio evaluated at gamma = xi
+@pytest.mark.parametrize("gamma_bar", [[1.0, 1.5], [1.0, 0.75]])
+@pytest.mark.parametrize("phi", [3, 4])
+def test_unbiased_client_without_shocks_is_tracked_for_any_phi(
+        two_state_market, gamma_bar, phi):
+    # With beta = 0 and no jumps the advisor's gamma equals the client's at
+    # every step, even when the cycle factor switches between interactions:
+    # the phi policy is the phi = 1 policy, and S vanishes. No trend (alpha
+    # = 0): a trend shift would be interpolated across xi nodes.
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.0, beta=0.0,
+                             gamma_bar=np.array(gamma_bar))
+    T = 24
+    every = solve(two_state_market, prof, T)
+    sparse = solve(two_state_market, replace(prof, phi=phi), T)
+    assert np.max(np.abs(sparse.pi - every.pi)) <= 1e-13 * np.max(np.abs(every.pi))
+    s = s_measure(phi, 0.0, two_state_market, prof, T, GridSpec(), 400, 7,
+                  full_policy=every)
+    assert s.estimate <= 1e-12
+
+
+@pytest.mark.parametrize("phi", [1, 3])
+def test_regime_varying_gamma_bar_terminal_policy_is_markowitz(two_state_market, phi):
+    prof = RiskProfileParams(gamma0=2.0, beta=2.0, phi=phi,
+                             gamma_bar=np.array([1.0, 1.5]))
+    tab = solve(two_state_market, prof, T=6)
+    # xi divides out the last interaction's cycle factor, so the slice
+    # gamma is xi times the current one, and the terminal policy is the
+    # per-regime Markowitz ratio at that gamma
     gam = tab.gamma_table(5)
-    assert np.allclose(gam, tab.grid.xi[:, None], rtol=1e-12)
+    assert np.allclose(gam, tab.grid.xi[:, None] * [1.0, 1.5], rtol=1e-12)
     for y in range(2):
         want = two_state_market.mu_tilde_step[y] / (
-            tab.grid.xi * two_state_market.sigma_step[y] ** 2
+            gam[:, y] * two_state_market.sigma_step[y] ** 2
         )
-        assert np.allclose(tab.pi[5, :, :, 0, y], want[:, None], atol=1e-12)
+        assert np.allclose(tab.pi[5, ..., y], want[:, None, None], atol=1e-12)
 
 
 # -- constrained policies ------------------------------------------------------
@@ -747,9 +763,13 @@ def test_interp3_matches_one_pass_kernel(nx, npv, nc, M, seed, scalar):
     assert got_c == want_c
 
 
-@pytest.mark.parametrize("phi", [1, 2, 3, 9, 10])
-def test_window_allocations_match_per_step_lookups(two_state_market, phi):
-    prof = RiskProfileParams(gamma0=3.0, p_eps=0.3, sigma_eps=0.64, beta=2.0, phi=phi)
+@pytest.mark.parametrize("phi, gamma_bar", [
+    *(pytest.param(phi, 1.0, id=str(phi)) for phi in (1, 2, 3, 9, 10)),
+    pytest.param(3, np.array([1.0, 1.5]), id="3-cycle"),
+])
+def test_window_allocations_match_per_step_lookups(two_state_market, phi, gamma_bar):
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.3, sigma_eps=0.64, beta=2.0, phi=phi,
+                             gamma_bar=gamma_bar)
     T = 21
     tab = solve(two_state_market, prof, T,
                 GridSpec(xi_count=7, zsum_count=5, quad_points=5))
@@ -763,12 +783,14 @@ def test_window_allocations_match_per_step_lookups(two_state_market, phi):
     got_zero = list(_window_allocations(tab, gc, None, regimes[:T], 1))
     assert len(got) == len(got_zero) == T
     zeros = np.zeros(400)
+    gbar = prof.gamma_bar_table(T, 2)
     for n in range(T):
         prev, cur = window_sums(batch["window_csum"], phi, n)
-        y = batch["regimes"][:, n]
-        assert np.array_equal(got[n], tab.allocation_at(n, batch["xi"][:, n], prev, cur, y))
-        assert np.array_equal(
-            got_zero[n], tab.allocation_at(n, batch["gamma_client"][:, n], zeros, zeros, y))
+        y, y_tau = batch["regimes"][:, n], batch["regimes"][:, phi * (n // phi)]
+        xi_tilde = batch["xi"][:, n] / gbar[phi * (n // phi), y_tau]
+        assert np.array_equal(got[n], tab.allocation_at(n, xi_tilde, prev, cur, y))
+        assert np.array_equal(got_zero[n], tab.allocation_at(
+            n, batch["gamma_client"][:, n] / gbar[n, y], zeros, zeros, y))
 
 
 def test_window_allocations_keep_the_lookup_checks(two_state_market):
@@ -809,6 +831,40 @@ def test_solver_gamma_agrees_with_scalar_op(single_state_market):
             assert gam[i, 0] == pytest.approx(want, rel=1e-12)
 
 
+def test_gamma_table_at_a_paths_xi_is_the_simulated_robo_gamma(two_state_market):
+    # gamma_table is linear in xi, so linear interpolation between the xi
+    # nodes evaluates it at a path's xi / gamma_bar_tau(Y_tau) to rounding.
+    T, phi = 9, 3
+    gamma_bar = 1.0 + 0.5 * np.abs(np.sin(np.arange(2 * T + 2))).reshape(T + 1, 2)
+    prof = RiskProfileParams(gamma0=3.0, alpha=0.05, p_eps=0.3, sigma_eps=0.64,
+                             beta=2.0, phi=phi, gamma_bar=gamma_bar)
+    tab = solve(two_state_market, prof, T, GridSpec(
+        xi_count=9, xi_lo=0.05, xi_hi=200.0, zsum_count=3, quad_points=4))
+    batch = simulate_clients(two_state_market, prof, T, 200,
+                             np.random.default_rng(3), y0=0)
+    for n in range(T):
+        tau = phi * (n // phi)
+        y = batch["regimes"][:, n]
+        xi_tilde = batch["xi"][:, n] / gamma_bar[tau, batch["regimes"][:, tau]]
+        assert tab.grid.xi[0] < xi_tilde.min() and xi_tilde.max() < tab.grid.xi[-1]
+        gam = tab.gamma_table(n)
+        got = [np.interp(x, tab.grid.xi, gam[:, k]) for x, k in zip(xi_tilde, y)]
+        np.testing.assert_allclose(got, batch["gamma_robo"][:, n], rtol=1e-12)
+
+
+@pytest.mark.parametrize("field", ["xi", "prev", "cur"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_allocation_at_rejects_non_finite_queries(single_state_market, field, bad):
+    tab = solve(single_state_market, RiskProfileParams(gamma0=3.0, beta=2.0, phi=2),
+                3, GridSpec(xi_count=5, zsum_count=3, quad_points=4))
+    query = {"xi": np.full(3, 3.0), "prev": np.zeros(3), "cur": np.zeros(3)}
+    query[field][1] = bad
+    with pytest.raises(ConfigError, match=f"{field} queries must be finite"):
+        tab.allocation_at(1, query["xi"], query["prev"], query["cur"], 0)
+    with pytest.raises(ConfigError, match=f"{field} queries must be finite"):
+        tab.allocation_at(1, *(query[k][1] for k in ("xi", "prev", "cur")), 0)
+
+
 # -- persistence ------------------------------------------------------------------
 
 
@@ -843,12 +899,23 @@ def test_policy_with_numpy_integer_horizon_round_trips(tmp_path,
     assert back.params_sha256 == tab.params_sha256
 
 
+def test_numpy_float_profile_digests_like_the_python_float(tmp_path,
+                                                          single_state_market):
+    spec = GridSpec(xi_count=5)
+    tab = solve(single_state_market, RiskProfileParams(gamma0=np.float32(3.0)), 2, spec)
+    want = solve(single_state_market, RiskProfileParams(gamma0=3.0), 2, spec)
+    assert tab.params_sha256 == want.params_sha256
+    back = load_policy(save_policy(tab, tmp_path))
+    assert back.params_sha256 == tab.params_sha256
+    assert np.array_equal(back.pi, tab.pi)
+
+
 def test_save_policy_leaves_no_partial_manifest(tmp_path, single_state_market):
     tab = solve(single_state_market, RiskProfileParams(gamma0=2.0), 2,
                 GridSpec(xi_count=5))
-    # A float32 tally digests as a float but is not JSON serializable.
-    clamps = replace(tab.solve_clamps, xi_mass=np.float32(1.0))
-    with pytest.raises(TypeError, match="float32"):
+    # A Decimal tally digests as a float but is not JSON serializable.
+    clamps = replace(tab.solve_clamps, xi_mass=Decimal("1.0"))
+    with pytest.raises(TypeError, match="Decimal"):
         save_policy(replace(tab, solve_clamps=clamps), tmp_path)
     assert not (tmp_path / "manifest.json").exists()
 
@@ -1009,7 +1076,7 @@ def _loop_slice_expectations(n, specs, market, tabs, grid, counters):
                 pw = P[y, y2]
                 if pw == 0.0:
                     continue
-                shift = tabs.interaction_shift(n, y, y2)
+                shift = tabs.interaction_shift(n)
                 lx = base + (shift - bp * wv)[None, None, :]
                 ix, fx, ncx = _locate(grid.logxi, lx)
                 counters.add_xi(wq * pw, lx.size, ncx)
@@ -1059,14 +1126,17 @@ def _kernel_cases(draw):
     phi = draw(st.integers(1, 3))
     T = draw(st.integers(1, 7))
     # A time-varying trend moves the interaction shift with n; without one
-    # (and with a scalar gamma_bar) the shift is exactly zero.
+    # the shift is exactly zero. gamma_bar is a scalar, one value per regime
+    # or a (T+1, M) table, for every phi.
     eta = (np.array([draw(st.floats(-0.5, 0.5)) for _ in range(T + 1)])
            if draw(st.booleans()) else None)
-    if phi == 1 and M > 1 and draw(st.booleans()):
-        gamma_bar = 0.5 + 2.0 * np.array(
-            [[draw(_unit) for _ in range(M)] for _ in range(T + 1)])
-    else:
+    rows = draw(st.sampled_from([0, 1, T + 1]))
+    if rows == 0:
         gamma_bar = 0.5 + 2.0 * draw(_unit)
+    else:
+        gamma_bar = 0.5 + 2.0 * np.array(
+            [[draw(_unit) for _ in range(M)] for _ in range(rows)])
+        gamma_bar = gamma_bar[0] if rows == 1 else gamma_bar
     gamma0 = 1.0 + 7.0 * draw(_unit)
     profile = RiskProfileParams(
         gamma0=gamma0, p_eps=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
@@ -1085,9 +1155,9 @@ def _kernel_cases(draw):
 
 
 def _moving_shift_case(phi):
-    """An aging client (alpha > 0) under a gamma_bar that swings in time, so
-    the interaction shift, and with it the xi positions, differ from one
-    interaction step to the next."""
+    """An aging client (alpha > 0), so the interaction shift, and with it
+    the xi positions, differ from one interaction step to the next, under a
+    gamma_bar that swings in time and with the regime."""
     market = MarketParams(
         num_states=2, transition=np.array([[0.9, 0.1], [0.3, 0.7]]),
         risk_free=np.array([0.02, 0.0]), mean_return=np.array([0.08, 0.14]),
@@ -1095,7 +1165,7 @@ def _moving_shift_case(phi):
     )
     T = 7
     swing = 1.0 + 0.6 * np.sin(np.arange(T + 1))[:, None]
-    gamma_bar = swing * (np.array([[1.0, 1.4]]) if phi == 1 else np.ones((1, 2)))
+    gamma_bar = swing * np.array([[1.0, 1.4]])
     profile = RiskProfileParams(gamma0=3.0, alpha=0.05, p_eps=0.05,
                                 sigma_eps=0.64, beta=2.0, phi=phi,
                                 gamma_bar=gamma_bar)
