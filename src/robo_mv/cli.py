@@ -27,7 +27,7 @@ from robo_mv.cycle_analytics import (
     CycleStrategy,
     annualize_sharpe,
     implied_gamma,
-    sharpe_general,
+    sharpe_sweep,
 )
 from robo_mv.errors import ConfigError, NumericalError
 from robo_mv.market import (
@@ -294,14 +294,14 @@ def cmd_sharpe(args) -> int:
         raise ConfigError(f"--steps must be >= 1, got {steps}")
     values = np.linspace(lo, hi, steps)
 
-    rows = []
-    for v in values:
-        if sweep == "delta":
-            strat = CycleStrategy(pi_bar=base_pi, delta=float(v))
-        else:
-            strat = CycleStrategy(pi_bar=float(v), delta=base_delta)
-        s = sharpe_general(strat.allocations(market.num_states), market)
-        rows.append((sweep, float(v), annualize_sharpe(s, market.steps_per_year)))
+    rules = [
+        CycleStrategy(pi_bar=base_pi, delta=float(v)) if sweep == "delta"
+        else CycleStrategy(pi_bar=float(v), delta=base_delta)
+        for v in values
+    ]
+    sharpes = sharpe_sweep([r.allocations(market.num_states) for r in rules], market)
+    rows = [(sweep, float(v), annualize_sharpe(s, market.steps_per_year))
+            for v, s in zip(values, sharpes)]
     out = _out_dir(args)
     _write_csv(out / "sharpe.csv", ["sweep_var", "value", "sharpe_annualized"], rows)
     _manifest(out, "sharpe", cfg,

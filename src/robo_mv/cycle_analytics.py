@@ -108,21 +108,34 @@ def sharpe_general(allocations, market: MarketParams) -> float:
     part and a between-state part, which is what caps the ratio at the best
     single-state market Sharpe ratio.
     """
+    return sharpe_sweep([allocations], market)[0]
+
+
+def sharpe_sweep(rules, market: MarketParams) -> list[float]:
+    """`sharpe_general` of each rule in turn, bit for bit, with the market
+    validated and its stationary distribution solved once for all of them.
+    Every rule's shape is checked first; a rule with zero return variance
+    raises DegenerateDenominator when its turn comes."""
     validate(market)
-    pi = np.asarray(allocations, dtype=float)
-    if pi.shape != (market.num_states,):
-        raise BadDimension(
-            f"need one allocation per state, got shape {pi.shape} "
-            f"for {market.num_states} states"
-        )
+    M = market.num_states
+    pis = [np.asarray(allocations, dtype=float) for allocations in rules]
+    for pi in pis:
+        if pi.shape != (M,):
+            raise BadDimension(
+                f"need one allocation per state, got shape {pi.shape} "
+                f"for {M} states"
+            )
     lam = stationary_distribution(market)
     mt = market.mu_tilde_step
     sg = market.sigma_step
-    mean = float(np.sum(lam * mt * pi))
-    var = float(np.sum(lam * (sg**2 * pi**2 + (mt * pi - mean) ** 2)))
-    if var <= 0.0:
-        raise DegenerateDenominator("the rule has zero return variance")
-    return mean / math.sqrt(var)
+    out = []
+    for pi in pis:
+        mean = float(np.sum(lam * mt * pi))
+        var = float(np.sum(lam * (sg**2 * pi**2 + (mt * pi - mean) ** 2)))
+        if var <= 0.0:
+            raise DegenerateDenominator("the rule has zero return variance")
+        out.append(mean / math.sqrt(var))
+    return out
 
 
 def sharpe_delta(delta: float, inputs: SharpeInputs) -> float:

@@ -309,61 +309,72 @@ def _sample_steps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The regime sampler, time-major: one contiguous row per step.
 
-    Returns regimes, int64 (n_steps + 1, n_paths), and returns, float64
-    (n_steps, n_paths), both C-contiguous: the transposes of what
-    `sample_paths` returns, under the same draw-order contract. The wealth
-    recursion of `montecarlo.simulate` and `montecarlo.long_run_sharpe` and
-    the client simulator `risk_profile._client_steps` read these rows
-    directly; `sample_paths` is the path-major view for everyone else.
+    Returns regimes (n_steps + 1, n_paths) in ``np.min_scalar_type(M - 1)``
+    (uint8 for up to 256 regimes) and returns, float64 (n_steps, n_paths),
+    both C-contiguous: the transposes of what `sample_paths` returns, under
+    the same draw-order contract. The wealth recursion of
+    `montecarlo.simulate` and `montecarlo.long_run_sharpe` and the client
+    simulator `risk_profile._client_steps` read these rows directly;
+    `sample_paths` is the path-major int64 view for everyone else. The
+    working set is about 8 B of returns and 1 B of regime per path-step,
+    plus a few ~1 MB draw blocks.
 
     Draws: the uniforms, and then the Gaussians, are drawn path-major in
-    blocks of whole paths (`_path_blocks`), and each block is transposed
-    into the time-major rows while it is in cache. No full path-major draw
-    is ever alive, and the bits are those of the one-call draws.
+    blocks of whole paths (`_path_blocks`), and each block is reduced or
+    transposed into the time-major rows while it is in cache. No full
+    path-major draw is ever alive, and the bits are those of the one-call
+    draws. No uniform outlives its block: each becomes the transition code
+    ``nxt[t, s, p]``, the regime after step t of path p when the step starts
+    in regime s (M small integers per path-step).
 
     Block scheme: the time axis is split into B blocks of L steps, with
-    ``B = max(1, isqrt(n_steps // n_paths))``. Every block after the first is
-    run from every possible start regime at once (speculation), one
-    time-major row of uniforms per step, so the Python loop has L
-    iterations. The true start of each block then follows from the end of
-    the previous one in B cheap steps (Blelloch, *Prefix sums and their
-    applications*, CMU-CS-90-190), and each path's regimes are gathered
-    from the matching speculative runs. A wide batch gets B = 1: a plain
-    time-major loop from ``y0``. A single million-step path gets B ~ 1000.
+    ``B = max(1, isqrt(n_steps // n_paths))``. Every block is run from every
+    possible start regime at once (speculation), one time-major row of
+    codes per step, so the Python loop has L iterations. The true start of
+    each block then follows from the end of the previous one in B cheap
+    steps (Blelloch, *Prefix sums and their applications*, CMU-CS-90-190),
+    and each path's regimes are gathered from the matching speculative runs.
+    A wide batch gets B = 1: a plain time-major loop from ``y0``. A single
+    million-step path gets B ~ 1000.
     """
     check_regime(params, y0, "y0")
     check_count(n_steps, "n_steps", 0)
     check_count(n_paths, "n_paths", 1)
     M = params.num_states
-    # thresholds[k, y] = cumsum(P[y])[k]; the last column would be 1 > u.
-    thresholds = np.cumsum(params.transition, axis=1)[:, :-1].T
+    code = np.min_scalar_type(M - 1)
+    # thresholds[s, k] = cumsum(P[s])[k]; the last column would be 1 > u.
+    thresholds = np.cumsum(params.transition, axis=1)[:, :-1]
 
     B = max(1, math.isqrt(n_steps // n_paths))
     L = -(-n_steps // B)  # the last block may be padded
-    # The first block is drawn before its destination exists, so a batch of
-    # one block allocates in the order a single full-size draw did.
-    blocks = _path_blocks(rng.random, n_steps, n_paths)
-    cols, ut = next(blocks)
-    rows = np.zeros((B * L, n_paths))
-    rows[:n_steps, cols] = ut
-    for cols, ut in blocks:
-        rows[:n_steps, cols] = ut
-    del ut
-    rows = np.ascontiguousarray(rows.reshape(B, L, n_paths).swapaxes(0, 1))
+    # nxt[t, s, p] = #{k : u[t, p] >= thresholds[s, k]}, summed in the code
+    # dtype (a sum of bools would be their OR). Padded steps keep code 0.
+    nxt = np.zeros((B * L, M, n_paths), dtype=code)
+    for cols, ut in _path_blocks(rng.random, n_steps, n_paths):
+        for s in range(M):
+            dst = nxt[:n_steps, s, cols]
+            for k in range(M - 1):
+                dst += ut >= thresholds[s, k]
+    del ut, dst
+    nxt = np.ascontiguousarray(nxt.reshape(B, L, M, n_paths).transpose(1, 2, 0, 3))
 
     # runs[t, s, b, p]: regime after t steps of block b on path p, started
     # in regime s. Block 0 starts at y0, so a lone block needs no speculation.
-    runs = np.empty((L + 1, M if B > 1 else 1, B, n_paths), dtype=np.int64)
+    # Exactly one term of each step's sum is nonzero, so it fits the code.
+    runs = np.empty((L + 1, M if B > 1 else 1, B, n_paths), dtype=code)
     runs[0] = np.arange(M)[:, None, None] if B > 1 else y0
     for t in range(L):
-        runs[t + 1] = sum(rows[t] >= thresholds[k][runs[t]] for k in range(M - 1))
-    del rows
+        y, out = runs[t], runs[t + 1]
+        np.multiply(y == 0, nxt[t, 0], out=out)
+        for s in range(1, M):
+            out += (y == s) * nxt[t, s]
+    del nxt
 
     if B == 1:
         regimes = runs[:, 0, 0]
     else:
         # Chain the blocks: block b + 1 starts in the regime where block b ends.
-        path = np.empty((B * L + 1, n_paths), dtype=np.int64)
+        path = np.empty((B * L + 1, n_paths), dtype=code)
         y, paths = np.full(n_paths, y0), np.arange(n_paths)
         for b in range(B):
             path[b * L:(b + 1) * L + 1] = runs[:, y, b, paths]
@@ -371,19 +382,20 @@ def _sample_steps(
         del runs
         regimes = path[:n_steps + 1]
 
-    # The uniforms are freed by now: the peak is regimes, the returns and two
-    # blocks of Gaussians, and the means go in a few rows at a time.
-    ys = regimes[:-1]
-    blocks = _path_blocks(rng.standard_normal, n_steps, n_paths)
-    cols, gt = next(blocks)
-    returns = params.sigma_step[ys]
-    returns[:, cols] *= gt
-    for cols, gt in blocks:
-        returns[:, cols] *= gt
+    # The codes are freed by now: the peak is regimes, the returns and two
+    # blocks of Gaussians. sigma * g + mu goes on a few rows at a time, each
+    # gathered through one intp copy of the rows' regimes.
+    returns = np.empty((n_steps, n_paths))
+    for cols, gt in _path_blocks(rng.standard_normal, n_steps, n_paths):
+        returns[:, cols] = gt
     del gt
+    sigma, mu = params.sigma_step, params.mu_step
     step = max(1, _BLOCK // n_paths)
     for r in range(0, n_steps, step):
-        returns[r:r + step] += params.mu_step[ys[r:r + step]]
+        ys = regimes[r:min(r + step, n_steps)].astype(np.intp)
+        rows = returns[r:r + step]
+        rows *= sigma[ys]
+        rows += mu[ys]
     return regimes, returns
 
 
@@ -422,7 +434,7 @@ def sample_paths(
     """
     regimes, returns = _sample_steps(params, y0, n_steps, n_paths, rng)
     # One copy at a time, so at most three of the four arrays are alive.
-    regimes = np.ascontiguousarray(regimes.T)
+    regimes = np.ascontiguousarray(regimes.T, dtype=np.int64)
     return regimes, np.ascontiguousarray(returns.T)
 
 

@@ -206,10 +206,12 @@ def simulate_clients(
     simulation read as they are.
     """
     rows = _client_steps(market, profile, T, n_paths, rng, y0)
-    # One copy at a time, dropping each time-major array as it is copied.
+    # One copy at a time, dropping each time-major array as it is copied;
+    # the narrow regimes widen to int64.
     return {
         name: rows[name].T if name == "tau"
-        else np.ascontiguousarray(rows.pop(name).T)
+        else np.ascontiguousarray(rows.pop(name).T,
+                                  dtype=np.int64 if name == "regimes" else None)
         for name in _CLIENT_FIELDS
     }
 
@@ -227,11 +229,15 @@ def _client_steps(
 
     Builds only the named `simulate_clients` fields, each the transpose of
     that function's array: float rows (T+1, n_paths), returns (T, n_paths),
-    int64 regimes, and `tau` as a read-only broadcast view. All are
-    C-contiguous except `tau`. Whatever the fields, the draws are those of
-    `simulate_clients`: `market._sample_steps`, then `sample_eps` of size
-    (n_paths, T). Every element gets the same arithmetic, so each row holds
-    the bits of that function's column.
+    regimes in the sampler's narrow dtype ``np.min_scalar_type(M - 1)``
+    (uint8 for up to 256 regimes; `simulate_clients` widens them to int64),
+    and `tau` as a read-only broadcast view. All are C-contiguous except
+    `tau`. Whatever the fields, the draws are those of `simulate_clients`:
+    `market._sample_steps`, then `sample_eps` of size (n_paths, T). Every
+    element gets the same arithmetic, so each row holds the bits of that
+    function's column. The sampler's working set is about 8 B of returns
+    and 1 B of regime per path-step; each float field adds 8 B per
+    path-step.
     """
     phi, beta = profile.phi, profile.beta
     regimes, returns = _sample_steps(market, y0, T, n_paths, rng)

@@ -1157,11 +1157,14 @@ def _csv_template(g: Grid) -> str:
     node in (xi, prev, cur, regime) order with its coordinates already
     formatted and four %.12g slots for (pi_star, a, b, V). Lines end in
     \\r\\n, as csv.writer ends them."""
-    axes = [[f"{v:.12g}" for v in axis.tolist()] for axis in (g.xi, g.prev, g.cur)]
-    axes.append([str(y) for y in range(g.num_states)])
+    tails = [
+        f"{p:.12g},{c:.12g},{y},%.12g,%.12g,%.12g,%.12g\r\n"
+        for p, c, y in itertools.product(g.prev.tolist(), g.cur.tolist(),
+                                         range(g.num_states))
+    ]
+    # One join per xi node: "x," before each of the node's row endings.
     return "xi,prev_sum,cur_sum,regime,pi_star,a,b,V\r\n" + "".join(
-        ",".join(node) + ",%.12g,%.12g,%.12g,%.12g\r\n"
-        for node in itertools.product(*axes)
+        f"{x:.12g},".join(["", *tails]) for x in g.xi.tolist()
     )
 
 

@@ -727,10 +727,10 @@ def test_personalize_rejects_unknown_start_regime(tmp_path, y0, capsys):
 
 
 def test_numerical_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
-    def boom(allocations, market):
+    def boom(rules, market):
         raise DegenerateVariance("zero variance in every regime")
 
-    monkeypatch.setattr(cli, "sharpe_general", boom)
+    monkeypatch.setattr(cli, "sharpe_sweep", boom)
     cfg = write_config(tmp_path, two_state_config())
     assert main(["sharpe", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err

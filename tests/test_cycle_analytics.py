@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from robo_mv import cycle_analytics
 from robo_mv.cycle_analytics import (
     CycleStrategy,
     SharpeInputs,
@@ -16,6 +17,7 @@ from robo_mv.cycle_analytics import (
     sensitivity_predicates,
     sharpe_delta,
     sharpe_general,
+    sharpe_sweep,
 )
 from robo_mv.errors import (
     BadDimension,
@@ -188,6 +190,41 @@ def test_sharpe_general_errors(two_state_market):
     )
     with pytest.raises(NonErgodic):
         sharpe_general([0.6, 0.78], broken)
+
+
+def _one_rule_sharpe(allocations, market):
+    """The stationary Sharpe ratio of one rule, solved on its own."""
+    pi = np.asarray(allocations, dtype=float)
+    lam = stationary_distribution(market)
+    mt, sg = market.mu_tilde_step, market.sigma_step
+    mean = float(np.sum(lam * mt * pi))
+    var = float(np.sum(lam * (sg**2 * pi**2 + (mt * pi - mean) ** 2)))
+    return mean / math.sqrt(var)
+
+
+def test_sharpe_sweep_matches_one_rule_at_a_time(two_state_market, monkeypatch):
+    rules = [CycleStrategy(0.6, float(d)).allocations(2)
+             for d in np.linspace(-0.5, 0.5, 201)]
+    want = [_one_rule_sharpe(pi, two_state_market) for pi in rules]
+    calls = []
+
+    def counted(market):
+        calls.append(market)
+        return stationary_distribution(market)
+
+    monkeypatch.setattr(cycle_analytics, "stationary_distribution", counted)
+    assert sharpe_sweep(rules, two_state_market) == want
+    assert len(calls) == 1
+    assert [sharpe_general(pi, two_state_market) for pi in rules] == want
+
+
+def test_sharpe_sweep_errors(two_state_market):
+    # Every shape is checked before any ratio; a degenerate rule raises.
+    with pytest.raises(BadDimension):
+        sharpe_sweep([[0.6, 0.6], [0.6]], two_state_market)
+    with pytest.raises(DegenerateDenominator):
+        sharpe_sweep([[0.6, 0.6], [0.0, 0.0]], two_state_market)
+    assert sharpe_sweep([], two_state_market) == []
 
 
 def test_sharpe_general_upper_bound_random_draws():

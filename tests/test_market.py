@@ -436,11 +436,38 @@ def test_time_major_core_is_the_transpose_of_sample_paths(case):
     rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
     want = sample_paths(market, y0, n_steps, n_paths, rng_want)
     got = _sample_steps(market, y0, n_steps, n_paths, rng_got)
-    for w, g in zip(want, got):
-        assert g.dtype == w.dtype
+    # The core keeps regimes in the narrowest unsigned dtype for M regimes.
+    for w, g, dtype in zip(want, got, (np.min_scalar_type(market.num_states - 1),
+                                       np.float64)):
+        assert g.dtype == dtype
         assert g.flags.c_contiguous
         assert np.array_equal(g.T, w)
     assert rng_got.random() == rng_want.random()
+
+
+def _wide_market(M, seed):
+    """M regimes with sparse random rows, a fifth of the entries zero."""
+    rng = np.random.default_rng(seed)
+    w = rng.random((M, M)) * (rng.random((M, M)) < 0.8)
+    w[np.arange(M), np.arange(M)] += 0.01
+    return _mk(w / w.sum(axis=1, keepdims=True), np.linspace(0.0, 0.02, M),
+               np.linspace(0.05, 0.15, M), np.linspace(0.1, 0.25, M))
+
+
+@pytest.mark.parametrize("n_steps,n_paths", [(30, 5), (300, 1)])  # B = 1, B = 17
+def test_sampler_with_257_regimes_keeps_uint16_regimes(n_steps, n_paths):
+    market = _wide_market(257, n_steps)
+    want = _loop_sample_paths(market, 256, n_steps, n_paths,
+                              np.random.default_rng(n_steps))
+    rng_paths, rng_steps = np.random.default_rng(n_steps), np.random.default_rng(n_steps)
+    got = sample_paths(market, 256, n_steps, n_paths, rng_paths)
+    regimes, returns = _sample_steps(market, 256, n_steps, n_paths, rng_steps)
+    assert regimes.dtype == np.uint16 and got[0].dtype == np.int64
+    assert want[0].max() > 255
+    for w, g, core in zip(want, got, (regimes, returns)):
+        assert np.array_equal(g, w)
+        assert np.array_equal(core.T, w)
+    assert rng_paths.random() == rng_steps.random()
 
 
 @pytest.mark.parametrize("draw", ["random", "standard_normal"])

@@ -1,6 +1,7 @@
 """Tests for forward wealth simulation and distribution statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from robo_mv.cycle_analytics import CycleStrategy, inputs_from_market, sharpe_de
 from robo_mv.errors import ConfigError, InsufficientSamples
 from robo_mv.market import MarketParams, sample_paths
 from robo_mv.montecarlo import (
+    _CHUNK,
     SimConfig,
     _chunk_returns,
     annualized,
@@ -536,3 +538,26 @@ def test_growth_tilt_orders_the_return_distribution(two_state_market):
     assert summaries[0.3].mean == pytest.approx(1.036, abs=0.02)
     assert (summaries[-0.3].mean < summaries[0.0].mean < summaries[0.3].mean)
     assert (summaries[-0.3].sd < summaries[0.0].sd < summaries[0.3].sd)
+
+
+def test_fixed_mix_peak_memory_is_about_one_chunk_of_returns(two_state_market):
+    """The sampler keeps regimes one byte wide and no uniform past its draw
+    block, so a wide chunk's working set is about its float64 returns: one
+    65 536 x 120 simulate on one thread and a 10^6-step long_run_sharpe
+    each peak within 1.3x the returns of one chunk (int64 regimes next to
+    the uniforms peaked at 66 and 41 MB)."""
+    T = 120
+    bound = 1.3 * 8 * _CHUNK * T
+    rule = CycleStrategy(0.6, -0.3)
+    config = SimConfig(two_state_market, rule, T=T, n_paths=2 * _CHUNK, seed=3)
+    tracemalloc.start()
+    try:
+        simulate(config, threads=1)
+        simulate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        long_run_sharpe(rule, two_state_market, 10**6, seed=3)
+        sharpe_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert simulate_peak <= bound
+    assert sharpe_peak < bound

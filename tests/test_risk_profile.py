@@ -484,7 +484,11 @@ def test_client_core_matches_path_major_simulator(case):
     assert rng.random() == after
     assert sorted(rows) == sorted(fields)
     for name in fields:
-        _assert_same_array(rows[name], want[name].T)
+        if name == "regimes":  # kept in the narrowest unsigned dtype for M
+            assert rows[name].dtype == np.min_scalar_type(market.num_states - 1)
+            assert np.array_equal(rows[name], want[name].T)
+        else:
+            _assert_same_array(rows[name], want[name].T)
         assert rows[name].flags.c_contiguous or name == "tau"
 
 
