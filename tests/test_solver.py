@@ -26,7 +26,12 @@ from robo_mv.solver import (
     _jump_mixture,
     _locate,
     _ProfileTables,
+    _Q_CHUNK,
+    _SOLVE_CLAMP_CAP,
     _StepOperators,
+    _interp_matrix,
+    _require_finite,
+    _solve_grid,
     allocation,
     allocation_independent,
     brute_force_equilibrium,
@@ -1195,7 +1200,10 @@ def test_step_operators_match_loop_kernel(case):
     for n in range(T - 1, -1, -1):
         specs = [(rng.uniform(0.5, 2.0, grid.shape), j) for j in powers]
         want = _loop_slice_expectations(n, specs, market, tabs, grid, want_clamps)
-        got = ops.slice_expectations(n, specs, got_clamps)
+        # the operators take regime-major tables and give regime-major moments
+        got = ops.slice_expectations(
+            n, [(np.moveaxis(tbl, -1, 0), j) for tbl, j in specs], got_clamps)
+        got = [np.moveaxis(g, 1, -1) for g in got]
         assert asdict(got_clamps) == asdict(want_clamps)
         for (tbl, j_top), w, g in zip(specs, want, got):
             assert g.shape == w.shape
@@ -1217,8 +1225,338 @@ def test_step_operators_count_rounded_edge_nodes_like_the_loop_kernel(
     want_clamps, got_clamps = ClampCounters(), ClampCounters()
     _loop_slice_expectations(0, specs, two_state_market, tabs, grid, want_clamps)
     _StepOperators(two_state_market, tabs, grid, 2).slice_expectations(
-        0, specs, got_clamps)
+        0, [(np.moveaxis(tbl, -1, 0), j) for tbl, j in specs], got_clamps)
     assert asdict(got_clamps) == asdict(want_clamps)
+
+
+# -- the regime-major core against the regime-last one ---------------------------
+
+
+def _add_at_interp_matrix(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The per-query interpolation matrix the batched `_interp_matrix`
+    replaced: clamped linear interpolation at the 1-D queries x.
+
+    Row k holds the weights _locate gives x[k], so `matrix @ values`
+    interpolates one value per node at every query. Also returns the number
+    of clamped queries.
+    """
+    idx, frac, n_clamped = _locate(nodes, x)
+    mat = np.zeros((len(x), len(nodes)))
+    rows = np.arange(len(x))
+    np.add.at(mat, (rows, idx), 1.0 - frac)
+    np.add.at(mat, (rows, np.minimum(idx + 1, len(nodes) - 1)), frac)
+    return mat, n_clamped
+
+
+class _RegimeLastOperators(_StepOperators):
+    """The regime-last step operators the regime-major ones replaced,
+    verbatim: tables (Nxi, Np, Nc, M) in, moments (J, Nxi, Np, Nc, M) out,
+    with the interpolation matrices built one query row at a time. The xi
+    positions of the interaction step are unchanged and inherited."""
+
+    def __init__(self, market: MarketParams, tabs: _ProfileTables, grid: Grid,
+                 jmax: int):
+        Nxi, Np, Nc, M = grid.shape
+        self.grid, self.tabs, self.P = grid, tabs, market.transition
+        gh_x, gh_w = _gh_nodes(grid.quad_points)
+        Q, J = len(gh_x), jmax + 1
+        self.gh_w = gh_w
+        dm = math.sqrt(2.0) * market.sigma_step[:, None] * gh_x  # (M, Q)
+        zt = dm + market.mu_step[:, None] - market.r_step[:, None]
+        # powers[j, y, q] = w_q zt^j
+        powers = np.empty((J, M, Q))
+        powers[0] = gh_w
+        for j in range(1, J):
+            powers[j] = powers[j - 1] * zt
+
+        # Plain step: cur picks up the return, xi and prev are frozen, so
+        # sum_q w_q zt^j Interp_q along cur is one Nc x Nc matrix per (y, j),
+        # stacked j-major as C[y, j*Nc + c_out, c_in].
+        C = np.zeros((M, J, Nc, Nc))
+        self._plain_tally = []
+        # Interaction step, prev axis: the completed window w = cur + dm.
+        self._prev_interp = np.empty((M, Q, Nc, Np))
+        self._prev_clamped = np.empty((M, Q), dtype=int)
+        for y in range(M):
+            for q in range(Q):
+                wv = grid.cur + dm[y, q]
+                mat, ncl = _add_at_interp_matrix(grid.cur, wv)
+                if Nc > 1:
+                    self._plain_tally.append((gh_w[q], Nc, ncl))
+                C[y] += powers[:, y, q, None, None] * mat
+                self._prev_interp[y, q], self._prev_clamped[y, q] = _add_at_interp_matrix(
+                    grid.prev, wv)
+        self._C = C.reshape(M, J * Nc, Nc)
+
+        # Jump-shock smoothing along log xi: one Nxi x Nxi matrix, with its
+        # first and last rows repeated Nxi times on either side so that a
+        # window starting anywhere in [0, 2 Nxi) reads the clamped table.
+        K = np.zeros((Nxi, Nxi))
+        self._smooth_tally = []
+        for weight, mean, sd in _jump_mixture(tabs.profile):
+            if sd == 0.0:
+                K += weight * np.eye(Nxi)
+                continue
+            for xq, wq in zip(gh_x, gh_w):
+                mat, ncl = _add_at_interp_matrix(
+                    grid.logxi, grid.logxi + (mean + sd * math.sqrt(2.0) * xq)
+                )
+                self._smooth_tally.append((weight * wq, Nxi, ncl))
+                K += (weight * wq) * mat
+        self._K_padded = K[np.clip(np.arange(-Nxi, 2 * Nxi), 0, Nxi - 1)]
+
+        # Interaction step, xi axis: the displacement of log xi depends on
+        # (y, q, p, c) but not on the xi node. Keep the operands of the
+        # unclamped locator position, t = (logxi + bp prev + shift - bp w
+        # - logxi[0]) / step, in the order the locator rounds them.
+        bp = tabs.beta / tabs.phi
+        self._base = grid.logxi[:, None] + bp * grid.prev[None, :]  # (Nxi, Np)
+        self._bp_w = bp * (grid.cur + dm[:, :, None])  # (M, Q, Nc)
+        self._xi_step = (grid.logxi[-1] - grid.logxi[0]) / (Nxi - 1)
+        self._powers = powers
+        # The last interaction shift and its xi positions: with no trend the
+        # shift repeats at every interaction step.
+        self._xi_cache: tuple[float, tuple] | None = None
+
+    def slice_expectations(self, n: int, specs: list[tuple[np.ndarray, int]],
+                           counters: ClampCounters) -> list[np.ndarray]:
+        """Conditional moments E[Ztilde^j X(next state)] over the whole grid.
+
+        For each (X_table, max_power) in `specs`, returns an array of shape
+        (max_power+1,) + grid.shape whose j-th entry is the conditional
+        expectation of Ztilde^j times X evaluated at the transitioned state,
+        given the time-n reduced state at each grid point. Clamped quadrature
+        mass is added to `counters`.
+        """
+        if (n + 1) % self.tabs.phi == 0:
+            return self._interaction(n, specs, counters)
+        for weight, total, ncl in self._plain_tally:
+            counters.add_window(weight, total, ncl)
+        Nxi, Np, Nc, M = self.grid.shape
+        out = []
+        for tbl, jmax in specs:
+            # contract the next-regime sum first: nxt[..., y] given current y
+            nxt = tbl @ self.P.T
+            acc = np.empty((jmax + 1,) + tbl.shape)
+            for y in range(M):
+                res = nxt[..., y] @ self._C[y, : (jmax + 1) * Nc].T
+                acc[..., y] = np.moveaxis(res.reshape(Nxi, Np, jmax + 1, Nc), 2, 0)
+            out.append(acc)
+        return out
+
+
+    def _interaction(self, n, specs, counters):
+        """The window completes (w = cur + next demeaned return), xi jumps,
+        cur resets to zero. The jump-shock sum is independent of the return
+        and displaces only log xi, so it is integrated first (the smoothing
+        matrix); then the return quadrature interpolates along prev (a
+        matrix per node) and along log xi (a window gather, since every xi
+        node moves by the same amount)."""
+        Nxi, Np, Nc, M = self.grid.shape
+        Q = len(self.gh_w)
+        start, frac, n_clamped = self._xi_positions(n)
+        for _ in specs:
+            for weight, total, ncl in self._smooth_tally:
+                counters.add_xi(weight, total, ncl)
+        for y in range(M):
+            for q in range(Q):
+                if Np > 1:
+                    counters.add_window(self.gh_w[q], Nc, int(self._prev_clamped[y, q]))
+                for y2 in range(M):
+                    if self.P[y, y2] != 0.0:  # weight w_q P[y, y']
+                        counters.add_xi(self.gh_w[q] * self.P[y, y2], Nxi * Np * Nc,
+                                        int(n_clamped[y, q]))
+
+        S, J = len(specs), max(jmax for _, jmax in specs) + 1
+        ic0 = self.grid.cur_zero_index
+        # table0[xi, prev, y, spec]: the next-regime sum given current y
+        table0 = np.stack([tbl[:, :, ic0, :] @ self.P.T for tbl, _ in specs], axis=-1)
+        smoothed = np.tensordot(self._K_padded, table0, axes=(1, 0))
+        # rows[y, prev, padded xi, spec], flattened for the prev interpolation
+        smoothed = np.ascontiguousarray(smoothed.transpose(2, 1, 0, 3)).reshape(
+            M, Np, 3 * Nxi * S)
+        # start and frac as (y, p, c, q): one batch per (p, c)
+        start = start.transpose(0, 2, 3, 1)
+        frac = frac.transpose(0, 2, 3, 1).reshape(M, Np * Nc, 1, Q)
+        out = [np.empty((jmax + 1,) + self.grid.shape) for _, jmax in specs]
+        for y in range(M):
+            acc = np.zeros((Np * Nc, J, Nxi * S))
+            for q0 in range(0, Q, _Q_CHUNK):
+                qs = slice(q0, min(q0 + _Q_CHUNK, Q))
+                Qc = qs.stop - qs.start
+                rows = (self._prev_interp[y, qs] @ smoothed[y]).reshape(
+                    Qc, Nc, 3 * Nxi, S)
+                # every window of Nxi+1 consecutive xi rows, each contiguous
+                st = rows.strides
+                windows = np.lib.stride_tricks.as_strided(
+                    rows, shape=(Qc, Nc, 2 * Nxi, (Nxi + 1) * S),
+                    strides=st[:3] + (st[3],), writeable=False)
+                W = windows[np.arange(Qc), np.arange(Nc)[:, None],
+                            start[y, :, :, qs]].reshape(Np * Nc, Qc, -1)
+                # sum over q of coef * ((1-f) row_i + f row_i+1)
+                coef = self._powers[:J, y, qs]
+                f = frac[y, :, :, qs]
+                acc += ((coef * (1.0 - f)) @ W[:, :, : Nxi * S]
+                        + (coef * f) @ W[:, :, S:])
+            # (p, c, j, xi, spec) -> (j, xi, p, c) per spec
+            acc = acc.reshape(Np, Nc, J, Nxi, S)
+            for k, (_, jmax) in enumerate(specs):
+                out[k][..., y] = acc[:, :, : jmax + 1, :, k].transpose(2, 3, 0, 1)
+        return out
+
+
+def _regime_last_solve(market, profile, T, grid, bounds):
+    """The regime-last backward induction `solve` ran before its core went
+    regime-major, verbatim: (pi, a, b, V, clamp tallies), no clamp cap."""
+    g = _solve_grid(grid, market, profile)
+    tabs = _ProfileTables(market, profile, T)
+
+    shape = g.shape
+    pi = np.empty((T,) + shape)
+    a = np.empty((T + 1,) + shape)
+    b = np.empty((T + 1,) + shape)
+    V = np.empty((T,) + shape)
+    a[T] = 1.0
+    b[T] = 1.0
+    counters = ClampCounters()
+    R = market.R_step  # broadcast over the trailing regime axis
+
+    # Overflow and invalid operations surface as NumericalError below, not
+    # as warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ops = _RegimeLastOperators(market, tabs, g, jmax=2)
+        for n in range(T - 1, -1, -1):
+            ma, mb = ops.slice_expectations(
+                n, [(a[n + 1], 1), (b[n + 1], 2)], counters
+            )
+            mu_a, mu_az = ma[0], ma[1]
+            mu_b, mu_bz, mu_bz2 = mb[0], mb[1], mb[2]
+            gam = tabs.gamma_slice(n, g.xi)[:, None, None, :]
+            denom = mu_bz2 - mu_az**2
+            _require_finite("second-moment denominator", denom, n)
+            if np.any(denom <= 0.0):
+                worst = float(denom.min())
+                raise DegenerateVariance(
+                    f"nonpositive second-moment denominator ({worst:.3e}) at n={n}"
+                )
+            p_n = (mu_az - R * gam * (mu_bz - mu_a * mu_az)) / (gam * denom)
+            _require_finite("allocation", p_n, n)
+            if bounds is not None:
+                p_n = np.clip(p_n, bounds[0], bounds[1])
+            pi[n] = p_n
+            a[n] = R * mu_a + p_n * mu_az
+            b[n] = R * R * mu_b + 2.0 * R * p_n * mu_bz + p_n**2 * mu_bz2
+            _require_finite("moment table a", a[n], n)
+            _require_finite("moment table b", b[n], n)
+            V[n] = a[n] - 1.0 - 0.5 * gam * (b[n] - a[n] ** 2)
+    return pi, a, b, V, counters
+
+
+def _regime_last_moment_m(m, policy, state, n):
+    """`moment_m` on the regime-last operators, verbatim."""
+    market, grid = policy.market, policy.grid
+    tabs = _ProfileTables(market, policy.profile, policy.T)
+    counters = ClampCounters()
+    ops = _RegimeLastOperators(market, tabs, grid, jmax=m)
+    R = market.R_step
+    binom = [math.comb(m, j) for j in range(m + 1)]
+    cur = np.ones(grid.shape)
+    # Overflow and invalid operations surface as NumericalError, not warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(policy.T - 1, n - 1, -1):
+            (zm,) = ops.slice_expectations(k, [(cur, m)], counters)
+            p_k = policy.pi[k]
+            nxt = np.zeros(grid.shape)
+            for j in range(m + 1):
+                nxt += binom[j] * R ** (m - j) * p_k**j * zm[j]
+            _require_finite(f"moment {m} table", nxt, k)
+            cur = nxt
+
+    return float(_interp3(grid, cur, math.log(state.xi), state.prev_window_sum,
+                          state.cur_window_sum, state.regime))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_interp_matrix_matches_per_query_build(n_nodes, rows, k, seed):
+    rng = np.random.default_rng(seed)
+    nodes = rng.uniform(-1.0, 1.0) + np.arange(n_nodes) * 0.37
+    # queries inside, outside and exactly on the nodes
+    x = rng.uniform(nodes[0] - 1.0, nodes[-1] + 1.0, (rows, k))
+    x[0, 0] = nodes[-1]
+    mats, clamped = _interp_matrix(nodes, x)
+    assert mats.shape == (rows, k, n_nodes) and clamped.shape == (rows,)
+    for r in range(rows):
+        want, want_clamped = _add_at_interp_matrix(nodes, x[r])
+        assert np.array_equal(mats[r], want)
+        assert clamped[r] == want_clamped
+
+
+@st.composite
+def _solve_cases(draw):
+    """A solve request: 1-4 regimes with zero transition entries, phi 1..6,
+    beta zero (single-node window axes) or not, an aging client or not, a
+    scalar or regime-varying gamma_bar, 3 or 21 window nodes (zsum_count 2
+    rounds up to 3), with or without bounds."""
+    M = draw(st.integers(1, 4))
+    transition = np.array([
+        draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0, 2.5]),
+                      min_size=M, max_size=M))
+        for _ in range(M)
+    ])
+    for y in range(M):
+        if transition[y].sum() == 0.0:
+            transition[y, y] = 1.0
+    transition /= transition.sum(axis=1, keepdims=True)
+
+    def vector(lo, hi):
+        return np.array([lo + (hi - lo) * draw(_unit) for _ in range(M)])
+
+    market = MarketParams(
+        num_states=M, transition=transition,
+        risk_free=vector(0.0, 0.05), mean_return=vector(-0.1, 0.3),
+        vol_return=vector(0.05, 0.4), steps_per_year=12,
+    )
+    gamma_bar = (vector(0.5, 2.0) if draw(st.booleans())
+                 else 0.5 + 1.5 * draw(_unit))
+    profile = RiskProfileParams(
+        gamma0=1.0 + 7.0 * draw(_unit), alpha=draw(st.sampled_from([0.0, 0.03])),
+        p_eps=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        sigma_eps=0.1 + 0.7 * draw(_unit), beta=draw(st.sampled_from([0.0, 2.0])),
+        phi=draw(st.integers(1, 6)), gamma_bar=gamma_bar,
+    )
+    spec = GridSpec(xi_count=draw(st.integers(3, 9)),
+                    zsum_count=draw(st.sampled_from([2, 3, 21])),
+                    quad_points=draw(st.integers(2, 8)))
+    bounds = draw(st.sampled_from([None, (-0.5, 1.0), (0.0, 0.6)]))
+    return market, profile, spec, draw(st.integers(1, 10)), bounds
+
+
+@settings(max_examples=40, deadline=None)
+@given(_solve_cases(), st.data())
+def test_regime_major_solve_matches_regime_last_loop(case, data):
+    market, profile, spec, T, bounds = case
+    *want, want_clamps = _regime_last_solve(market, profile, T, spec, bounds)
+    if want_clamps.xi_fraction > _SOLVE_CLAMP_CAP:
+        with pytest.raises(GridExhausted):
+            solve(market, profile, T, spec, bounds)
+        return
+    tab = solve(market, profile, T, spec, bounds)
+    for name, w in zip(("pi", "a", "b", "V"), want):
+        assert np.array_equal(getattr(tab, name), w), name
+    assert tab.solve_clamps == want_clamps
+
+    g = tab.grid
+    state = ReducedState(
+        xi=float(g.xi[0]) * data.draw(st.floats(0.5, 2.0)) ** 2,
+        prev_window_sum=float(g.prev[-1]) * data.draw(st.floats(-1.2, 1.2)),
+        cur_window_sum=float(g.cur[-1]) * data.draw(st.floats(-1.2, 1.2)),
+        regime=data.draw(st.integers(0, market.num_states - 1)),
+    )
+    n = data.draw(st.integers(0, T - 1))
+    for m in range(1, 5):
+        assert moment_m(m, tab, state, n) == _regime_last_moment_m(m, tab, state, n)
 
 
 def test_non_finite_solve_raises_numerical_error():
