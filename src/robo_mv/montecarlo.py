@@ -117,8 +117,9 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
         rows = _client_steps(market, config.profile, T, m, rng, config.y0,
                              ("regimes", "returns", "xi", "window_csum"))
         regimes, returns = rows["regimes"], rows["returns"]
-        fracs = _window_allocations(config.strategy, rows["xi"],
-                                    rows["window_csum"], regimes[:T],
+        policy = config.strategy
+        fracs = _window_allocations(policy.pi, policy.grid, policy.profile,
+                                    rows["xi"], rows["window_csum"], regimes[:T],
                                     config.profile.phi)
         if config.bounds is not None:
             fracs = (constrain(f, *config.bounds) for f in fracs)

@@ -30,8 +30,10 @@ from robo_mv.solver import (
     GridSpec,
     PolicyTables,
     _params_digest,
+    _solve_grid,
     _window_allocations,
     solve,
+    solve_allocations,
 )
 
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
@@ -328,12 +330,13 @@ def s_measure(
     information (every-step interaction, no bias).
 
     Both policies are solved on the same grid and evaluated along shared
-    simulated paths; `full_policy`, if given, is the full-information policy
-    already solved by full_information_policy for the same market, profile,
-    T and grid; its parameter digest must match, or ConfigError is raised.
-    Path-steps where the full-information allocation is below
-    1e-10 in magnitude are excluded from the average and counted in
-    excluded_steps; if nothing remains the estimate is undefined.
+    simulated paths; of the advisor's policy only the allocation table is
+    solved for (`solve_allocations`). `full_policy`, if given, is the
+    full-information policy already solved by full_information_policy for
+    the same market, profile, T and grid; its parameter digest must match,
+    or ConfigError is raised. Path-steps where the full-information
+    allocation is below 1e-10 in magnitude are excluded from the average and
+    counted in excluded_steps; if nothing remains the estimate is undefined.
     """
     check_regime(market, y0, "y0")
     if n_paths < 100:
@@ -346,7 +349,8 @@ def s_measure(
             f"profile, grid and horizon T = {T}"
         )
     robo_prof = replace(profile, phi=int(phi), beta=float(beta))
-    policy_robo = solve(market, robo_prof, T, grid)
+    robo_grid = _solve_grid(grid, market, robo_prof)
+    pi_robo = solve_allocations(market, robo_prof, T, robo_grid)
     policy_full = (full_policy if full_policy is not None
                    else full_information_policy(market, profile, T, grid))
 
@@ -354,10 +358,11 @@ def s_measure(
     rows = _client_steps(market, robo_prof, T, n_paths, rng, y0,
                          ("regimes", "gamma_client", "xi", "window_csum"))
     regimes = rows["regimes"][:T]
-    robo = _window_allocations(policy_robo, rows["xi"], rows["window_csum"],
-                               regimes, robo_prof.phi)
+    robo = _window_allocations(pi_robo, robo_grid, robo_prof, rows["xi"],
+                               rows["window_csum"], regimes, robo_prof.phi)
     # The full-information client reports gamma^C every step, unbiased.
-    full = _window_allocations(policy_full, rows["gamma_client"], None, regimes, 1)
+    full = _window_allocations(policy_full.pi, policy_full.grid, policy_full.profile,
+                               rows["gamma_client"], None, regimes, 1)
     path_sum = np.zeros(n_paths)
     path_cnt = np.zeros(n_paths, dtype=int)
     for pi_robo, pi_full in zip(robo, full):

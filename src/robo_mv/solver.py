@@ -335,11 +335,14 @@ def _corner_sum(table: np.ndarray, xp, corners, ic, fc, y) -> np.ndarray:
     return out
 
 
-def _window_allocations(policy: "PolicyTables", xi, window_csum, regimes, phi: int):
-    """Yield ``policy.allocation_at(n, xi[n] / gamma_bar_tau(regimes[tau]),
-    prev_n, cur_n, regimes[n])`` bit for bit, for n = 0 .. len(regimes) - 1,
-    from time-major rows, with tau the window's first time and xi the
-    communicated risk aversion of the client simulator.
+def _window_allocations(pi: np.ndarray, grid: Grid, profile: RiskProfileParams,
+                        xi, window_csum, regimes, phi: int):
+    """Yield the allocation that ``allocation_at`` reads from the table `pi`
+    (regime last, solved on `grid` for `profile`) at time n, state
+    ``(xi[n] / gamma_bar_tau(regimes[tau]), prev_n, cur_n, regimes[n])``,
+    bit for bit, for n = 0 .. len(regimes) - 1, from time-major rows, with
+    tau the window's first time and xi the communicated risk aversion of the
+    client simulator.
 
     The window sums (prev_n, cur_n) come from the rows of a
     `window_csum` as `risk_profile.window_sums` forms them, or are zero
@@ -347,11 +350,12 @@ def _window_allocations(policy: "PolicyTables", xi, window_csum, regimes, phi: i
     [k*phi, (k+1)*phi), as the client simulator's is: xi and prev are then
     checked and located once per window, and only cur moves the stencil.
     """
-    if len(regimes) > policy.T:
-        raise ConfigError(f"time index {policy.T} outside [0, {policy.T})")
-    table_shape = policy.pi.shape[1:]
+    T = len(pi)
+    if len(regimes) > T:
+        raise ConfigError(f"time index {T} outside [0, {T})")
+    table_shape = pi.shape[1:]
     _checked_regimes(regimes, table_shape[-1])
-    gbar = policy.profile.gamma_bar_table(policy.T, table_shape[-1])
+    gbar = profile.gamma_bar_table(T, table_shape[-1])
     zeros = np.zeros(np.shape(regimes)[1:]) if window_csum is None else None
     for n, y in enumerate(regimes):
         if n % phi == 0:
@@ -365,10 +369,10 @@ def _window_allocations(policy: "PolicyTables", xi, window_csum, regimes, phi: i
                 prev = window_csum[tau] - window_csum[tau - phi]
             else:
                 prev = np.zeros(len(y))
-            xp, corners, _, _ = _xp_stencil(policy.grid, table_shape, np.log(x), prev)
+            xp, corners, _, _ = _xp_stencil(grid, table_shape, np.log(x), prev)
         cur = zeros if zeros is not None else window_csum[n] - window_csum[tau]
-        ic, fc, _ = _locate(policy.grid.cur, cur)
-        yield _corner_sum(policy.pi[n], xp, corners, ic, fc, y)
+        ic, fc, _ = _locate(grid.cur, cur)
+        yield _corner_sum(pi[n], xp, corners, ic, fc, y)
 
 
 # -- advisor gamma bookkeeping ---------------------------------------------------
@@ -418,9 +422,11 @@ def _jump_mixture(profile: RiskProfileParams) -> list[tuple[float, float, float]
 class PolicyTables:
     """Backward-induction output: per-time tables over the reduced-state grid.
 
-    pi and V cover times 0..T-1; a and b carry the extra terminal slice
+    pi covers times 0..T-1; a and b carry the extra terminal slice
     (a[T] = b[T] = 1). All tables have the grid shape
-    (len(xi), len(prev), len(cur), num_states).
+    (len(xi), len(prev), len(cur), num_states). The value table V is not
+    stored: it is derived from a and b on access (see `V`), so the
+    constructor takes pi, a and b only.
     """
 
     market: MarketParams
@@ -430,9 +436,19 @@ class PolicyTables:
     pi: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    V: np.ndarray
     bounds: tuple[float, float] | None = None
     solve_clamps: ClampCounters = field(default_factory=ClampCounters)
+
+    @property
+    def V(self) -> np.ndarray:
+        """Mean-variance objective value over times 0..T-1, computed from a
+        and b on each access: V_n = a_n - 1 - (gamma_n/2) (b_n - a_n^2),
+        with the advisor gamma of `gamma_table`."""
+        tabs = _ProfileTables(self.market, self.profile, self.T)
+        V = np.empty(self.pi.shape)
+        for n in range(self.T):
+            V[n] = _value_slice(self.a[n], self.b[n], tabs, self.grid.xi, n)
+        return V
 
     @property
     def params_sha256(self) -> str:
@@ -477,6 +493,15 @@ class PolicyTables:
                         counters)
 
 
+def _value_slice(a_n: np.ndarray, b_n: np.ndarray, tabs: _ProfileTables,
+                 xi: np.ndarray, n: int) -> np.ndarray:
+    """V_n = a_n - 1 - (gamma_n/2) (b_n - a_n^2) over a regime-last slice,
+    in that order of operations; an overflow gives inf, not a warning."""
+    gam = tabs.gamma_slice(n, xi)[:, None, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a_n - 1.0 - 0.5 * gam * (b_n - a_n**2)
+
+
 # -- core expectation engine -------------------------------------------------------
 
 # Quadrature nodes per block of an interaction step: the gathered windows
@@ -507,6 +532,25 @@ def _interp_matrix(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nda
     flat[rows, idx.ravel()] = 1.0 - frac.ravel()
     flat[rows, np.minimum(idx + 1, len(nodes) - 1).ravel()] += frac.ravel()
     return mat, n_clamped
+
+
+def _tally(weight, n_total: int, n_clamped) -> np.ndarray:
+    """The (mass, clamped) increments ``weight * n_total`` and
+    ``weight * n_clamped`` of ClampCounters.add_xi/add_window, flattened in
+    C order into a (2, K) array."""
+    weight, n_clamped = np.broadcast_arrays(np.asarray(weight, dtype=float),
+                                            n_clamped)
+    return np.stack([(weight * n_total).ravel(), (weight * n_clamped).ravel()])
+
+
+def _add_tallies(counters: ClampCounters, axis: str, tally: np.ndarray) -> None:
+    """Add the increments tally[0] to counters.<axis>_mass and tally[1] to
+    counters.<axis>_clamped one at a time, in order: np.add.accumulate sums
+    sequentially, so the totals have the bits of one add_xi/add_window call
+    per increment."""
+    for name, inc in zip((f"{axis}_mass", f"{axis}_clamped"), tally):
+        total = np.add.accumulate(np.concatenate(([getattr(counters, name)], inc)))
+        setattr(counters, name, float(total[-1]))
 
 
 class _StepOperators:
@@ -543,31 +587,35 @@ class _StepOperators:
         wv = grid.cur + dm[:, :, None]  # (M, Q, Nc)
         cur_interp, cur_clamped = _interp_matrix(grid.cur, wv)
         C = np.zeros((M, J, Nc, Nc))
-        self._plain_tally = []
         for y in range(M):
             for q in range(Q):
-                if Nc > 1:
-                    self._plain_tally.append((gh_w[q], Nc, int(cur_clamped[y, q])))
                 C[y] += powers[:, y, q, None, None] * cur_interp[y, q]
         self._C = C.reshape(M, J * Nc, Nc)
+        # The clamp tallies of a step as (mass, clamped) increments in the
+        # order the tallies are added, (y, q) here; see _add_tallies.
+        self._plain_tally = (_tally(gh_w, Nc, cur_clamped) if Nc > 1
+                             else np.empty((2, 0)))
         # Interaction step, prev axis: the completed window w = cur + dm.
-        self._prev_interp, self._prev_clamped = _interp_matrix(grid.prev, wv)
+        self._prev_interp, prev_clamped = _interp_matrix(grid.prev, wv)
+        self._prev_tally = (_tally(gh_w, Nc, prev_clamped) if Np > 1
+                            else np.empty((2, 0)))
 
         # Jump-shock smoothing along log xi: one Nxi x Nxi matrix, with its
         # first and last rows repeated Nxi times on either side so that a
         # window starting anywhere in [0, 2 Nxi) reads the clamped table.
         K = np.zeros((Nxi, Nxi))
-        self._smooth_tally = []
+        smooth = [np.empty((2, 0))]
         for weight, mean, sd in _jump_mixture(tabs.profile):
             if sd == 0.0:
                 K += weight * np.eye(Nxi)
                 continue
             mats, ncl = _interp_matrix(
                 grid.logxi, grid.logxi + (mean + sd * math.sqrt(2.0) * gh_x)[:, None])
-            for wq, mat, c in zip(gh_w, mats, ncl):
-                self._smooth_tally.append((weight * wq, Nxi, int(c)))
+            for wq, mat in zip(gh_w, mats):
                 K += (weight * wq) * mat
+            smooth.append(_tally(weight * gh_w, Nxi, ncl))
         self._K_padded = K[np.clip(np.arange(-Nxi, 2 * Nxi), 0, Nxi - 1)]
+        self._smooth_tally = np.concatenate(smooth, axis=1)
 
         # Interaction step, xi axis: the displacement of log xi depends on
         # (y, q, p, c) but not on the xi node. Keep the operands of the
@@ -578,9 +626,9 @@ class _StepOperators:
         self._bp_w = bp * (grid.cur + dm[:, :, None])  # (M, Q, Nc)
         self._xi_step = (grid.logxi[-1] - grid.logxi[0]) / (Nxi - 1)
         self._powers = powers
-        # The last interaction shift and its xi positions: with no trend the
-        # shift repeats at every interaction step.
-        self._xi_cache: tuple[float, tuple] | None = None
+        # The last interaction shift, its xi positions and its xi tallies:
+        # with no trend the shift repeats at every interaction step.
+        self._xi_cache: tuple[float, tuple, np.ndarray] | None = None
 
     def slice_expectations(self, n: int, specs: list[tuple[np.ndarray, int]],
                            counters: ClampCounters) -> list[np.ndarray]:
@@ -602,8 +650,7 @@ class _StepOperators:
         """
         if (n + 1) % self.tabs.phi == 0:
             return self._interaction(n, specs, counters)
-        for weight, total, ncl in self._plain_tally:
-            counters.add_window(weight, total, ncl)
+        _add_tallies(counters, "window", self._plain_tally)
         Nxi, Np, Nc, M = self.grid.shape
         out = []
         for tbl, jmax in specs:
@@ -638,7 +685,8 @@ class _StepOperators:
         common interpolation weight of its successor, and n_clamped[y, q] the
         number of clamped (xi, prev, cur) lookups, identical to what the
         locator counts node by node. They depend on n only through the
-        interaction shift, so a repeated shift reuses the previous result.
+        interaction shift, so a repeated shift reuses the previous result;
+        the cache also keeps the shift's xi tallies for _interaction.
         """
         Nxi, Np, Nc, M = self.grid.shape
         shift = self.tabs.interaction_shift(n)
@@ -669,9 +717,14 @@ class _StepOperators:
         s = np.clip(t0, -Nxi, Nxi - 1)
         k0 = np.floor(s)
         positions = ((k0 + Nxi).astype(np.intp), s - k0, n_clamped)
-        for arr in positions:
+        # The xi tallies of the return quadrature, weight w_q P[y, y'] per
+        # (y, q, y') with P[y, y'] != 0, as (mass, clamped) increments.
+        y, q, y2 = np.nonzero(
+            np.broadcast_to(self.P[:, None, :] != 0.0, (M, len(self.gh_w), M)))
+        tally = _tally(self.gh_w[q] * self.P[y, y2], Nxi * Np * Nc, n_clamped[y, q])
+        for arr in (*positions, tally):
             arr.setflags(write=False)
-        self._xi_cache = (shift, positions)
+        self._xi_cache = (shift, positions, tally)
         return positions
 
     def _interaction(self, n, specs, counters):
@@ -683,18 +736,11 @@ class _StepOperators:
         node moves by the same amount)."""
         Nxi, Np, Nc, M = self.grid.shape
         Q = len(self.gh_w)
-        start, frac, n_clamped = self._xi_positions(n)
-        for _ in specs:
-            for weight, total, ncl in self._smooth_tally:
-                counters.add_xi(weight, total, ncl)
-        for y in range(M):
-            for q in range(Q):
-                if Np > 1:
-                    counters.add_window(self.gh_w[q], Nc, int(self._prev_clamped[y, q]))
-                for y2 in range(M):
-                    if self.P[y, y2] != 0.0:  # weight w_q P[y, y']
-                        counters.add_xi(self.gh_w[q] * self.P[y, y2], Nxi * Np * Nc,
-                                        int(n_clamped[y, q]))
+        start, frac, _ = self._xi_positions(n)
+        # the smoothing's tallies once per spec, then the return quadrature's
+        _add_tallies(counters, "xi", np.concatenate(
+            [self._smooth_tally] * len(specs) + [self._xi_cache[2]], axis=1))
+        _add_tallies(counters, "window", self._prev_tally)
 
         S, J = len(specs), max(jmax for _, jmax in specs) + 1
         ic0 = self.grid.cur_zero_index
@@ -903,52 +949,39 @@ def _solve_grid(grid: GridSpec | Grid | None, market: MarketParams,
     return Grid.build(grid if grid is not None else GridSpec(), market, profile)
 
 
-def solve(
-    market: MarketParams,
-    profile: RiskProfileParams,
-    T: int,
-    grid: GridSpec | Grid | None = None,
-    bounds: tuple[float, float] | None = None,
-) -> PolicyTables:
-    """Backward induction over the reduced-state grid.
-
-    Produces allocation, moment and value tables for n = T-1 down to 0 under
-    the terminal condition a_T = b_T = 1. When `bounds` is given the
-    allocation is truncated inside the induction, so the moment tables (and
-    hence all earlier allocations) reflect the constrained policy. A step
-    whose denominator, allocation or moment tables are not finite raises
-    NumericalError naming the time index.
-
-    Each step works on regime-major slabs (see `_StepOperators`) and is
-    written into the returned tables with one transposed assignment, so
-    their layout is unchanged: (xi, prev, cur, regime), regime last.
-    """
+def _checked_grid(market: MarketParams, profile: RiskProfileParams, T: int,
+                  grid: GridSpec | Grid | None, bounds) -> Grid:
+    """Validate a solve request and return the grid it runs on."""
     validate(market)
     if T < 1:
         raise ConfigError(f"horizon T must be >= 1, got {T}")
     if bounds is not None and bounds[0] > bounds[1]:
         raise ConfigError(f"bounds out of order: {bounds}")
-    g = _solve_grid(grid, market, profile)
-    tabs = _ProfileTables(market, profile, T)
+    return _solve_grid(grid, market, profile)
 
+
+def _backward_steps(market: MarketParams, profile: RiskProfileParams, T: int,
+                    g: Grid, bounds, counters: ClampCounters):
+    """The backward induction: yield (n, p_n, a_n, b_n) for n = T-1 down to 0.
+
+    The slabs are regime-major, (M, xi, prev, cur), and are the core's own
+    working arrays: a caller copies what it keeps before asking for the next
+    step, and ignores the rest. Clamped quadrature mass is added to
+    `counters`; after the last step a clamped xi mass above the cap raises
+    GridExhausted. Overflow and invalid operations surface as NumericalError,
+    not as warnings; the error state is set around each step's arithmetic
+    only, never across a yield.
+    """
+    tabs = _ProfileTables(market, profile, T)
     shape = g.shape
-    pi = np.empty((T,) + shape)
-    a = np.empty((T + 1,) + shape)
-    b = np.empty((T + 1,) + shape)
-    V = np.empty((T,) + shape)
-    a[T] = 1.0
-    b[T] = 1.0
-    counters = ClampCounters()
     R = market.R_step[:, None, None, None]  # broadcast over regime-major slabs
-    # the next step's a and b, regime-major
+    # the next step's a and b
     a_n = np.ones((shape[-1],) + shape[:-1])
     b_n = np.ones_like(a_n)
-
-    # Overflow and invalid operations surface as NumericalError below, not
-    # as warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ops = _StepOperators(market, tabs, g, jmax=2)
-        for n in range(T - 1, -1, -1):
+    for n in range(T - 1, -1, -1):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ma, mb = ops.slice_expectations(n, [(a_n, 1), (b_n, 2)], counters)
             mu_a, mu_az = ma[0], ma[1]
             mu_b, mu_bz, mu_bz2 = mb[0], mb[1], mb[2]
@@ -968,20 +1001,81 @@ def solve(
             b_n = R * R * mu_b + 2.0 * R * p_n * mu_bz + p_n**2 * mu_bz2
             _require_finite("moment table a", a_n, n)
             _require_finite("moment table b", b_n, n)
-            pi[n] = np.moveaxis(p_n, 0, -1)
-            a[n] = np.moveaxis(a_n, 0, -1)
-            b[n] = np.moveaxis(b_n, 0, -1)
-            V[n] = np.moveaxis(a_n - 1.0 - 0.5 * gam * (b_n - a_n**2), 0, -1)
+        yield n, p_n, a_n, b_n
 
     if counters.xi_fraction > _SOLVE_CLAMP_CAP:
         raise GridExhausted(
             f"clamped xi quadrature mass fraction {counters.xi_fraction:.3f} "
             f"exceeds {_SOLVE_CLAMP_CAP}; widen the xi grid"
         )
+
+
+def _put_regime_last(table: np.ndarray, slab: np.ndarray) -> None:
+    """table[..., y] = slab[y] for every regime y: one strided copy per
+    regime, cheaper than moving the regime axis of the whole slab."""
+    for y in range(slab.shape[0]):
+        table[..., y] = slab[y]
+
+
+def solve(
+    market: MarketParams,
+    profile: RiskProfileParams,
+    T: int,
+    grid: GridSpec | Grid | None = None,
+    bounds: tuple[float, float] | None = None,
+) -> PolicyTables:
+    """Backward induction over the reduced-state grid.
+
+    Produces allocation and moment tables for n = T-1 down to 0 under the
+    terminal condition a_T = b_T = 1; the value table V is derived from them
+    (`PolicyTables.V`). When `bounds` is given the allocation is truncated
+    inside the induction, so the moment tables (and hence all earlier
+    allocations) reflect the constrained policy. A step whose denominator,
+    allocation or moment tables are not finite raises NumericalError naming
+    the time index.
+
+    Each step works on regime-major slabs (see `_StepOperators`) and is
+    written into the returned tables one regime at a time, so their layout
+    is unchanged: (xi, prev, cur, regime), regime last.
+    """
+    g = _checked_grid(market, profile, T, grid, bounds)
+    shape = g.shape
+    pi = np.empty((T,) + shape)
+    a = np.empty((T + 1,) + shape)
+    b = np.empty((T + 1,) + shape)
+    a[T] = 1.0
+    b[T] = 1.0
+    counters = ClampCounters()
+    for n, p_n, a_n, b_n in _backward_steps(market, profile, T, g, bounds, counters):
+        _put_regime_last(pi[n], p_n)
+        _put_regime_last(a[n], a_n)
+        _put_regime_last(b[n], b_n)
     return PolicyTables(
         market=market, profile=profile, T=T, grid=g,
-        pi=pi, a=a, b=b, V=V, bounds=bounds, solve_clamps=counters,
+        pi=pi, a=a, b=b, bounds=bounds, solve_clamps=counters,
     )
+
+
+def solve_allocations(
+    market: MarketParams,
+    profile: RiskProfileParams,
+    T: int,
+    grid: GridSpec | Grid | None = None,
+    bounds: tuple[float, float] | None = None,
+) -> np.ndarray:
+    """The allocation table of ``solve(market, profile, T, grid, bounds)``,
+    bit for bit, without the moment tables: shape (T,) + grid, regime last.
+
+    For a caller that reads only the allocations, such as the S measure:
+    the solve keeps one period of a and b instead of T+1, and raises what
+    solve raises.
+    """
+    g = _checked_grid(market, profile, T, grid, bounds)
+    pi = np.empty((T,) + g.shape)
+    for n, p_n, _, _ in _backward_steps(market, profile, T, g, bounds,
+                                        ClampCounters()):
+        _put_regime_last(pi[n], p_n)
+    return pi
 
 
 def moment_m(
@@ -1174,12 +1268,13 @@ def _profile_doc(profile: RiskProfileParams) -> dict:
 
 
 _POLICY_STORE = "policy.npz"
-# Manifest "format" of save_policy's stores; unmarked older stores hold the
-# communicated xi, not xi over the last interaction's cycle factor.
-_STORE_FORMAT = 2
+# Manifest "format" of save_policy's stores. Format 2 stores also hold V;
+# unmarked older stores hold the communicated xi, not xi over the last
+# interaction's cycle factor.
+_STORE_FORMAT = 3
 # Fixed table order of the store and of its digest; a and b carry the
-# terminal slice, so they hold T+1 periods and pi and V hold T.
-_TABLE_NAMES = ("pi", "a", "b", "V")
+# terminal slice, so they hold T+1 periods and pi holds T.
+_TABLE_NAMES = ("pi", "a", "b")
 
 
 def _tables_digest(params_sha256: str, tables: dict, clamps: ClampCounters) -> str:
@@ -1216,14 +1311,16 @@ def _csv_template(g: Grid) -> str:
 def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
     """Write the policy store and its per-period CSV export.
 
-    `policy.npz` holds pi, a, b and V as solved (float64, a and b with their
-    terminal slice) and is what load_policy reads. `manifest.json`, written
-    last, stores the store format, the market, risk profile, grid, bounds,
-    clamp tallies, the parameter digest `params_sha256` and the table digest
-    `tables_sha256`.
+    `policy.npz` holds pi, a and b as solved (float64, a and b with their
+    terminal slice) and is what load_policy reads; V is derived, so it is
+    not stored. `manifest.json`, written last, stores the store format, the
+    market, risk profile, grid, bounds, clamp tallies, the parameter digest
+    `params_sha256` and the table digest `tables_sha256`.
     `policy_NNNN.csv` exports period NNNN: rows enumerate the grid in
     (xi, prev, cur, regime) order with columns
     (xi, prev_sum, cur_sum, regime, pi_star, a, b, V), 12 significant digits.
+    Its V column is formed one period at a time, with the arithmetic of
+    `PolicyTables.V`.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -1233,8 +1330,11 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
         for name in _TABLE_NAMES
     }
     template = _csv_template(g)
+    tabs = _ProfileTables(tables.market, tables.profile, tables.T)
     for n in range(tables.T):
-        values = np.stack([arrays[name][n] for name in _TABLE_NAMES], axis=-1)
+        a_n, b_n = arrays["a"][n], arrays["b"][n]
+        values = np.stack([arrays["pi"][n], a_n, b_n,
+                           _value_slice(a_n, b_n, tabs, g.xi, n)], axis=-1)
         (outdir / f"policy_{n:04d}.csv").write_text(
             template % tuple(values.ravel().tolist()),
             encoding="utf-8", newline="",
@@ -1285,9 +1385,11 @@ def load_policy(indir: str | Path) -> PolicyTables:
             raise ConfigError(f"{manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("kind") != "policy_tables":
         raise ConfigError(f"{indir} does not hold policy tables")
-    if manifest.get("format") != _STORE_FORMAT:
-        raise ConfigError(f"{manifest_path} is not a format-{_STORE_FORMAT} policy "
-                          f"store (xi in an older coordinate); re-run solve")
+    found = manifest.get("format")
+    if found != _STORE_FORMAT:
+        kind = "an unmarked" if found is None else f"a format-{found!r}"
+        raise ConfigError(f"{manifest_path} holds {kind} policy store, not format "
+                          f"{_STORE_FORMAT}; re-run solve")
     if not store_path.is_file():
         raise ConfigError(
             f"{indir} has no {_POLICY_STORE} (CSV-only policy directories from "
@@ -1333,7 +1435,7 @@ def load_policy(indir: str | Path) -> PolicyTables:
         ) from exc
     for name in _TABLE_NAMES:
         arr = arrays[name]
-        want = (T + 1 if name in ("a", "b") else T,) + g.shape
+        want = (T if name == "pi" else T + 1,) + g.shape
         if arr.dtype != np.float64 or arr.shape != want:
             raise ConfigError(
                 f"{store_path}: table {name} is {arr.dtype} {arr.shape}, "

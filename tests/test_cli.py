@@ -239,7 +239,35 @@ def test_simulate_rejects_tampered_policy_store(tmp_path, tamper, capsys):
     if tamper in ("missing_format", "missing_store"):
         assert "re-run solve" in err
     if tamper == "missing_format":
-        assert "format-2 policy store" in err
+        assert "unmarked policy store, not format 3" in err
+
+
+def test_simulate_rejects_a_format_2_policy_store(tmp_path, capsys):
+    # A format-2 store also holds V and digests it: it must fail on its
+    # format, in one line, before --out is made, not on its digest.
+    doc = single_state_config()
+    doc["horizon"] = 3
+    doc["grid"] = {"xi_count": 5, "quad_points": 4}
+    pol = tmp_path / "pol"
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(pol)]) == 0
+    store = pol / "policy.npz"
+    with np.load(store) as z:
+        tables = {name: z[name] for name in z.files}
+    np.savez(store, **tables, V=np.zeros_like(tables["pi"]))
+    manifest = json.loads((pol / "manifest.json").read_text())
+    manifest["format"] = 2
+    (pol / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+
+    sim_cfg = write_config(tmp_path, {"policy_dir": str(pol)}, "sim.json")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", sim_cfg, "--out", str(out),
+                 "--paths", "100", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "a format-2 policy store, not format 3; re-run solve" in err
+    assert not out.exists()
 
 
 # -- simulate --------------------------------------------------------------------
@@ -655,13 +683,18 @@ def test_personalize_solves_full_information_policy_once(tmp_path, monkeypatch):
     import robo_mv.personalization as personalization
 
     calls = []
-    solve = personalization.solve
 
-    def counting_solve(*args, **kwargs):
-        calls.append(args[1].phi)
-        return solve(*args, **kwargs)
+    def counting(solver):
+        def counted(*args, **kwargs):
+            calls.append(args[1].phi)
+            return solver(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(personalization, "solve", counting_solve)
+    # The advisor's policy is solved by solve_allocations, the
+    # full-information one by solve.
+    for name in ("solve", "solve_allocations"):
+        monkeypatch.setattr(personalization, name,
+                            counting(getattr(personalization, name)))
     doc = single_state_config()
     doc["horizon"] = 6
     doc["grid"] = {"xi_count": 7, "quad_points": 8}

@@ -1,6 +1,7 @@
 """Tests for the interaction-frequency tradeoff analytics."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -553,11 +554,32 @@ def test_s_measure_rejects_unknown_start_regime_before_solving(two_state_market,
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking y0")
 
+    # s_measure solves the advisor's policy with solve_allocations and the
+    # full-information one with solve.
+    monkeypatch.setattr(personalization, "solve_allocations", no_solve)
     monkeypatch.setattr(personalization, "solve", no_solve)
     for y0 in (-1, 2, 1.0):
         with pytest.raises(ConfigError, match="y0"):
             s_measure(3, 2.0, two_state_market, shocky_profile(), 12, GridSpec(), 200,
                       seed=1, y0=y0)
+
+
+def test_s_measure_keeps_only_the_advisor_allocations(two_state_market):
+    # The benchmark's shape: T=18, phi=2, the default grid, 4 000 paths. The
+    # full PolicyTables of the advisor's solve (pi, a, b and V) peaked at
+    # 30.0 MB under tracemalloc; its allocation table alone is 5.2 MB, and
+    # the whole estimate peaks at 13.8 MB.
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64)
+    T, grid = 18, GridSpec()
+    full = full_information_policy(two_state_market, prof, T, grid)
+    tracemalloc.start()
+    try:
+        s_measure(2, 2.0, two_state_market, prof, T, grid, 4_000, seed=41,
+                  full_policy=full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6
 
 
 def test_s_measure_rejects_a_full_policy_solved_for_other_inputs(single_state_market,

@@ -1,7 +1,10 @@
 """Tests for the backward-induction equilibrium solver."""
 
 import csv
+import hashlib
+import json
 import math
+import zipfile
 import warnings
 from dataclasses import asdict, replace
 from decimal import Decimal
@@ -42,6 +45,7 @@ from robo_mv.solver import (
     moment_m,
     save_policy,
     solve,
+    solve_allocations,
     state_only_ab,
     step_moments,
     update_ab,
@@ -782,10 +786,11 @@ def test_window_allocations_match_per_step_lookups(two_state_market, phi, gamma_
                              np.random.default_rng(phi), y0=1)
     xi, csum, gc, regimes = (np.ascontiguousarray(batch[k].T) for k in
                              ("xi", "window_csum", "gamma_client", "regimes"))
-    got = list(_window_allocations(tab, xi, csum, regimes[:T], phi))
+    policy = (tab.pi, tab.grid, tab.profile)
+    got = list(_window_allocations(*policy, xi, csum, regimes[:T], phi))
     # With no window sums every step is its own window, as for the
     # full-information client of the S measure.
-    got_zero = list(_window_allocations(tab, gc, None, regimes[:T], 1))
+    got_zero = list(_window_allocations(*policy, gc, None, regimes[:T], 1))
     assert len(got) == len(got_zero) == T
     zeros = np.zeros(400)
     gbar = prof.gamma_bar_table(T, 2)
@@ -803,19 +808,20 @@ def test_window_allocations_keep_the_lookup_checks(two_state_market):
     tab = solve(two_state_market, prof, 4, GridSpec(xi_count=5, zsum_count=3, quad_points=3))
     xi, csum = np.full((5, 6), 3.0), np.zeros((5, 6))
     regimes = np.zeros((4, 6), dtype=np.int64)
-    assert len(list(_window_allocations(tab, xi, csum, regimes, 2))) == 4
+    policy = (tab.pi, tab.grid, tab.profile)
+    assert len(list(_window_allocations(*policy, xi, csum, regimes, 2))) == 4
     with pytest.raises(ConfigError, match="outside"):
-        list(_window_allocations(tab, xi, csum, np.zeros((5, 6), dtype=np.int64), 2))
+        list(_window_allocations(*policy, xi, csum, np.zeros((5, 6), dtype=np.int64), 2))
     for bad in (-1, 2):
         wrong = regimes.copy()
         wrong[3, 5] = bad
         with pytest.raises(ConfigError, match="regime"):
-            list(_window_allocations(tab, xi, csum, wrong, 2))
+            list(_window_allocations(*policy, xi, csum, wrong, 2))
     for value in (0.0, -1.0):
         nonpositive = xi.copy()
         nonpositive[2, 1] = value
         with pytest.raises(ConfigError, match="positive"):
-            list(_window_allocations(tab, nonpositive, csum, regimes, 2))
+            list(_window_allocations(*policy, nonpositive, csum, regimes, 2))
 
 
 # -- advisor-gamma bookkeeping ---------------------------------------------------
@@ -925,6 +931,32 @@ def test_save_policy_leaves_no_partial_manifest(tmp_path, single_state_market):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_policy_store_holds_exactly_pi_a_and_b(tmp_path, two_state_market):
+    # V is derived from a and b, so the store does not hold it.
+    tab = solve(two_state_market, RiskProfileParams(gamma0=3.0, beta=2.0, phi=2), 3,
+                GridSpec(xi_count=5, zsum_count=3, quad_points=4))
+    save_policy(tab, tmp_path)
+    with zipfile.ZipFile(tmp_path / "policy.npz") as zf:
+        assert zf.namelist() == ["pi.npy", "a.npy", "b.npy"]
+    assert json.loads((tmp_path / "manifest.json").read_text())["format"] == 3
+    assert np.array_equal(load_policy(tmp_path).V, tab.V)
+
+
+def test_policy_csv_export_keeps_its_bytes(tmp_path, two_state_market):
+    # SHA-256 of the four CSV slices of this solve, as written when the
+    # induction still stored V: the derived V column exports the same bytes.
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64, beta=2.0, phi=2,
+                             alpha=0.02)
+    tab = solve(two_state_market, prof, 4,
+                GridSpec(xi_count=5, zsum_count=3, quad_points=4), bounds=(-1.0, 2.0))
+    save_policy(tab, tmp_path)
+    h = hashlib.sha256()
+    for n in range(4):
+        h.update((tmp_path / f"policy_{n:04d}.csv").read_bytes())
+    assert h.hexdigest() == (
+        "946cf3fbfba1a9f73732b2753e7b2e0fac65aba525899ccf555fbb2968f3aaf7")
+
+
 def test_policy_store_is_byte_deterministic(tmp_path, single_state_market):
     tab = solve(single_state_market, RiskProfileParams(gamma0=2.0), T=3,
                 grid=GridSpec(xi_count=5, quad_points=8))
@@ -965,11 +997,11 @@ def test_policy_csv_export_matches_row_by_row_writer(tmp_path, two_state_market)
         size = (periods,) + shape
         return rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
 
-    pi, V, a, b = table(T), table(T), table(T + 1), table(T + 1)
+    pi, a, b = table(T), table(T + 1), table(T + 1)
     pi[0, 0, 0, 0, :] = [-0.0, 0.1]
     tab = PolicyTables(market=two_state_market,
                        profile=RiskProfileParams(gamma0=1.0, beta=1.0, phi=2),
-                       T=T, grid=grid, pi=pi, a=a, b=b, V=V)
+                       T=T, grid=grid, pi=pi, a=a, b=b)
     save_policy(tab, tmp_path / "new")
     (tmp_path / "old").mkdir()
     _old_csv_export(tab, tmp_path / "old")
@@ -1557,6 +1589,19 @@ def test_regime_major_solve_matches_regime_last_loop(case, data):
     n = data.draw(st.integers(0, T - 1))
     for m in range(1, 5):
         assert moment_m(m, tab, state, n) == _regime_last_moment_m(m, tab, state, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_solve_cases())
+def test_solve_allocations_equal_the_solved_pi(case):
+    market, profile, spec, T, bounds = case
+    try:
+        want = solve(market, profile, T, spec, bounds).pi
+    except GridExhausted:
+        with pytest.raises(GridExhausted):
+            solve_allocations(market, profile, T, spec, bounds)
+        return
+    assert np.array_equal(solve_allocations(market, profile, T, spec, bounds), want)
 
 
 def test_non_finite_solve_raises_numerical_error():
