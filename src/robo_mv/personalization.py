@@ -350,7 +350,7 @@ def s_measure(
         )
     robo_prof = replace(profile, phi=int(phi), beta=float(beta))
     robo_grid = _solve_grid(grid, market, robo_prof)
-    pi_robo = solve_allocations(market, robo_prof, T, robo_grid)
+    robo_pi = solve_allocations(market, robo_prof, T, robo_grid)
     policy_full = (full_policy if full_policy is not None
                    else full_information_policy(market, profile, T, grid))
 
@@ -358,7 +358,7 @@ def s_measure(
     rows = _client_steps(market, robo_prof, T, n_paths, rng, y0,
                          ("regimes", "gamma_client", "xi", "window_csum"))
     regimes = rows["regimes"][:T]
-    robo = _window_allocations(pi_robo, robo_grid, robo_prof, rows["xi"],
+    robo = _window_allocations(robo_pi, robo_grid, robo_prof, rows["xi"],
                                rows["window_csum"], regimes, robo_prof.phi)
     # The full-information client reports gamma^C every step, unbiased.
     full = _window_allocations(policy_full.pi, policy_full.grid, policy_full.profile,
