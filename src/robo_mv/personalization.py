@@ -30,7 +30,6 @@ from robo_mv.solver import (
     GridSpec,
     PolicyTables,
     _params_digest,
-    _solve_grid,
     _window_allocations,
     solve,
     solve_allocations,
@@ -349,8 +348,7 @@ def s_measure(
             f"profile, grid and horizon T = {T}"
         )
     robo_prof = replace(profile, phi=int(phi), beta=float(beta))
-    robo_grid = _solve_grid(grid, market, robo_prof)
-    robo_pi = solve_allocations(market, robo_prof, T, robo_grid)
+    robo_grid, robo_pi = solve_allocations(market, robo_prof, T, grid)
     policy_full = (full_policy if full_policy is not None
                    else full_information_policy(market, profile, T, grid))
 

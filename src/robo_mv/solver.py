@@ -442,8 +442,12 @@ class PolicyTables:
     @property
     def V(self) -> np.ndarray:
         """Mean-variance objective value over times 0..T-1, computed from a
-        and b on each access: V_n = a_n - 1 - (gamma_n/2) (b_n - a_n^2),
-        with the advisor gamma of `gamma_table`."""
+        and b: V_n = a_n - 1 - (gamma_n/2) (b_n - a_n^2), with the advisor
+        gamma of `gamma_table`.
+
+        Each access recomputes and allocates the whole (T,) + grid table;
+        read it once into a local rather than as ``tables.V[n]`` in a loop.
+        """
         tabs = _ProfileTables(self.market, self.profile, self.T)
         V = np.empty(self.pi.shape)
         for n in range(self.T):
@@ -1060,22 +1064,22 @@ def solve_allocations(
     market: MarketParams,
     profile: RiskProfileParams,
     T: int,
-    grid: GridSpec | Grid | None = None,
-    bounds: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """The allocation table of ``solve(market, profile, T, grid, bounds)``,
-    bit for bit, without the moment tables: shape (T,) + grid, regime last.
+    spec: GridSpec,
+) -> tuple[Grid, np.ndarray]:
+    """The grid and allocation table of ``solve(market, profile, T, spec)``,
+    bit for bit, without the moment tables: pi has shape (T,) + grid,
+    regime last.
 
-    For a caller that reads only the allocations, such as the S measure:
-    the solve keeps one period of a and b instead of T+1, and raises what
-    solve raises.
+    For a caller that reads only the unbounded allocations, such as the S
+    measure: the solve keeps one period of a and b instead of T+1, and
+    raises what solve raises.
     """
-    g = _checked_grid(market, profile, T, grid, bounds)
+    g = _checked_grid(market, profile, T, spec, None)
     pi = np.empty((T,) + g.shape)
-    for n, p_n, _, _ in _backward_steps(market, profile, T, g, bounds,
+    for n, p_n, _, _ in _backward_steps(market, profile, T, g, None,
                                         ClampCounters()):
         _put_regime_last(pi[n], p_n)
-    return pi
+    return g, pi
 
 
 def moment_m(
