@@ -283,49 +283,56 @@ def sample_step(
     return y_next, z
 
 
-# Numbers per drawn block, about 1 MB of float64: a block is transposed into
-# the time-major rows while it is still in cache.
+# Numbers per drawn piece, about 1 MB of float64: a piece is reduced or
+# transposed into the time-major rows while it is still in cache.
 _BLOCK = 1 << 17
+# Numbers per block of returns that `_return_blocks` yields, about 8 MB:
+# eight draw pieces, and rows wide enough (8 738 paths over 120 steps) that
+# a caller's loop over a block's steps costs little Python overhead per
+# path-step.
+_RETURNS = 1 << 20
 
 
-def _path_blocks(draw, n_steps: int, n_paths: int):
-    """Yield ``(cols, block.T)`` for ``draw((n_paths, n_steps))`` drawn in
-    consecutive blocks of whole paths, about `_BLOCK` numbers each (one path
-    per block when n_steps > _BLOCK). ``Generator.random`` and
-    ``standard_normal`` fill in order, so the blocks concatenate to the
-    one-call draw and leave the generator in the same state."""
-    k = max(1, _BLOCK // max(n_steps, 1))
-    for p0 in range(0, n_paths, k):
-        p1 = min(p0 + k, n_paths)
-        yield slice(p0, p1), draw((p1 - p0, n_steps)).T
+def _pieces(n_steps: int, n_paths: int, size: int):
+    """Split a path-major ``(n_paths, n_steps)`` draw into consecutive
+    ``(path slice, step slice)`` pieces in stream order: blocks of as many
+    whole paths as fill `size` numbers (at least one), or, when one path is
+    longer than `_BLOCK`, time slices of `_BLOCK` steps of one path.
+    ``Generator.random`` and ``standard_normal`` fill in order, so the
+    pieces' draws concatenate to the one-call draw and leave the generator
+    in the same state."""
+    if n_steps > _BLOCK:
+        for p in range(n_paths):
+            for t in range(0, n_steps, _BLOCK):
+                yield slice(p, p + 1), slice(t, min(t + _BLOCK, n_steps))
+        return
+    paths = max(1, size // max(n_steps, 1))
+    for p in range(0, n_paths, paths):
+        yield slice(p, min(p + paths, n_paths)), slice(0, n_steps)
 
 
-def _sample_steps(
+def _draw_piece(draw, paths: slice, steps: slice) -> np.ndarray:
+    """``draw`` of one piece, time-major: the transpose of its path-major
+    draw, a view."""
+    return draw((paths.stop - paths.start, steps.stop - steps.start)).T
+
+
+def _sample_regimes(
     params: MarketParams,
     y0: int,
     n_steps: int,
     n_paths: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The regime sampler, time-major: one contiguous row per step.
+) -> np.ndarray:
+    """The regime phase of the sampler: draws every uniform of the
+    draw-order contract (see `sample_paths`) and returns the regimes,
+    time-major (n_steps + 1, n_paths), C-contiguous, in
+    ``np.min_scalar_type(M - 1)`` (uint8 for up to 256 regimes).
 
-    Returns regimes (n_steps + 1, n_paths) in ``np.min_scalar_type(M - 1)``
-    (uint8 for up to 256 regimes) and returns, float64 (n_steps, n_paths),
-    both C-contiguous: the transposes of what `sample_paths` returns, under
-    the same draw-order contract. The wealth recursion of
-    `montecarlo.simulate` and `montecarlo.long_run_sharpe` and the client
-    simulator `risk_profile._client_steps` read these rows directly;
-    `sample_paths` is the path-major int64 view for everyone else. The
-    working set is about 8 B of returns and 1 B of regime per path-step,
-    plus a few ~1 MB draw blocks.
-
-    Draws: the uniforms, and then the Gaussians, are drawn path-major in
-    blocks of whole paths (`_path_blocks`), and each block is reduced or
-    transposed into the time-major rows while it is in cache. No full
-    path-major draw is ever alive, and the bits are those of the one-call
-    draws. No uniform outlives its block: each becomes the transition code
-    ``nxt[t, s, p]``, the regime after step t of path p when the step starts
-    in regime s (M small integers per path-step).
+    The uniforms are drawn in `_pieces`, and no uniform outlives its piece:
+    each becomes the transition code ``nxt[t, s, p]``, the regime after step
+    t of path p when the step starts in regime s (M small integers per
+    path-step).
 
     Block scheme: the time axis is split into B blocks of L steps, with
     ``B = max(1, isqrt(n_steps // n_paths))``. Every block is run from every
@@ -350,12 +357,13 @@ def _sample_steps(
     # nxt[t, s, p] = #{k : u[t, p] >= thresholds[s, k]}, summed in the code
     # dtype (a sum of bools would be their OR). Padded steps keep code 0.
     nxt = np.zeros((B * L, M, n_paths), dtype=code)
-    for cols, ut in _path_blocks(rng.random, n_steps, n_paths):
+    for cols, steps in _pieces(n_steps, n_paths, _BLOCK):
+        ut = _draw_piece(rng.random, cols, steps)
         for s in range(M):
-            dst = nxt[:n_steps, s, cols]
+            dst = nxt[steps, s, cols]
             for k in range(M - 1):
                 dst += ut >= thresholds[s, k]
-    del ut, dst
+        del ut
     nxt = np.ascontiguousarray(nxt.reshape(B, L, M, n_paths).transpose(1, 2, 0, 3))
 
     # runs[t, s, b, p]: regime after t steps of block b on path p, started
@@ -371,31 +379,91 @@ def _sample_steps(
     del nxt
 
     if B == 1:
-        regimes = runs[:, 0, 0]
-    else:
-        # Chain the blocks: block b + 1 starts in the regime where block b ends.
-        path = np.empty((B * L + 1, n_paths), dtype=code)
-        y, paths = np.full(n_paths, y0), np.arange(n_paths)
-        for b in range(B):
-            path[b * L:(b + 1) * L + 1] = runs[:, y, b, paths]
-            y = runs[L, y, b, paths]
-        del runs
-        regimes = path[:n_steps + 1]
+        return runs[:, 0, 0]
+    # Chain the blocks: block b + 1 starts in the regime where block b ends.
+    path = np.empty((B * L + 1, n_paths), dtype=code)
+    y, paths = np.full(n_paths, y0), np.arange(n_paths)
+    for b in range(B):
+        path[b * L:(b + 1) * L + 1] = runs[:, y, b, paths]
+        y = runs[L, y, b, paths]
+    del runs
+    return path[:n_steps + 1]
 
-    # The codes are freed by now: the peak is regimes, the returns and two
-    # blocks of Gaussians. sigma * g + mu goes on a few rows at a time, each
-    # gathered through one intp copy of the rows' regimes.
-    returns = np.empty((n_steps, n_paths))
-    for cols, gt in _path_blocks(rng.standard_normal, n_steps, n_paths):
-        returns[:, cols] = gt
-    del gt
+
+def _return_blocks(params: MarketParams, regimes: np.ndarray,
+                   rng: np.random.Generator, out: np.ndarray | None = None):
+    """The return phase of the sampler: draws every Gaussian g of the
+    draw-order contract and yields the returns ``sigma_step[y] * g +
+    mu_step[y]`` over `regimes` (the time-major output of `_sample_regimes`)
+    as ``(paths, steps, z)``, with z the block ``returns[steps, paths]`` of
+    the time-major returns. The blocks come in stream order and tile the
+    (steps, paths) rectangle: blocks of whole paths, about `_RETURNS`
+    numbers each, or the `_BLOCK`-step time slices of one path when a path
+    is longer than `_BLOCK` (see `_pieces`).
+
+    z is that view of `out` when it is given. Otherwise it is a C-contiguous
+    view of one buffer, the size of the first block, which every block
+    overwrites: a caller reads each block before it asks for the next.
+    """
+    n_steps, n_paths = len(regimes) - 1, regimes.shape[1]
+    buf = None
+    for paths, steps in _pieces(n_steps, n_paths, _RETURNS):
+        ys = regimes[steps, paths]
+        if out is not None:
+            z = out[steps, paths]
+        else:
+            if buf is None:
+                buf = np.empty(ys.size)
+            z = buf[:ys.size].reshape(ys.shape)
+        _fill_returns(params, ys, rng, z)
+        yield paths, steps, z
+
+
+def _fill_returns(params: MarketParams, ys: np.ndarray, rng: np.random.Generator,
+                  z: np.ndarray) -> None:
+    """Fill the time-major block z with ``sigma_step[ys] * g + mu_step[ys]``,
+    the Gaussians g drawn for its paths in `_pieces` of about `_BLOCK`
+    numbers; each piece is scaled while it is in cache, through one intp
+    copy of its regimes. The bits are those of the one-call draw. (A
+    function of its own, so that a piece's temporaries are freed before
+    `_return_blocks` hands the block over.)"""
     sigma, mu = params.sigma_step, params.mu_step
-    step = max(1, _BLOCK // n_paths)
-    for r in range(0, n_steps, step):
-        ys = regimes[r:min(r + step, n_steps)].astype(np.intp)
-        rows = returns[r:r + step]
-        rows *= sigma[ys]
-        rows += mu[ys]
+    for sub, rows in _pieces(*z.shape, _BLOCK):
+        piece = z[rows, sub]
+        piece[...] = _draw_piece(rng.standard_normal, sub, rows)
+        y = ys[rows, sub].astype(np.intp)
+        piece *= sigma[y]
+        piece += mu[y]
+
+
+def _sample_steps(
+    params: MarketParams,
+    y0: int,
+    n_steps: int,
+    n_paths: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The regime sampler, time-major: one contiguous row per step.
+
+    Returns regimes (n_steps + 1, n_paths) in ``np.min_scalar_type(M - 1)``
+    (uint8 for up to 256 regimes) and returns, float64 (n_steps, n_paths),
+    both C-contiguous: the transposes of what `sample_paths` returns, under
+    the same draw-order contract. It runs the sampler's two phases,
+    `_sample_regimes` and then `_return_blocks`, which writes the return
+    blocks into one array; the client simulator `risk_profile._client_steps`
+    reads its rows, and `sample_paths` is the path-major int64 view for
+    everyone else. Callers that read the returns once, in order, stream the
+    blocks instead: the wealth recursion of `montecarlo.simulate` for a
+    fixed mix and `montecarlo.long_run_sharpe`.
+
+    The working set is the two outputs, about 8 B of returns and 1 B of
+    regime per path-step, plus a ~1 MB draw piece; while the regimes are
+    built it is M + 1 B of transition codes and runs per path-step.
+    """
+    regimes = _sample_regimes(params, y0, n_steps, n_paths, rng)
+    returns = np.empty((n_steps, n_paths))
+    for _ in _return_blocks(params, regimes, rng, out=returns):
+        pass
     return regimes, returns
 
 
@@ -416,9 +484,11 @@ def sample_paths(
     shape or the internal scheme.
 
     This is the path-major layout, one row per path, for callers that want
-    whole paths. It copies the time-major output of the one sampler core,
-    `_sample_steps` (see there for the block scheme), which the wealth
-    recursion and the client simulator read as is.
+    whole paths. It copies the time-major output of `_sample_steps`, which
+    gathers the sampler's two phases: `_sample_regimes` (see there for the
+    block scheme) and the return blocks of `_return_blocks`, which the
+    wealth recursion of a fixed mix and `montecarlo.long_run_sharpe` stream
+    instead.
 
     Returns:
         regimes: int64 array (n_paths, n_steps + 1); regimes[:, n] is the

@@ -7,20 +7,24 @@ its risk-aversion inputs). Either way the wealth recursion is
     X_{n+1} = R_step(y_n) X_n + (z_{n+1} - r_step(y_n)) * dollars_n,
 
 with dollars_n the fraction-of-wealth allocation times current wealth, or the
-liquidation overlay thereof. The recursion runs time-major: each step reads
-one contiguous row of regimes and returns, straight from the regime sampler's
-time-major core (`market._sample_steps`) for a fixed mix, or from the client
-simulator's time-major core (`risk_profile._client_steps`) for a solved
-policy, whose allocations are looked up once per step with the xi and prev
-stencil located once per interaction window. Simulation is chunked
-into fixed-size blocks of paths with RNG streams spawned per block from the
-master seed, so results are bit-identical for a given seed regardless of the
-thread count.
+liquidation overlay thereof. The recursion runs time-major, in place: each
+step reads one contiguous row of regimes and returns. For a fixed mix they
+come from the regime sampler's two phases: the regimes of the whole chunk
+(`market._sample_regimes`), then the returns in blocks of whole paths
+(`market._return_blocks`), and each block is advanced over every step
+before the next is drawn. For a solved policy they come from the client
+simulator's time-major core (`risk_profile._client_steps`), and the
+allocations are looked up once per step with the xi and prev stencil
+located once per interaction window. Simulation is chunked into fixed-size
+blocks of paths with RNG streams spawned per block from the master seed, so
+results are bit-identical for a given seed regardless of the thread count.
 
-The cores hand over regimes one byte wide (``np.min_scalar_type(M - 1)``),
-and each row is cast to intp once for its gathers. A fixed-mix chunk's
-working set is therefore about 8 B of returns plus 1 B of regime per
-path-step, ~36 MB for 32 768 paths over 120 steps; each thread holds one.
+The samplers hand over regimes one byte wide (``np.min_scalar_type(M -
+1)``), and each row is cast to intp once for its gathers. A fixed-mix
+chunk's working set is therefore 1 B of regime per path-step plus one
+~8 MB block of returns and a few ~1 MB draw buffers, ~16 MB for 32 768
+paths over 120 steps (M + 1 B per path-step while the regimes are built);
+each thread holds one.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from robo_mv.cycle_analytics import CycleStrategy
 from robo_mv.errors import ConfigError, InsufficientSamples
 from robo_mv.market import (
     MarketParams,
-    _sample_steps,
+    _return_blocks,
+    _sample_regimes,
     check_count,
     check_number,
     check_regime,
@@ -108,28 +113,39 @@ class SimConfig:
 def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.ndarray:
     market, T = config.market, config.T
     if isinstance(config.strategy, CycleStrategy):
-        regimes, returns = _sample_steps(market, config.y0, T, m, rng)
         alloc = np.asarray(config.strategy.allocations(market.num_states))
         if config.bounds is not None:
             alloc = constrain(alloc, *config.bounds)
-        fracs = None
+        # The returns stream in blocks of whole paths, each advanced over
+        # all T steps through its view of X.
+        regimes = _sample_regimes(market, config.y0, T, m, rng)
+        X = np.full(m, float(config.x0))
+        for paths, steps, z in _return_blocks(market, regimes, rng):
+            _advance(X[paths], regimes[steps, paths], z, config, alloc)
     else:
         rows = _client_steps(market, config.profile, T, m, rng, config.y0,
                              ("regimes", "returns", "xi", "window_csum"))
-        regimes, returns = rows["regimes"], rows["returns"]
+        regimes = rows["regimes"][:T]
         policy = config.strategy
         fracs = _window_allocations(policy.pi, policy.grid, policy.profile,
-                                    rows["xi"], rows["window_csum"], regimes[:T],
+                                    rows["xi"], rows["window_csum"], regimes,
                                     config.profile.phi)
         if config.bounds is not None:
             fracs = (constrain(f, *config.bounds) for f in fracs)
+        X = np.full(m, float(config.x0))
+        _advance(X, regimes, rows["returns"], config, fracs=fracs)
+    return X / config.x0 - 1.0
 
-    # X_{n+1} = R_step[y] X + (z - r_step[y]) dollars over one contiguous row
-    # per step, in place: IEEE products and sums commute, so every element
-    # gets the same bits as the expression written out. Each narrow regime
-    # row is cast to intp once for its three gathers.
-    r_step, R_step = market.r_step, market.R_step
-    X = np.full(m, float(config.x0))
+
+def _advance(X, regimes, returns, config: SimConfig, alloc=None, fracs=None) -> None:
+    """Advance wealth X in place over time-major rows of regimes and
+    returns, with the fraction alloc[y] of a fixed mix or the next of the
+    per-step fractions `fracs`:
+    X_{n+1} = R_step[y] X + (z - r_step[y]) dollars, one contiguous row per
+    step. IEEE products and sums commute, so every element gets the same
+    bits as the expression written out. Each narrow regime row is cast to
+    intp once for its gathers."""
+    r_step, R_step = config.market.r_step, config.market.R_step
     for y, z in zip(regimes, returns):
         y = y.astype(np.intp)
         f = alloc[y] if fracs is None else next(fracs)
@@ -138,7 +154,6 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
         excess *= dollars
         X *= R_step[y]
         X += excess
-    return X / config.x0 - 1.0
 
 
 def simulate(config: SimConfig, threads: int = 1) -> np.ndarray:
@@ -233,23 +248,36 @@ def long_run_sharpe(
     """Per-step Sharpe ratio of pooled excess returns over one long path.
 
     The path is the one of ``sample_paths(market, y0, total_steps, 1, rng)``
-    with ``rng = default_rng(seed)``, read from the sampler's time-major core
-    without a transposed copy, so it shares the regime sampler (and its block
-    scheme for long paths) with `simulate`.
+    with ``rng = default_rng(seed)``: the regimes of `_sample_regimes` and
+    the returns of `_return_blocks`, the two phases of the regime sampler
+    that `simulate` shares. The returns are drawn in time slices straight
+    into the array of excess returns, and each slice becomes
+    ``alloc[y] * (z - r_step[y])`` in place, so the excess returns, 8 B per
+    step, are the only full-length float array.
     """
     check_count(total_steps, "total_steps", 0)
     if total_steps < 10_000:
         raise InsufficientSamples(
             f"need at least 10000 steps for a stable estimate, got {total_steps}"
         )
-    regimes, z = _sample_steps(market, y0, total_steps, 1, np.random.default_rng(seed))
-    ys, z = regimes[:-1, 0], z[:, 0]
+    rng = np.random.default_rng(seed)
+    regimes = _sample_regimes(market, y0, total_steps, 1, rng)
     alloc = np.asarray(strategy.allocations(market.num_states))
-    # alloc[y] * (z - r_step[y]), built in place with the product commuted.
-    excess = market.r_step[ys]
-    np.subtract(z, excess, out=excess)
-    excess *= alloc[ys]
-    sd = float(excess.std(ddof=1))
+    excess = np.empty(total_steps)
+    for _, steps, z in _return_blocks(market, regimes, rng, out=excess[:, None]):
+        # The slice of returns becomes (z - r_step[y]) * alloc[y] in place,
+        # the product commuted.
+        ys = regimes[steps, 0].astype(np.intp)
+        z = z[:, 0]
+        z -= market.r_step[ys]
+        z *= alloc[ys]
+        del ys  # before the next slice is drawn
+    # np.mean, then np.std(ddof=1) step by step in place: the same sums,
+    # squares and divisions, without its full-length temporary.
+    mean = float(excess.mean())
+    excess -= mean
+    np.square(excess, out=excess)
+    sd = math.sqrt(float(excess.sum()) / (total_steps - 1))
     if sd == 0.0:
         raise InsufficientSamples("degenerate excess returns: zero variance")
-    return float(excess.mean()) / sd
+    return mean / sd

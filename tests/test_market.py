@@ -11,8 +11,11 @@ from scipy.sparse.csgraph import connected_components
 
 from robo_mv.errors import BadDimension, ConfigError, NegativeVol, NonErgodic, NonStochasticRow
 from robo_mv.market import (
+    _BLOCK,
     MarketParams,
     _closed_classes,
+    _draw_piece,
+    _pieces,
     _sample_steps,
     check,
     excess_moments,
@@ -481,6 +484,21 @@ def test_block_draws_concatenate_to_one_draw(draw):
                           for k in (1, 0, 333, 2, 600, 64)])
     assert np.array_equal(got, want)
     assert blocked.random() == one.random()
+
+
+@pytest.mark.parametrize("draw", ["random", "standard_normal"])
+def test_time_sliced_draws_concatenate_to_one_draw(draw):
+    """A path longer than `_BLOCK` steps is drawn in time slices of it, path
+    after path: numpy fills a row in order, so the slices of each 1-D path
+    concatenate to the one-call draw."""
+    n_steps = 1_000_003  # seven whole slices and a partial one per path
+    one, sliced = np.random.default_rng(6), np.random.default_rng(6)
+    want = getattr(one, draw)((2, n_steps))
+    got = np.full((n_steps, 2), np.nan)
+    for paths, steps in _pieces(n_steps, 2, _BLOCK):
+        got[steps, paths] = _draw_piece(getattr(sliced, draw), paths, steps)
+    assert np.array_equal(got.T, want)
+    assert sliced.random() == one.random()
 
 
 def test_sample_steps_peak_memory_is_its_outputs_plus_blocks(two_state_market):

@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robo_mv import market as sampler
 from robo_mv.cycle_analytics import CycleStrategy, inputs_from_market, sharpe_delta
 from robo_mv.errors import ConfigError, InsufficientSamples
 from robo_mv.market import MarketParams, sample_paths
@@ -264,9 +266,13 @@ def _path_major_chunk_returns(config, m, rng):
     return X / config.x0 - 1.0
 
 
-def _assert_matches_path_major_loop(config, m, seed):
+def _assert_matches_path_major_loop(config, m, seed, **widths):
+    """The recursion against the path-major loop, with the sampler's
+    private block widths (`_BLOCK`, `_RETURNS`) set to `widths` for the
+    recursion only."""
     want = _path_major_chunk_returns(config, m, np.random.default_rng(seed))
-    got = _chunk_returns(config, m, np.random.default_rng(seed))
+    with mock.patch.multiple(sampler, **widths):
+        got = _chunk_returns(config, m, np.random.default_rng(seed))
     assert got.shape == (m,)
     assert np.array_equal(got, want)
 
@@ -294,13 +300,20 @@ def _fixed_mix_cases(draw):
                        n_paths=1, y0=draw(st.integers(0, M - 1)),
                        x0=draw(st.floats(0.01, 100.0)), bounds=bounds,
                        liquidate=draw(st.booleans()))
-    return config, draw(st.integers(1, 300)), draw(st.integers(0, 2**32 - 1))
+    # Small draw pieces and blocks of returns, so that a chunk spans several
+    # blocks and ends in a partial one, and a path longer than a piece is
+    # drawn in time slices.
+    widths = {"_BLOCK": draw(st.integers(1, 200)),
+              "_RETURNS": draw(st.integers(1, 2_000))}
+    return (config, draw(st.integers(1, 300)), draw(st.integers(0, 2**32 - 1)),
+            widths)
 
 
 @settings(deadline=None)
 @given(_fixed_mix_cases())
 def test_time_major_recursion_matches_path_major_loop(case):
-    _assert_matches_path_major_loop(*case)
+    config, m, seed, widths = case
+    _assert_matches_path_major_loop(config, m, seed, **widths)
 
 
 @pytest.mark.parametrize("bounds, liquidate", [(None, False), ((-0.5, 3.0), True)])
@@ -313,7 +326,8 @@ def test_time_major_recursion_matches_path_major_loop_under_a_policy(
     config = SimConfig(market=two_state_market, strategy=policy, T=6, n_paths=1,
                        profile=profile, y0=1, x0=2.0, bounds=bounds,
                        liquidate=liquidate)
-    _assert_matches_path_major_loop(config, 500, 29)
+    # Draw pieces of 16 paths: the client core's sampler crosses 32 of them.
+    _assert_matches_path_major_loop(config, 500, 29, _BLOCK=97)
 
 
 def test_liquidation_overlay_inert_with_unit_bounds(two_state_market):
@@ -509,6 +523,10 @@ def test_long_run_sharpe_matches_scalar_chain_loop(single_state_market,
         for steps, seed in ((10_000, 1), (54_321, 2024)):
             want = _loop_long_run_sharpe(strategy, market, steps, seed, y0)
             assert long_run_sharpe(strategy, market, steps, seed, y0) == want
+            # The path in time slices of 4 096 or 997 steps, the last partial.
+            for block in (4_096, 997):
+                with mock.patch.object(sampler, "_BLOCK", block):
+                    assert long_run_sharpe(strategy, market, steps, seed, y0) == want
 
 
 def test_long_run_sharpe_rejects_unknown_start_regime(two_state_market):
@@ -540,14 +558,17 @@ def test_growth_tilt_orders_the_return_distribution(two_state_market):
     assert (summaries[-0.3].sd < summaries[0.0].sd < summaries[0.3].sd)
 
 
-def test_fixed_mix_peak_memory_is_about_one_chunk_of_returns(two_state_market):
-    """The sampler keeps regimes one byte wide and no uniform past its draw
-    block, so a wide chunk's working set is about its float64 returns: one
-    65 536 x 120 simulate on one thread and a 10^6-step long_run_sharpe
-    each peak within 1.3x the returns of one chunk (int64 regimes next to
-    the uniforms peaked at 66 and 41 MB)."""
-    T = 120
-    bound = 1.3 * 8 * _CHUNK * T
+def test_fixed_mix_peak_memory_is_regimes_plus_one_block_of_returns(two_state_market):
+    """Neither a fixed-mix chunk nor long_run_sharpe holds all its returns:
+    one 65 536 x 120 simulate on one thread peaks within one chunk's 1 B per
+    path-step of regimes, one block of returns and a few ~1 MB draw pieces
+    (all of a chunk's returns peaked at 38.5 MB), and a 10^6-step
+    long_run_sharpe within its 8 B per step of excess returns, 1 B of
+    regime and a few pieces (26 MB with whole returns)."""
+    T, steps = 120, 10**6
+    piece = 8 * sampler._BLOCK
+    simulate_bound = (T + 1) * _CHUNK + 8 * sampler._RETURNS + 6 * piece
+    sharpe_bound = 9 * steps + 4 * piece
     rule = CycleStrategy(0.6, -0.3)
     config = SimConfig(two_state_market, rule, T=T, n_paths=2 * _CHUNK, seed=3)
     tracemalloc.start()
@@ -555,9 +576,9 @@ def test_fixed_mix_peak_memory_is_about_one_chunk_of_returns(two_state_market):
         simulate(config, threads=1)
         simulate_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        long_run_sharpe(rule, two_state_market, 10**6, seed=3)
+        long_run_sharpe(rule, two_state_market, steps, seed=3)
         sharpe_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert simulate_peak <= bound
-    assert sharpe_peak < bound
+    assert simulate_peak <= simulate_bound
+    assert sharpe_peak <= sharpe_bound
