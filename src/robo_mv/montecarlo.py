@@ -250,8 +250,8 @@ def long_run_sharpe(
     The path is the one of ``sample_paths(market, y0, total_steps, 1, rng)``
     with ``rng = default_rng(seed)``: the regimes of `_sample_regimes` and
     the returns of `_return_blocks`, the two phases of the regime sampler
-    that `simulate` shares. The returns are drawn in time slices straight
-    into the array of excess returns, and each slice becomes
+    that `simulate` shares. The returns are drawn straight into the array
+    of excess returns, a time slice at a time, and each slice becomes
     ``alloc[y] * (z - r_step[y])`` in place, so the excess returns, 8 B per
     step, are the only full-length float array.
     """
