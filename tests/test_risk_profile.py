@@ -1,12 +1,14 @@
 """Tests for client risk-aversion dynamics and the advisor's model."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robo_mv import market as sampler
 from robo_mv.errors import ConfigError, NotInteractionTime, WindowLengthMismatch
 from robo_mv.market import MarketParams, sample_paths
 from robo_mv.risk_profile import (
@@ -452,8 +454,12 @@ def _client_cases(draw):
         phi=phi, gamma_bar=gamma_bar, eta=eta,
     )
     fields = draw(st.lists(st.sampled_from(_CLIENT_FIELDS), min_size=1, unique=True))
+    # Small sampler widths for the core, so that its draws span several
+    # pieces and blocks and a path longer than a piece is drawn in slices.
+    widths = {"_BLOCK": draw(st.integers(1, 200)),
+              "_RETURNS": draw(st.integers(1, 2_000))}
     return (market, profile, T, draw(st.integers(1, 40)), draw(st.integers(0, M - 1)),
-            draw(st.integers(0, 2**32 - 1)), fields)
+            draw(st.integers(0, 2**32 - 1)), fields, widths)
 
 
 def _assert_same_array(got, want):
@@ -464,13 +470,14 @@ def _assert_same_array(got, want):
 @settings(deadline=None, max_examples=150)
 @given(_client_cases())
 def test_client_core_matches_path_major_simulator(case):
-    market, profile, T, n_paths, y0, seed, fields = case
+    market, profile, T, n_paths, y0, seed, fields, widths = case
     rng = np.random.default_rng(seed)
     want = _path_major_simulate_clients(market, profile, T, n_paths, rng, y0)
     after = rng.random()
 
     rng = np.random.default_rng(seed)
-    got = simulate_clients(market, profile, T, n_paths, rng, y0)
+    with mock.patch.multiple(sampler, **widths):
+        got = simulate_clients(market, profile, T, n_paths, rng, y0)
     assert rng.random() == after
     assert list(got) == list(want)
     for name in want:
@@ -480,7 +487,8 @@ def test_client_core_matches_path_major_simulator(case):
     # The core draws the same numbers whatever it builds, and builds only
     # the named fields, as contiguous time-major rows.
     rng = np.random.default_rng(seed)
-    rows = _client_steps(market, profile, T, n_paths, rng, y0, fields)
+    with mock.patch.multiple(sampler, **widths):
+        rows = _client_steps(market, profile, T, n_paths, rng, y0, fields)
     assert rng.random() == after
     assert sorted(rows) == sorted(fields)
     for name in fields:
