@@ -457,7 +457,7 @@ def _sample_steps(
     fixed mix and `montecarlo.long_run_sharpe`.
 
     The working set is the two outputs, about 8 B of returns and 1 B of
-    regime per path-step, plus a ~1 MB draw piece; while the regimes are
+    regime per path-step, plus a few ~1 MB draw pieces; while the regimes are
     built it is M + 1 B of transition codes and runs per path-step.
     """
     regimes = _sample_regimes(params, y0, n_steps, n_paths, rng)
