@@ -200,7 +200,7 @@ def cmd_solve(args) -> int:
     T = check_number(_need(cfg, "horizon", "solve"), "horizon", integer=True)
     qp = _resolve(args.quad_points, flags, "quad_points", None)
     grid = _grid_spec(cfg, quad_points=qp)
-    tables = solve(market, profile, T, grid)
+    tables = solve(market, profile, T, grid, cfg.get("bounds"))
     out = _out_dir(args)
     save_policy(tables, out)
     outputs = [f"policy_{n:04d}.csv" for n in range(T)] + [
@@ -220,14 +220,13 @@ def cmd_simulate(args) -> int:
                         integer=True)
     if bins < 1:
         raise ConfigError(f"--bins must be >= 1, got {bins}")
-    dump = bool(_resolve(args.dump_paths or None, flags, "dump_paths", False))
-    bounds = cfg.get("bounds")
-    if bounds is not None:
-        if not isinstance(bounds, list) or len(bounds) != 2:
-            raise ConfigError(f"bounds must be a [lower, upper] pair, got {bounds!r}")
-        bounds = tuple(check_number(v, "bounds") for v in bounds)
+    dump = _resolve(args.dump_paths or None, flags, "dump_paths", False)
+    if not isinstance(dump, bool):
+        raise ConfigError(f"dump_paths must be true or false, got {dump!r}")
 
     if "policy_dir" in cfg:
+        if "strategy" in cfg:
+            raise ConfigError("strategy and policy_dir are mutually exclusive")
         tables = load_policy(cfg["policy_dir"])
         market, strategy, profile = tables.market, tables, tables.profile
         T = check_number(cfg.get("horizon", tables.T), "horizon", integer=True)
@@ -243,7 +242,7 @@ def cmd_simulate(args) -> int:
         market=market, strategy=strategy, T=T, n_paths=n_paths, seed=seed,
         profile=profile, y0=check_number(cfg.get("y0", 0), "y0", integer=True),
         x0=check_number(cfg.get("x0", 1.0), "x0"),
-        bounds=bounds, liquidate=bool(cfg.get("liquidate", False)),
+        bounds=cfg.get("bounds"), liquidate=cfg.get("liquidate", False),
     )
     returns = simulate(sim, threads=threads)
     total = stats(returns)

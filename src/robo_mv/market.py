@@ -155,22 +155,21 @@ def _closed_classes(P: np.ndarray) -> list[np.ndarray]:
 
 
 def _period(P: np.ndarray, members: np.ndarray) -> int:
-    """Period of an irreducible chain restricted to `members`.
-
-    Uses the BFS-level trick: assign each state a distance from a root, then
-    the period is gcd over edges (u, v) of d[u] + 1 - d[v].
-    """
+    """Period of an irreducible chain restricted to `members`: the gcd over
+    edges (u, v) of d[u] + 1 - d[v], where d labels each state with the
+    length of some path to it from the root, as this depth-first search
+    (pop()) does; any path-length labelling gives the same gcd."""
     sub = P[np.ix_(members, members)] > 0
     n = len(members)
     dist = np.full(n, -1)
     dist[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop()
+    stack = [0]
+    while stack:
+        u = stack.pop()
         for v in np.nonzero(sub[u])[0]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
-                queue.append(v)
+                stack.append(v)
     g = 0
     for u in range(n):
         for v in np.nonzero(sub[u])[0]:
@@ -250,6 +249,19 @@ def check_number(value, name: str, integer: bool = False):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
     return float(value)
+
+
+def check_bounds(value, name: str = "bounds"):
+    """The one rule for allocation bounds: None, or a list or tuple of two
+    finite numbers with lower <= upper, returned as a tuple of the numbers
+    as given (a policy digests them unconverted); else ConfigError."""
+    if value is not None:
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ConfigError(f"{name} must be a [lower, upper] pair, got {value!r}")
+        if check_number(value[0], name) > check_number(value[1], name):
+            raise ConfigError(f"{name} out of order: {value!r}")
+        value = tuple(value)
+    return value
 
 
 def check_array(value, name: str) -> np.ndarray:

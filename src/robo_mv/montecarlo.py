@@ -41,6 +41,7 @@ from robo_mv.market import (
     MarketParams,
     _return_blocks,
     _sample_regimes,
+    check_bounds,
     check_count,
     check_number,
     check_regime,
@@ -64,9 +65,9 @@ class SimConfig:
     profile is required when the strategy is a solved policy (it drives the
     client's communicated risk aversion along each path) and ignored for
     fixed cycles. A solved policy must have been solved for this market and
-    profile (its `params_sha256` is checked). bounds, when given, clamp
-    every allocation fraction; the liquidate flag zeroes the risky position
-    on any path whose wealth has gone negative.
+    profile (its `params_sha256` is checked), and keeps the bounds it was
+    solved with: bounds, which clamp a fixed cycle's fractions, must then be
+    None or equal. liquidate zeroes the risky position of ruined paths.
     """
 
     market: MarketParams
@@ -86,13 +87,9 @@ class SimConfig:
         if not check_number(self.x0, "x0") > 0:
             raise ConfigError(f"x0 must be finite and > 0, got {self.x0}")
         check_regime(self.market, self.y0, "y0")
-        if self.bounds is not None:
-            if not (isinstance(self.bounds, (tuple, list)) and len(self.bounds) == 2):
-                raise ConfigError(
-                    f"bounds must be a (lower, upper) pair, got {self.bounds!r}")
-            lower, upper = (check_number(v, "bounds") for v in self.bounds)
-            if lower > upper:
-                raise ConfigError(f"bounds out of order: {self.bounds}")
+        object.__setattr__(self, "bounds", check_bounds(self.bounds))
+        if not isinstance(self.liquidate, bool):
+            raise ConfigError(f"liquidate must be a bool, got {self.liquidate!r}")
         if isinstance(self.strategy, PolicyTables):
             if self.profile is None:
                 raise ConfigError("a solved-policy strategy needs a client profile")
@@ -106,6 +103,9 @@ class SimConfig:
                 raise ConfigError(
                     "the policy was solved for another market or client profile"
                 )
+            if self.bounds not in (None, s.bounds):
+                raise ConfigError(f"bounds {self.bounds} differ from the bounds "
+                                  f"{s.bounds} the policy was solved with")
         elif not isinstance(self.strategy, CycleStrategy):
             raise ConfigError(f"unsupported strategy {type(self.strategy).__name__}")
 
@@ -130,8 +130,8 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
         fracs = _window_allocations(policy.pi, policy.grid, policy.profile,
                                     rows["xi"], rows["window_csum"], regimes,
                                     config.profile.phi)
-        if config.bounds is not None:
-            fracs = (constrain(f, *config.bounds) for f in fracs)
+        if policy.bounds is not None:
+            fracs = (constrain(f, *policy.bounds) for f in fracs)
         X = np.full(m, float(config.x0))
         _advance(X, regimes, rows["returns"], config, fracs=fracs)
     return X / config.x0 - 1.0

@@ -43,8 +43,8 @@ class PersonalizationInputs:
     """Inputs of the closed-form analysis.
 
     sigma0 is the per-step return SD in the starting regime (annual vol
-    divided by sqrt(steps per year)); phi_values is the sweep grid used by
-    the CLI and the trade-off curves.
+    divided by sqrt(steps per year)); phi_values is a sweep grid that the
+    package never reads: the CLI sweeps its --phi-range instead.
     """
 
     beta: float

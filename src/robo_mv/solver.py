@@ -72,17 +72,13 @@ from .errors import (
 )
 from .market import (
     MarketParams,
+    check_bounds,
     check_count,
     check_number,
     market_from_dict,
     validate,
 )
 from .risk_profile import RiskProfileParams, profile_from_dict
-
-# Hard sanity cap on clamped xi quadrature mass during a solve. Edge nodes of
-# any bounded grid clamp a little by construction; a fraction this large means
-# the grid simply does not contain the dynamics.
-_SOLVE_CLAMP_CAP = 0.25
 
 
 # -- reduced state and grid ----------------------------------------------------
@@ -114,6 +110,7 @@ class GridSpec:
     window-sum axis is uniform over +/- zsum_span_sd per-step return SDs
     times sqrt(phi). Axes that cannot matter are collapsed to a single node:
     both window axes when beta = 0, the current-window axis when phi = 1.
+    A solve raises GridExhausted above max_clamp_fraction of clamped xi mass.
     """
 
     xi_count: int = 41
@@ -122,22 +119,18 @@ class GridSpec:
     zsum_count: int = 21
     zsum_span_sd: float = 4.0
     quad_points: int = 16
-    max_clamp_fraction: float = 0.005
+    max_clamp_fraction: float = 0.25
 
     def __post_init__(self):
         for name in ("xi_count", "zsum_count", "quad_points"):
-            object.__setattr__(
-                self, name, check_number(getattr(self, name), name, integer=True))
+            value = check_number(getattr(self, name), name, integer=True)
+            if value < 2:
+                raise ConfigError(f"{name} must be >= 2, got {value}")
+            object.__setattr__(self, name, value)
         for name in ("zsum_span_sd", "max_clamp_fraction", "xi_lo", "xi_hi"):
             value = getattr(self, name)
             if value is not None:
                 check_number(value, name)
-        if self.xi_count < 2:
-            raise ConfigError(f"xi_count must be >= 2, got {self.xi_count}")
-        if self.zsum_count < 2:
-            raise ConfigError(f"zsum_count must be >= 2, got {self.zsum_count}")
-        if self.quad_points < 2:
-            raise ConfigError(f"quad_points must be >= 2, got {self.quad_points}")
         if self.zsum_span_sd <= 0:
             raise ConfigError("zsum_span_sd must be > 0")
         if not 0 < self.max_clamp_fraction < 1:
@@ -158,7 +151,7 @@ class Grid:
         cur: np.ndarray,
         quad_points: int,
         num_states: int,
-        max_clamp_fraction: float = 0.005,
+        max_clamp_fraction: float = GridSpec.max_clamp_fraction,
     ):
         self.xi = np.asarray(xi, dtype=float)
         self.prev = np.asarray(prev, dtype=float)
@@ -217,8 +210,7 @@ class Grid:
     def from_dict(cls, doc: dict) -> "Grid":
         return cls(
             np.asarray(doc["xi"]), np.asarray(doc["prev"]), np.asarray(doc["cur"]),
-            doc["quad_points"], doc["num_states"],
-            doc.get("max_clamp_fraction", 0.005),
+            doc["quad_points"], doc["num_states"], doc["max_clamp_fraction"],
         )
 
 
@@ -792,10 +784,9 @@ class _StepOperators:
 # -- public operations ---------------------------------------------------------------
 
 
-def constrain(pi, lower: float = -math.inf, upper: float = math.inf):
-    """Clamp an allocation into [lower, upper]."""
-    if lower > upper:
-        raise ConfigError(f"bounds out of order: ({lower}, {upper})")
+def constrain(pi, lower: float, upper: float):
+    """Clamp an allocation into [lower, upper], bounds as check_bounds takes."""
+    check_bounds((lower, upper))
     return np.clip(pi, lower, upper)
 
 
@@ -954,13 +945,10 @@ def _solve_grid(grid: GridSpec | Grid | None, market: MarketParams,
 
 
 def _checked_grid(market: MarketParams, profile: RiskProfileParams, T: int,
-                  grid: GridSpec | Grid | None, bounds) -> Grid:
+                  grid: GridSpec | Grid | None) -> Grid:
     """Validate a solve request and return the grid it runs on."""
     validate(market)
-    if T < 1:
-        raise ConfigError(f"horizon T must be >= 1, got {T}")
-    if bounds is not None and bounds[0] > bounds[1]:
-        raise ConfigError(f"bounds out of order: {bounds}")
+    check_count(T, "horizon T", 1)
     return _solve_grid(grid, market, profile)
 
 
@@ -971,10 +959,10 @@ def _backward_steps(market: MarketParams, profile: RiskProfileParams, T: int,
     The slabs are regime-major, (M, xi, prev, cur), and are the core's own
     working arrays: a caller copies what it keeps before asking for the next
     step, and ignores the rest. Clamped quadrature mass is added to
-    `counters`; after the last step a clamped xi mass above the cap raises
-    GridExhausted. Overflow and invalid operations surface as NumericalError,
-    not as warnings; the error state is set around each step's arithmetic
-    only, never across a yield.
+    `counters`; after the last step a clamped xi mass fraction above
+    `g.max_clamp_fraction` raises GridExhausted. Overflow and invalid
+    operations surface as NumericalError, not as warnings; the error state
+    is set around each step's arithmetic only, never across a yield.
     """
     tabs = _ProfileTables(market, profile, T)
     shape = g.shape
@@ -1007,10 +995,10 @@ def _backward_steps(market: MarketParams, profile: RiskProfileParams, T: int,
             _require_finite("moment table b", b_n, n)
         yield n, p_n, a_n, b_n
 
-    if counters.xi_fraction > _SOLVE_CLAMP_CAP:
+    if counters.xi_fraction > g.max_clamp_fraction:
         raise GridExhausted(
             f"clamped xi quadrature mass fraction {counters.xi_fraction:.3f} "
-            f"exceeds {_SOLVE_CLAMP_CAP}; widen the xi grid"
+            f"exceeds max_clamp_fraction {g.max_clamp_fraction}; widen the xi grid"
         )
 
 
@@ -1032,17 +1020,18 @@ def solve(
 
     Produces allocation and moment tables for n = T-1 down to 0 under the
     terminal condition a_T = b_T = 1; the value table V is derived from them
-    (`PolicyTables.V`). When `bounds` is given the allocation is truncated
-    inside the induction, so the moment tables (and hence all earlier
-    allocations) reflect the constrained policy. A step whose denominator,
-    allocation or moment tables are not finite raises NumericalError naming
-    the time index.
+    (`PolicyTables.V`). When `bounds`, a finite (lower, upper) pair, is
+    given the allocation is truncated inside the induction, so the moment
+    tables (and hence all earlier allocations) reflect the constrained
+    policy. A step whose denominator, allocation or moment tables are not
+    finite raises NumericalError naming the time index.
 
     Each step works on regime-major slabs (see `_StepOperators`) and is
     written into the returned tables one regime at a time, so their layout
     is unchanged: (xi, prev, cur, regime), regime last.
     """
-    g = _checked_grid(market, profile, T, grid, bounds)
+    bounds = check_bounds(bounds)
+    g = _checked_grid(market, profile, T, grid)
     shape = g.shape
     pi = np.empty((T,) + shape)
     a = np.empty((T + 1,) + shape)
@@ -1074,7 +1063,7 @@ def solve_allocations(
     measure: the solve keeps one period of a and b instead of T+1, and
     raises what solve raises.
     """
-    g = _checked_grid(market, profile, T, spec, None)
+    g = _checked_grid(market, profile, T, spec)
     pi = np.empty((T,) + g.shape)
     for n, p_n, _, _ in _backward_steps(market, profile, T, g, None,
                                         ClampCounters()):
@@ -1096,9 +1085,9 @@ def moment_m(
     tables. A step whose moment table is not finite raises NumericalError
     naming the time index.
     """
-    if m < 1:
-        raise ConfigError(f"moment order must be >= 1, got {m}")
-    if not 0 <= n < policy.T:
+    check_count(m, "moment order m", 1)
+    check_count(n, "time index n", 0)
+    if n >= policy.T:
         raise ConfigError(f"time index {n} outside [0, {policy.T})")
     market, grid = policy.market, policy.grid
     tabs = _ProfileTables(market, policy.profile, policy.T)
@@ -1225,7 +1214,7 @@ def _params_digest(market: MarketParams, profile: RiskProfileParams, T: int,
         "risk_profile": _profile_doc(profile),
         "T": T,
         "grid": _solve_grid(grid, market, profile).to_dict(),
-        "bounds": list(bounds) if bounds is not None else None,
+        "bounds": bounds,
     }
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True, default=_json_number).encode()
@@ -1355,7 +1344,7 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
         "kind": "policy_tables",
         "format": _STORE_FORMAT,
         "T": tables.T,
-        "bounds": list(tables.bounds) if tables.bounds is not None else None,
+        "bounds": tables.bounds,
         "grid": g.to_dict(),
         "market": _market_doc(tables.market),
         "risk_profile": _profile_doc(tables.profile),
@@ -1404,8 +1393,7 @@ def load_policy(indir: str | Path) -> PolicyTables:
         profile = profile_from_dict(manifest["risk_profile"])
         g = Grid.from_dict(manifest["grid"])
         T = manifest["T"]
-        bounds = manifest["bounds"]
-        bounds = tuple(bounds) if bounds is not None else None
+        bounds = check_bounds(manifest["bounds"])
         saved = manifest["solve_clamps"]
         clamps = ClampCounters(
             **{f.name: float(saved[f.name]) for f in fields(ClampCounters)}
@@ -1416,8 +1404,7 @@ def load_policy(indir: str | Path) -> PolicyTables:
         raise ConfigError(
             f"{manifest_path} is malformed: {type(exc).__name__}: {exc}"
         ) from exc
-    if type(T) is not int or T < 1:
-        raise ConfigError(f"{manifest_path}: T must be an integer >= 1, got {T!r}")
+    check_count(T, f"{manifest_path}: T", 1)
     if _params_digest(market, profile, T, g, bounds) != params_sha256:
         raise ConfigError(
             f"{manifest_path}: params_sha256 does not match the stored parameters"

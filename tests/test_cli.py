@@ -17,7 +17,8 @@ from robo_mv.cycle_analytics import CycleStrategy, annualize_sharpe, implied_gam
 from robo_mv.errors import DegenerateVariance
 from robo_mv.market import market_from_dict
 from robo_mv.personalization import phi_star, r_tilde
-from robo_mv.solver import load_policy
+from robo_mv.risk_profile import profile_from_dict
+from robo_mv.solver import GridSpec, load_policy, solve
 
 
 def two_state_config():
@@ -327,6 +328,60 @@ def test_simulate_from_policy_dir(tmp_path):
     assert np.isfinite(summary["total"]["mean"])
 
 
+def test_solve_applies_and_stores_the_config_bounds(tmp_path):
+    doc = single_state_config()
+    doc["horizon"] = 4
+    doc["grid"] = {"xi_count": 5, "quad_points": 4}
+    free, bounded = tmp_path / "free", tmp_path / "bounded"
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(free)]) == 0
+    doc["bounds"] = [0, 1]
+    assert main(["solve", "--config", write_config(tmp_path, doc, "bounded.json"),
+                 "--out", str(bounded)]) == 0
+
+    manifest = json.loads((bounded / "manifest.json").read_text())
+    assert manifest["bounds"] == [0, 1]
+    free_sha = json.loads((free / "manifest.json").read_text())["params_sha256"]
+    assert manifest["params_sha256"] != free_sha
+    want = solve(market_from_dict(doc["market"]), profile_from_dict(doc["risk_profile"]),
+                 4, GridSpec(xi_count=5, quad_points=4), bounds=(0, 1))
+    back = load_policy(bounded)
+    assert back.bounds == (0, 1)
+    assert back.params_sha256 == want.params_sha256 == manifest["params_sha256"]
+    for name in ("pi", "a", "b"):
+        assert np.array_equal(getattr(back, name), getattr(want, name)), name
+    assert back.pi.min() >= 0.0 and back.pi.max() <= 1.0
+    assert load_policy(free).pi.max() > 1.0  # the bounds bind
+    # A policy run may restate the stored pair.
+    sim_cfg = write_config(tmp_path, {"policy_dir": str(bounded),
+                                      "bounds": [0.0, 1.0]}, "sim.json")
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim"),
+                 "--paths", "100", "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("extra", [
+    {"strategy": {"pi_bar": 0.6, "delta": 0.0}},
+    {"bounds": [0, 1]},
+])
+def test_simulate_from_policy_dir_rejects_a_strategy_or_other_bounds(tmp_path, extra,
+                                                                     capsys):
+    doc = single_state_config()
+    doc["horizon"] = 3
+    doc["grid"] = {"xi_count": 5, "quad_points": 4}
+    pol = tmp_path / "pol"
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(pol)]) == 0
+    capsys.readouterr()
+
+    sim_cfg = write_config(tmp_path, {"policy_dir": str(pol), **extra}, "sim.json")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", sim_cfg, "--out", str(out),
+                 "--paths", "100", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_regime_varying_gamma_bar_policy_solves_and_simulates_at_phi_3(tmp_path):
     doc = two_state_config()
     del doc["strategy"]
@@ -406,6 +461,19 @@ _SMALL_FLAGS = {
     ("simulate", "config", "y0", 0.5),
     ("simulate", "config", "x0", "one"),
     ("simulate", "config", "bounds", [0.0, "x"]),
+    ("simulate", "config", "bounds", [float("nan"), 1.0]),
+    ("simulate", "config", "bounds", [0.0]),
+    ("simulate", "config", "bounds", ["0", "1"]),
+    ("simulate", "config", "bounds", [0.0, float("inf")]),
+    ("simulate", "config", "bounds", [1.0, 0.0]),
+    ("simulate", "config", "liquidate", "false"),
+    ("simulate", "config", "liquidate", 0),
+    ("simulate", "flags", "dump_paths", "false"),
+    ("solve", "config", "bounds", [float("nan"), 1.0]),
+    ("solve", "config", "bounds", [0.0]),
+    ("solve", "config", "bounds", ["0", "1"]),
+    ("solve", "config", "bounds", [0.0, float("inf")]),
+    ("solve", "config", "bounds", [1.0, 0.0]),
     ("solve", "config", "horizon", True),
     ("solve", "config", "horizon", float("nan")),
     ("solve", "flags", "quad_points", "x"),

@@ -18,6 +18,7 @@ from robo_mv.market import (
     _pieces,
     _sample_steps,
     check,
+    check_bounds,
     excess_moments,
     load_market,
     market_from_dict,
@@ -87,6 +88,17 @@ def test_validate_rejects_non_finite_values(field, bad):
     assert any("finite" in msg for msg in check(p))
     with pytest.raises(ConfigError, match="finite"):
         validate(p)
+
+
+def test_check_bounds_keeps_the_numbers_as_given():
+    assert check_bounds(None) is None
+    pair = check_bounds([0, 1])
+    assert pair == (0, 1) and all(type(v) is int for v in pair)
+    assert check_bounds((np.float64(-0.5), 3.0)) == (-0.5, 3.0)
+    for bad in ((np.nan, 1.0), (0.0,), ("0", "1"), (0.0, np.inf), (1.0, 0.0),
+                (0.0, True), (0.0, 1.0, 2.0), "01", 1.0):
+        with pytest.raises(ConfigError, match="allocation bounds"):
+            check_bounds(bad, "allocation bounds")
 
 
 def test_check_collects_all_violations():

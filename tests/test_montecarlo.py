@@ -61,6 +61,9 @@ def test_config_validation(two_state_market, small_policy):
         {"bounds": (0.0,)},
         {"bounds": (0.0, 1.0, 2.0)},
         {"bounds": "01"},
+        {"bounds": (0.0, float("inf"))},
+        {"liquidate": "false"},
+        {"liquidate": 1},
         {"strategy": object()},
     ):
         with pytest.raises(ConfigError):
@@ -73,6 +76,15 @@ def test_config_validation(two_state_market, small_policy):
                   profile=profile)
     SimConfig(market=policy.market, strategy=policy, T=8, n_paths=10,
               profile=profile)
+    # A policy keeps the bounds it was solved with: None means those.
+    with pytest.raises(ConfigError, match="solved with"):
+        SimConfig(market=policy.market, strategy=policy, T=8, n_paths=10,
+                  profile=profile, bounds=(0.0, 1.0))
+    bounded = solve(policy.market, profile, 8, GridSpec(xi_count=5), [0, 1])
+    assert bounded.bounds == (0, 1)
+    for bounds in (None, (0.0, 1.0), [0, 1]):
+        SimConfig(market=policy.market, strategy=bounded, T=8, n_paths=10,
+                  profile=profile, bounds=bounds)
 
 
 def test_config_rejects_a_policy_solved_for_another_market_or_profile(
@@ -322,7 +334,7 @@ def test_time_major_recursion_matches_path_major_loop_under_a_policy(
     profile = RiskProfileParams(gamma0=3.0, p_eps=0.3, sigma_eps=0.64, beta=2.0,
                                 phi=2)
     policy = solve(two_state_market, profile, 6,
-                   GridSpec(xi_count=7, zsum_count=5, quad_points=5))
+                   GridSpec(xi_count=7, zsum_count=5, quad_points=5), bounds)
     config = SimConfig(market=two_state_market, strategy=policy, T=6, n_paths=1,
                        profile=profile, y0=1, x0=2.0, bounds=bounds,
                        liquidate=liquidate)

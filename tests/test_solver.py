@@ -30,7 +30,6 @@ from robo_mv.solver import (
     _locate,
     _ProfileTables,
     _Q_CHUNK,
-    _SOLVE_CLAMP_CAP,
     _StepOperators,
     _interp_matrix,
     _require_finite,
@@ -173,10 +172,40 @@ def test_reduced_state_validation():
 
 def test_solve_rejects_bad_horizon_and_bounds(single_state_market):
     prof = RiskProfileParams(gamma0=2.0)
-    with pytest.raises(ConfigError):
-        solve(single_state_market, prof, T=0)
-    with pytest.raises(ConfigError):
-        solve(single_state_market, prof, T=4, bounds=(1.0, 0.0))
+    spec = GridSpec(xi_count=5, quad_points=4)
+    for T in (0, 2.5, 4.0, True):
+        with pytest.raises(ConfigError, match="horizon T"):
+            solve(single_state_market, prof, T, spec)
+        with pytest.raises(ConfigError, match="horizon T"):
+            solve_allocations(single_state_market, prof, T, spec)
+    for bounds in ((1.0, 0.0), (math.nan, 1.0), (0.0,), ("0", "1"),
+                   (0.0, math.inf), [0.0, 1.0, 2.0]):
+        with pytest.raises(ConfigError, match="bounds"):
+            solve(single_state_market, prof, 4, spec, bounds)
+
+
+def test_moment_m_takes_integer_order_and_time(single_state_market):
+    tab = solve(single_state_market, RiskProfileParams(gamma0=2.0), 3,
+                GridSpec(xi_count=5, quad_points=4))
+    state = ReducedState(xi=2.0)
+    for m, n in ((True, 0), (1.0, 0), (0, 0), (1, True), (1, 0.0), (1, -1), (1, 3)):
+        with pytest.raises(ConfigError):
+            moment_m(m, tab, state, n)
+
+
+def test_max_clamp_fraction_is_enforced(single_state_market):
+    # A coarse xi grid that clamps ~2% of the xi quadrature mass: within
+    # the default 0.25, above a fraction of 0.005.
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64)
+    spec = GridSpec(xi_count=5, quad_points=4)
+    assert spec.max_clamp_fraction == 0.25
+    tab = solve(single_state_market, prof, 4, spec)
+    assert 0.005 < tab.solve_clamps.xi_fraction < 0.25
+    strict = replace(spec, max_clamp_fraction=0.005)
+    with pytest.raises(GridExhausted, match="max_clamp_fraction 0.005"):
+        solve(single_state_market, prof, 4, strict)
+    with pytest.raises(GridExhausted, match="max_clamp_fraction 0.005"):
+        solve_allocations(single_state_market, prof, 4, strict)
 
 
 # -- terminal and one-period identities ------------------------------------
@@ -1572,7 +1601,7 @@ def _solve_cases(draw):
 def test_regime_major_solve_matches_regime_last_loop(case, data):
     market, profile, spec, T, bounds = case
     *want, want_clamps = _regime_last_solve(market, profile, T, spec, bounds)
-    if want_clamps.xi_fraction > _SOLVE_CLAMP_CAP:
+    if want_clamps.xi_fraction > spec.max_clamp_fraction:
         with pytest.raises(GridExhausted):
             solve(market, profile, T, spec, bounds)
         return
