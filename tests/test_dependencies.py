@@ -1,5 +1,6 @@
 """The runtime needs numpy alone: the declared dependencies and the imports
-of the package say so together."""
+of the package say so together. The standard-library modules imported when
+the package loads are pinned too, since each one adds to start-up time."""
 
 import ast
 import re
@@ -19,19 +20,40 @@ def _declared_dependencies() -> set[str]:
             for req in project["dependencies"]}
 
 
-def _imported_packages() -> set[str]:
-    """Top-level names of every absolute import in src/robo_mv, in function
-    bodies too, less the standard library and the package itself."""
-    names = set()
-    for path in sorted((ROOT / "src" / "robo_mv").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"robo_mv"}
+def _imports(node, in_functions: bool):
+    """Top-level names of the absolute imports under an AST node, those in
+    function bodies only when in_functions."""
+    for child in ast.iter_child_nodes(node):
+        if not in_functions and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module.split(".")[0]
+        yield from _imports(child, in_functions)
+
+
+def _package_imports(in_functions: bool) -> set[str]:
+    return {name for path in sorted((ROOT / "src" / "robo_mv").glob("*.py"))
+            for name in _imports(ast.parse(path.read_text(encoding="utf-8")),
+                                 in_functions)}
 
 
 def test_runtime_dependencies_are_numpy_alone():
     assert _declared_dependencies() == {"numpy"}
-    assert _imported_packages() == {"numpy"}
+    # Every absolute import, in function bodies too, less the standard
+    # library and the package itself.
+    assert (_package_imports(in_functions=True) - set(sys.stdlib_module_names)
+            - {"robo_mv"}) == {"numpy"}
+
+
+def test_import_time_stdlib_modules_are_pinned():
+    # The standard-library modules imported when the package loads. A new
+    # one lengthens every launch, so adding one means editing this set.
+    stdlib = _package_imports(in_functions=False) & set(sys.stdlib_module_names)
+    assert stdlib == {
+        "__future__", "argparse", "concurrent", "csv", "dataclasses", "hashlib",
+        "io", "itertools", "json", "math", "os", "pathlib", "sys", "typing",
+        "zipfile",
+    }

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 import zipfile
 import warnings
 from dataclasses import asdict, replace
@@ -906,6 +907,20 @@ def test_allocation_at_rejects_non_finite_queries(single_state_market, field, ba
         tab.allocation_at(1, *(query[k][1] for k in ("xi", "prev", "cur")), 0)
 
 
+@pytest.mark.parametrize("n", [True, 1.5, -1, 3])
+def test_time_index_must_be_an_integer_in_range(single_state_market, n):
+    tab = solve(single_state_market, RiskProfileParams(gamma0=3.0, beta=2.0, phi=2),
+                3, GridSpec(xi_count=5, zsum_count=3, quad_points=4))
+    with pytest.raises(ConfigError, match="time index"):
+        tab.allocation_at(n, 3.0, 0.0, 0.0, 0)
+    with pytest.raises(ConfigError, match="time index"):
+        step_moments(n, ReducedState(xi=3.0), tab)
+    assert tab.allocation_at(np.int64(1), 3.0, 0.0, 0.0, 0) == tab.allocation_at(
+        1, 3.0, 0.0, 0.0, 0)
+    assert step_moments(np.int64(1), ReducedState(xi=3.0), tab) == step_moments(
+        1, ReducedState(xi=3.0), tab)
+
+
 # -- persistence ------------------------------------------------------------------
 
 
@@ -1045,6 +1060,56 @@ def test_policy_csv_export_matches_row_by_row_writer(tmp_path, two_state_market)
     text = b"".join(texts)
     assert b"e-05," in text and b"e+" in text and b"\r\n" in text
     assert any(float(f"{v:.12g}") != v for v in pi.ravel().tolist())
+
+
+def test_policy_csv_export_of_repeated_values_matches_row_by_row_writer(
+        tmp_path, two_state_market):
+    # Values drawn from a small pool repeat, so each slice's strings are
+    # formatted once per distinct value and shared. The pool holds -0.0 next
+    # to 0.0, distinct floats that print alike at 12 digits, subnormals and
+    # +-1e+-300, whose V overflows to inf.
+    grid = Grid(np.geomspace(0.5, 8.0, 5), np.linspace(-0.3, 0.3, 3),
+                np.linspace(-0.3, 0.3, 3), quad_points=4, num_states=2)
+    T, shape = 3, grid.shape
+    pool = np.array([0.0, -0.0, 0.1, np.nextafter(0.1, 1.0), 1 / 3,
+                     np.nextafter(1 / 3, 0.0), 5e-324, -2.5e-310, 1e300, -1e300,
+                     1e-300, -1e-300, 1.0, 2.0])
+    assert "%.12g" % pool[2] == "%.12g" % pool[3] and pool[2] != pool[3]
+    rng = np.random.default_rng(11)
+    pi, a, b = (rng.choice(pool, (periods,) + shape) for periods in (T, T + 1, T + 1))
+    pi[0, 0, 0, 0, :] = [-0.0, 0.0]
+    tab = PolicyTables(market=two_state_market,
+                       profile=RiskProfileParams(gamma0=1.0, beta=1.0, phi=2),
+                       T=T, grid=grid, pi=pi, a=a, b=b)
+    for n in range(T):
+        values = np.stack([pi[n], a[n], b[n], tab.V[n]], axis=-1)
+        assert 2 * np.unique(values.view(np.uint64)).size <= values.size
+    save_policy(tab, tmp_path / "new")
+    (tmp_path / "old").mkdir()
+    _old_csv_export(tab, tmp_path / "old")
+    text = b""
+    for n in range(T):
+        name = f"policy_{n:04d}.csv"
+        assert (tmp_path / "new" / name).read_bytes() == (
+            tmp_path / "old" / name).read_bytes()
+        text += (tmp_path / "new" / name).read_bytes()
+    for printed in (b",-0,", b",0,", b"e-324", b"e-310", b"e+300", b"inf"):
+        assert printed in text
+
+
+def test_policy_csv_export_transient_memory(tmp_path, two_state_market):
+    # The benchmark's solve: beta=2, phi=3, T=3 on the default grid. Its
+    # slices repeat most values; formatting every value gave a 11.6 MB peak,
+    # one string per distinct value about 9.3 MB (tracemalloc, numpy 2.4).
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64, beta=2.0, phi=3)
+    tab = solve(two_state_market, prof, 3, GridSpec())
+    tracemalloc.start()
+    try:
+        save_policy(tab, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.5e6
 
 
 def test_policy_store_rejects_every_corrupting_bit_flip(tmp_path, single_state_market):
