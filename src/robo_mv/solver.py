@@ -1291,9 +1291,9 @@ def _csv_template(g: Grid) -> str:
     """One CSV slice as a %-format string: the header, then a row per grid
     node in (xi, prev, cur, regime) order with its coordinates already
     formatted and four %s slots for (pi_star, a, b, V), which save_policy
-    fills with `%.12g` strings: when values repeat, one per distinct float64
-    bit pattern, so -0.0 and 0.0 stay distinct. Lines end in \\r\\n, as
-    csv.writer ends them."""
+    fills with `%.12g` strings, one per distinct float64 bit pattern, so
+    -0.0 and 0.0 stay distinct. Lines end in \\r\\n, as csv.writer ends
+    them."""
     tails = [
         f"{p:.12g},{c:.12g},{y},%s,%s,%s,%s\r\n"
         for p, c, y in itertools.product(g.prev.tolist(), g.cur.tolist(),
@@ -1317,11 +1317,10 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
     (xi, prev, cur, regime) order with columns
     (xi, prev_sum, cur_sum, regime, pi_star, a, b, V), 12 significant digits.
     Its V column is formed one period at a time, with the arithmetic of
-    `PolicyTables.V`. When at most half of a period's values are distinct,
-    each distinct float64 bit pattern is formatted once (`%.12g`) and reused
-    wherever it repeats; distinct bits stay distinct, so -0.0 still prints
-    "-0" beside 0.0's "0". Either way the bytes are those of formatting
-    every value with `%.12g`.
+    `PolicyTables.V`. Each distinct float64 bit pattern of a period is
+    formatted once (`%.12g`) and reused wherever it repeats; distinct bits
+    stay distinct, so -0.0 still prints "-0" beside 0.0's "0" and the bytes
+    are those of formatting every value with `%.12g`.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -1331,28 +1330,18 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
         for name in _TABLE_NAMES
     }
     template = _csv_template(g)
-    in_place = None  # the template with %.12g slots, built when first needed
     tabs = _ProfileTables(tables.market, tables.profile, tables.T)
     for n in range(tables.T):
         a_n, b_n = arrays["a"][n], arrays["b"][n]
         values = np.stack([arrays["pi"][n], a_n, b_n,
                            _value_slice(a_n, b_n, tabs, g.xi, n)], axis=-1).ravel()
-        # The distinct bit patterns, from a sort: np.unique's inverse costs
-        # several sorts, and formatting in place needs none.
-        bits = np.sort(values.view(np.uint64))
-        bits = bits[np.r_[True, bits[1:] != bits[:-1]]]
-        if 2 * bits.size > values.size:
-            # Sharing mostly distinct strings costs more than formatting the
-            # values in place (all but the last periods of a long horizon).
-            in_place = in_place or template.replace("%s", "%.12g")
-            text = in_place % tuple(values.tolist())
-        else:
-            strings = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()],
-                               dtype=object)
-            text = template % tuple(
-                strings[np.searchsorted(bits, values.view(np.uint64))].tolist())
-        (outdir / f"policy_{n:04d}.csv").write_text(text, encoding="utf-8", newline="")
-        del text  # not alive while the next slice is formatted
+        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        strings = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()],
+                           dtype=object)
+        (outdir / f"policy_{n:04d}.csv").write_text(
+            template % tuple(strings[inverse].tolist()),
+            encoding="utf-8", newline="",
+        )
     # np.savez stamps each member with the current time; a fixed ZipInfo
     # date keeps identical solves byte-identical.
     with zipfile.ZipFile(outdir / _POLICY_STORE, "w") as zf:
