@@ -128,8 +128,7 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
         regimes = rows["regimes"][:T]
         policy = config.strategy
         fracs = _window_allocations(policy.pi, policy.grid, policy.profile,
-                                    rows["xi"], rows["window_csum"], regimes,
-                                    config.profile.phi)
+                                    rows["xi"], rows["window_csum"], regimes)
         if policy.bounds is not None:
             fracs = (constrain(f, *policy.bounds) for f in fracs)
         X = np.full(m, float(config.x0))

@@ -17,15 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from robo_mv.errors import ConfigError, InsufficientSamples, ZeroAllocation
-from robo_mv.market import MarketParams, check_number, check_regime
-from robo_mv.risk_profile import (
-    RiskProfileParams,
-    _client_steps,
-    _cumsum_rows,
-    _time_sums,
-    sample_eps,
-    window_log_bias,
-)
+from robo_mv.market import MarketParams, check_count, check_number, check_regime
+from robo_mv.risk_profile import RiskProfileParams, _client_steps, _time_sums
 from robo_mv.solver import (
     GridSpec,
     PolicyTables,
@@ -38,13 +31,28 @@ from robo_mv.solver import (
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
 
+def _check_inputs(phi=None, integer: bool = False, **rates):
+    """The one input rule of the closed forms and the Monte Carlo measures:
+    phi, unless None, is a finite number >= 1 (an integer when `integer`),
+    and each named rate a finite number >= 0 (`check_number`, then the
+    sign); anything else raises ConfigError. Returns phi as checked."""
+    for name, value in rates.items():
+        if check_number(value, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value!r}")
+    if phi is None:
+        return None
+    checked = check_number(phi, "phi", integer)
+    if checked < 1:
+        raise ConfigError(f"phi must be >= 1, got {phi!r}")
+    return checked
+
+
 @dataclass(frozen=True)
 class PersonalizationInputs:
     """Inputs of the closed-form analysis.
 
     sigma0 is the per-step return SD in the starting regime (annual vol
-    divided by sqrt(steps per year)); phi_values is a sweep grid that the
-    package never reads: the CLI sweeps its --phi-range instead.
+    divided by sqrt(steps per year)).
     """
 
     beta: float
@@ -52,25 +60,17 @@ class PersonalizationInputs:
     sigma_eps: float
     sigma0: float
     T: int
-    phi_values: tuple[int, ...] = (1, 2, 3, 4, 6, 9, 12)
 
     def __post_init__(self):
-        for name in ("beta", "p_eps", "sigma_eps", "sigma0"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _check_inputs(beta=self.beta, p_eps=self.p_eps, sigma_eps=self.sigma_eps,
+                      sigma0=self.sigma0)
         if self.p_eps > 1:
             raise ConfigError(f"p_eps must lie in [0, 1], got {self.p_eps}")
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
-        vals = tuple(int(p) for p in self.phi_values)
-        if any(p < 1 for p in vals) or vals != tuple(self.phi_values):
-            raise ConfigError(f"phi_values must be integers >= 1, got {self.phi_values}")
-        object.__setattr__(self, "phi_values", vals)
+        check_count(self.T, "T", 1)
 
     def flanking_multiples(self, phi: int) -> tuple[int, int]:
         """Largest multiple of phi <= T and smallest multiple >= T."""
-        if phi < 1:
-            raise ConfigError(f"phi must be >= 1, got {phi}")
+        phi = _check_inputs(phi, integer=True)
         return phi * (self.T // phi), phi * math.ceil(self.T / phi)
 
 
@@ -83,8 +83,7 @@ def r_tilde(phi: float, beta: float, sigma0: float, p_eps: float, sigma_eps: flo
     The first term is the behavioral bias accrued over the return window; the
     second is the drift of idiosyncratic shocks since the last interaction.
     """
-    if phi < 1:
-        raise ConfigError(f"phi must be >= 1, got {phi}")
+    _check_inputs(phi, beta=beta, sigma0=sigma0, p_eps=p_eps, sigma_eps=sigma_eps)
     c = beta * sigma0
     half_tail = 0.5 * (phi - 1.0) * p_eps
     return _ROOT_2_PI * (
@@ -95,8 +94,7 @@ def r_tilde(phi: float, beta: float, sigma0: float, p_eps: float, sigma_eps: flo
 
 def r_tilde_dphi(phi: float, beta: float, sigma0: float, p_eps: float, sigma_eps: float) -> float:
     """Analytic derivative of r_tilde with respect to phi."""
-    if phi < 1:
-        raise ConfigError(f"phi must be >= 1, got {phi}")
+    _check_inputs(phi, beta=beta, sigma0=sigma0, p_eps=p_eps, sigma_eps=sigma_eps)
     c = beta * sigma0
     v = math.sqrt(c * c / phi + sigma_eps * sigma_eps)
     terms = (
@@ -119,6 +117,7 @@ def interact_every_step_suboptimal(
     idiosyncratic drift rate must stay below the (slightly inflated)
     behavioral-bias rate.
     """
+    _check_inputs(beta=beta, sigma0=sigma0, p_eps=p_eps, sigma_eps=sigma_eps)
     if beta * sigma0 == 0.0:
         raise ZeroDivisionError("the condition compares against beta*sigma0 > 0")
     return r_tilde_dphi(1.0, beta, sigma0, p_eps, sigma_eps) < 0.0
@@ -173,10 +172,7 @@ def phi_star(
     keeps its coefficients in floating-point range. A root a rounding error
     outside [1, phi_max] is read as the nearer end.
     """
-    for name, val in (("beta", beta), ("sigma0", sigma0), ("p_eps", p_eps),
-                      ("sigma_eps", sigma_eps)):
-        if check_number(val, name) < 0:
-            raise ConfigError(f"{name} must be >= 0, got {val}")
+    _check_inputs(beta=beta, sigma0=sigma0, p_eps=p_eps, sigma_eps=sigma_eps)
     if check_number(phi_max, "phi_max") < 1:
         raise ConfigError(f"phi_max must be >= 1, got {phi_max}")
     if beta * sigma0 == 0.0:
@@ -210,11 +206,12 @@ def r_tilde_sandwich(
     phi: int, beta: float, sigma0: float, p_eps: float, sigma_eps: float, T: int
 ) -> tuple[float, float]:
     """Bracketing values (T_phi/T * r_tilde, T^phi/T * r_tilde) for the Monte
-    Carlo R, where T_phi and T^phi are the multiples of phi flanking T."""
+    Carlo R, where T_phi and T^phi are the multiples of phi flanking T; phi
+    must be an integer."""
     inputs = PersonalizationInputs(
         beta=beta, p_eps=p_eps, sigma_eps=sigma_eps, sigma0=sigma0, T=T
     )
-    t_lo, t_hi = inputs.flanking_multiples(int(phi))
+    t_lo, t_hi = inputs.flanking_multiples(phi)
     rt = r_tilde(phi, beta, sigma0, p_eps, sigma_eps)
     return t_lo / T * rt, t_hi / T * rt
 
@@ -222,23 +219,17 @@ def r_tilde_sandwich(
 # -- Monte Carlo measures -----------------------------------------------------
 
 
-def _reduced_gamma_ratio(
-    profile: RiskProfileParams, sigma0: float, T: int, n_paths: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Time-major rows (T, n_paths) of the ratio gamma^C_n / gamma_n in the
-    frozen-regime reduction, where everything except the idiosyncratic
-    martingale and the window bias cancels:
-    ratio = gamma^id_n / (gamma^id_tau * gamma^Z_tau)."""
-    phi, beta = profile.phi, profile.beta
-    demeaned = rng.normal(0.0, sigma0, size=(n_paths, T))
-    eps = sample_eps(profile, rng, size=(n_paths, T))
-    log_id = _cumsum_rows(eps.T)
-
-    log_gz = window_log_bias(demeaned.T, beta, phi)
-    times = np.arange(T)
-    tau_of_n = phi * (times // phi)
-    return np.exp(log_id[times] - log_id[tau_of_n] - log_gz[times // phi])
+def _advisor_profile(
+    phi, beta, market: MarketParams, profile: RiskProfileParams, n_paths, y0,
+) -> RiskProfileParams:
+    """The advisor's profile of R and S: `profile` with phi and beta in
+    place of its own. phi, beta, the start regime y0 and n_paths are all
+    checked first, so a bad value fails before any sampling or solve."""
+    check_regime(market, y0, "y0")
+    if n_paths < 100:
+        raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
+    phi = _check_inputs(phi, integer=True, beta=beta)
+    return replace(profile, phi=phi, beta=float(beta))
 
 
 def r_measure(
@@ -250,37 +241,27 @@ def r_measure(
     n_paths: int,
     seed,
     y0: int = 0,
-    reduced: bool = False,
 ) -> tuple[float, float]:
     """Monte Carlo estimate (value, standard error) of the personalization
-    measure R: the time-averaged relative gap |gamma^C_n/gamma_n - 1|.
+    measure R: the time-averaged relative gap |gamma^C_n/gamma_n - 1| along
+    the full regime-switching dynamics from the start regime y0.
 
-    phi and beta override the profile's values; the profile supplies the
-    idiosyncratic-shock and trend parameters. With reduced=True the regime is
-    frozen at y0 (the single-regime form the closed-form approximation is
-    built on) and no market paths are simulated; the default simulates the
-    full regime-switching dynamics.
+    phi (an integer >= 1) and beta (>= 0) override the profile's values;
+    the profile supplies the idiosyncratic-shock and trend parameters. The
+    frozen-regime measure that r_tilde approximates is this measure on a
+    one-regime market whose per-step return SD is sigma0.
     """
-    check_regime(market, y0, "y0")
-    if n_paths < 100:
-        raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
-    prof = replace(profile, phi=int(phi), beta=float(beta))
+    prof = _advisor_profile(phi, beta, market, profile, n_paths, y0)
     rng = np.random.default_rng(seed)
-    # Per-path time averages of |ratio - 1| over time-major ratio rows. The
-    # two branches sum in different orders (in time order, and pairwise like
-    # a contiguous path-major row) so that each estimate keeps its bits for
-    # a given seed.
-    if reduced:
-        ratio = _reduced_gamma_ratio(prof, float(market.sigma_step[y0]), T, n_paths, rng)
-        ratio -= 1.0
-        per_path = np.abs(ratio, out=ratio).mean(axis=0)
-    else:
-        rows = _client_steps(market, prof, T, n_paths, rng, y0,
-                             ("gamma_client", "gamma_robo"))
-        ratio = rows["gamma_client"][:T]
-        ratio /= rows["gamma_robo"][:T]
-        ratio -= 1.0
-        per_path = _time_sums(np.abs(ratio, out=ratio)) / T
+    rows = _client_steps(market, prof, T, n_paths, rng, y0,
+                         ("gamma_client", "gamma_robo"))
+    ratio = rows["gamma_client"][:T]
+    ratio /= rows["gamma_robo"][:T]
+    ratio -= 1.0
+    # Per-path time averages of |ratio - 1|, summed pairwise like a
+    # contiguous path-major row so that the estimate keeps its bits for a
+    # given seed.
+    per_path = _time_sums(np.abs(ratio, out=ratio)) / T
     est = float(per_path.mean())
     se = float(per_path.std(ddof=1) / math.sqrt(n_paths))
     return est, se
@@ -337,9 +318,7 @@ def s_measure(
     allocation is below 1e-10 in magnitude are excluded from the average and
     counted in excluded_steps; if nothing remains the estimate is undefined.
     """
-    check_regime(market, y0, "y0")
-    if n_paths < 100:
-        raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
+    robo_prof = _advisor_profile(phi, beta, market, profile, n_paths, y0)
     if full_policy is not None and full_policy.params_sha256 != _params_digest(
         market, _full_information(profile), T, grid, None
     ):
@@ -347,7 +326,6 @@ def s_measure(
             "full_policy is not the full_information_policy of this market, "
             f"profile, grid and horizon T = {T}"
         )
-    robo_prof = replace(profile, phi=int(phi), beta=float(beta))
     robo_grid, robo_pi = solve_allocations(market, robo_prof, T, grid)
     policy_full = (full_policy if full_policy is not None
                    else full_information_policy(market, profile, T, grid))
@@ -357,10 +335,12 @@ def s_measure(
                          ("regimes", "gamma_client", "xi", "window_csum"))
     regimes = rows["regimes"][:T]
     robo = _window_allocations(robo_pi, robo_grid, robo_prof, rows["xi"],
-                               rows["window_csum"], regimes, robo_prof.phi)
-    # The full-information client reports gamma^C every step, unbiased.
+                               rows["window_csum"], regimes)
+    # The full-information client reports gamma^C every step, unbiased. Its
+    # beta = 0 grid has one node on each window axis, where every window sum
+    # reads the same, so it shares the advisor's rows of window sums.
     full = _window_allocations(policy_full.pi, policy_full.grid, policy_full.profile,
-                               rows["gamma_client"], None, regimes, 1)
+                               rows["gamma_client"], rows["window_csum"], regimes)
     path_sum = np.zeros(n_paths)
     path_cnt = np.zeros(n_paths, dtype=int)
     for pi_robo, pi_full in zip(robo, full):

@@ -328,7 +328,7 @@ def _corner_sum(table: np.ndarray, xp, corners, ic, fc, y) -> np.ndarray:
 
 
 def _window_allocations(pi: np.ndarray, grid: Grid, profile: RiskProfileParams,
-                        xi, window_csum, regimes, phi: int):
+                        xi, window_csum, regimes):
     """Yield the allocation that ``allocation_at`` reads from the table `pi`
     (regime last, solved on `grid` for `profile`) at time n, state
     ``(xi[n] / gamma_bar_tau(regimes[tau]), prev_n, cur_n, regimes[n])``,
@@ -336,11 +336,11 @@ def _window_allocations(pi: np.ndarray, grid: Grid, profile: RiskProfileParams,
     tau the window's first time and xi the communicated risk aversion of the
     client simulator.
 
-    The window sums (prev_n, cur_n) come from the rows of a
-    `window_csum` as `risk_profile.window_sums` forms them, or are zero
-    when it is None. xi must be constant over each interaction window
-    [k*phi, (k+1)*phi), as the client simulator's is: xi and prev are then
-    checked and located once per window, and only cur moves the stencil.
+    The window sums (prev_n, cur_n) come from the rows of `window_csum` as
+    `risk_profile.window_sums` forms them for the profile's phi. xi must be
+    constant over each interaction window [k*phi, (k+1)*phi), as the client
+    simulator's is: xi and prev are then checked and located once per
+    window, and only cur moves the stencil.
     """
     T = len(pi)
     if len(regimes) > T:
@@ -348,22 +348,19 @@ def _window_allocations(pi: np.ndarray, grid: Grid, profile: RiskProfileParams,
     table_shape = pi.shape[1:]
     _checked_regimes(regimes, table_shape[-1])
     gbar = profile.gamma_bar_table(T, table_shape[-1])
-    zeros = np.zeros(np.shape(regimes)[1:]) if window_csum is None else None
+    phi = profile.phi
     for n, y in enumerate(regimes):
         if n % phi == 0:
             tau = n
             x = np.asarray(xi[n], dtype=float) / gbar[tau, y]
             if np.any(x <= 0):
                 raise ConfigError("xi queries must be strictly positive")
-            if zeros is not None:
-                prev = zeros
-            elif tau >= phi:
+            if tau >= phi:
                 prev = window_csum[tau] - window_csum[tau - phi]
             else:
                 prev = np.zeros(len(y))
             xp, corners, _, _ = _xp_stencil(grid, table_shape, np.log(x), prev)
-        cur = zeros if zeros is not None else window_csum[n] - window_csum[tau]
-        ic, fc, _ = _locate(grid.cur, cur)
+        ic, fc, _ = _locate(grid.cur, window_csum[n] - window_csum[tau])
         yield _corner_sum(pi[n], xp, corners, ic, fc, y)
 
 

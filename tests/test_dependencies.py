@@ -1,6 +1,7 @@
 """The runtime needs numpy alone: the declared dependencies and the imports
 of the package say so together. The standard-library modules imported when
-the package loads are pinned too, since each one adds to start-up time."""
+the package loads are pinned too, since each one adds to start-up time, and
+the public names are exactly what the package's `__init__` imports."""
 
 import ast
 import re
@@ -57,3 +58,18 @@ def test_import_time_stdlib_modules_are_pinned():
         "io", "itertools", "json", "math", "os", "pathlib", "sys", "typing",
         "zipfile",
     }
+
+
+def test_public_names_are_the_package_imports():
+    # __all__ is what __init__.py imports, plus __version__, so a name taken
+    # out of a module cannot linger in the public API or be left out of it.
+    import robo_mv
+
+    init = ROOT / "src" / "robo_mv" / "__init__.py"
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(set(robo_mv.__all__)) == len(robo_mv.__all__)
+    assert set(robo_mv.__all__) == imported | {"__version__"}
+    for name in robo_mv.__all__:
+        getattr(robo_mv, name)

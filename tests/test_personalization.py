@@ -25,7 +25,6 @@ from robo_mv.personalization import (
 )
 from robo_mv.risk_profile import (
     RiskProfileParams,
-    sample_eps,
     simulate_clients,
     window_sums,
 )
@@ -79,8 +78,11 @@ def sandwich_band(phi, beta, sigma0, p_eps, sigma_eps, T):
         {"sigma_eps": -1.0},
         {"sigma0": -0.1},
         {"T": 0},
-        {"phi_values": (0, 1)},
-        {"phi_values": (1.5,)},
+        {"beta": math.nan},
+        {"T": 10.5},
+        {"sigma0": math.inf},
+        {"p_eps": "0.05"},
+        {"T": True},
     ],
 )
 def test_inputs_validation(kwargs):
@@ -99,8 +101,9 @@ def test_flanking_multiples():
     assert inp.flanking_multiples(7) == (35, 42)
     assert inp.flanking_multiples(36) == (36, 36)
     assert inp.flanking_multiples(50) == (0, 50)
-    with pytest.raises(ConfigError):
-        inp.flanking_multiples(0)
+    for phi in (0, 2.5, True):
+        with pytest.raises(ConfigError):
+            inp.flanking_multiples(phi)
 
 
 # -- closed-form approximation ---------------------------------------------------
@@ -123,6 +126,36 @@ def test_r_tilde_rejects_phi_below_one():
         r_tilde(0.5, 2.0, SIGMA0, SHOCK_P, SHOCK_SD)
     with pytest.raises(ConfigError):
         r_tilde_dphi(0.0, 2.0, SIGMA0, SHOCK_P, SHOCK_SD)
+
+
+CLOSED_FORM_ARGS = {"phi": 3, "beta": 2.0, "sigma0": SIGMA0, "p_eps": SHOCK_P,
+                    "sigma_eps": SHOCK_SD}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("name", list(CLOSED_FORM_ARGS))
+def test_closed_forms_reject_non_finite_and_negative_inputs(name, bad):
+    args = dict(CLOSED_FORM_ARGS, **{name: bad})
+    rates = [args[k] for k in ("beta", "sigma0", "p_eps", "sigma_eps")]
+    calls = [
+        lambda: r_tilde(*args.values()),
+        lambda: r_tilde_dphi(*args.values()),
+        lambda: r_tilde_sandwich(*args.values(), HORIZON),
+    ]
+    if name != "phi":
+        calls += [lambda: interact_every_step_suboptimal(*rates), lambda: phi_star(*rates)]
+    for call in calls:
+        with pytest.raises(ConfigError, match=name):
+            call()
+
+
+def test_sandwich_takes_an_integer_phi():
+    # The flanking multiples exist for an integer spacing only.
+    for phi in (2.5, True):
+        with pytest.raises(ConfigError, match="phi"):
+            r_tilde_sandwich(phi, 2.0, SIGMA0, SHOCK_P, SHOCK_SD, HORIZON)
+    assert r_tilde_sandwich(6.0, 2.0, SIGMA0, SHOCK_P, SHOCK_SD, HORIZON) == \
+        r_tilde_sandwich(6, 2.0, SIGMA0, SHOCK_P, SHOCK_SD, HORIZON)
 
 
 def test_r_tilde_continuous_and_unbounded():
@@ -352,10 +385,8 @@ def test_sandwich_flanking_scales():
 
 def test_r_measure_zero_without_shocks_or_bias(single_state_market):
     quiet = RiskProfileParams(gamma0=1.0, p_eps=0.0)
-    for reduced in (False, True):
-        est, se = r_measure(3, 0.0, single_state_market, quiet, HORIZON, 500,
-                            seed=5, reduced=reduced)
-        assert est == 0.0 and se == 0.0
+    est, se = r_measure(3, 0.0, single_state_market, quiet, HORIZON, 500, seed=5)
+    assert est == 0.0 and se == 0.0
 
 
 def test_r_measure_zero_when_unbiased_and_always_interacting(single_state_market):
@@ -387,66 +418,72 @@ def test_r_measure_matches_identity_recomputation(two_state_market):
     assert est == pytest.approx(float(np.abs(ratio - 1.0).mean()), abs=1e-12)
 
 
-def test_r_measure_reduced_matches_full_on_one_regime(single_state_market):
-    prof = shocky_profile()
-    full, se_f = r_measure(3, 2.0, single_state_market, prof, HORIZON, 20_000,
-                           seed=801)
-    red, se_r = r_measure(3, 2.0, single_state_market, prof, HORIZON, 20_000,
-                          seed=802, reduced=True)
-    assert abs(full - red) < 4.0 * (se_f + se_r)
-
-
 @pytest.mark.parametrize("beta,phi", [(0.0, 3), (2.0, 1), (2.0, 3), (4.0, 12)])
 def test_r_measure_tracks_closed_form_band(single_state_market, beta, phi):
+    # The frozen-regime measure that r_tilde approximates is R on a
+    # one-regime market, whose per-step SD is SIGMA0.
+    assert single_state_market.sigma_step[0] == pytest.approx(SIGMA0, rel=1e-15)
     prof = shocky_profile()
     est, se = r_measure(phi, beta, single_state_market, prof, HORIZON, 20_000,
-                        seed=12345, reduced=True)
+                        seed=12345)
     lo, hi = r_tilde_sandwich(phi, beta, SIGMA0, SHOCK_P, SHOCK_SD, HORIZON)
     err = sandwich_band(phi, beta, SIGMA0, SHOCK_P, SHOCK_SD, HORIZON)
     rt = r_tilde(phi, beta, SIGMA0, SHOCK_P, SHOCK_SD)
     assert lo - err - 4.0 * se <= est <= hi + 0.02 * rt + 4.0 * se
 
 
-def _path_major_r_measure(phi, beta, market, profile, T, n_paths, seed, y0=0,
-                          reduced=False):
+def _path_major_r_measure(phi, beta, market, profile, T, n_paths, seed, y0=0):
     """R as first written, on path-major arrays: the bit-exact reference."""
     prof = replace(profile, phi=int(phi), beta=float(beta))
-    rng = np.random.default_rng(seed)
-    if reduced:
-        demeaned = rng.normal(0.0, float(market.sigma_step[y0]), size=(n_paths, T))
-        eps = sample_eps(prof, rng, size=(n_paths, T))
-        log_id = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(eps, axis=1)], axis=1)
-        log_gz = np.zeros((n_paths, T // phi + 1))
-        for k in range(1, T // phi + 1):
-            log_gz[:, k] = -beta * demeaned[:, k * phi - phi:k * phi].sum(axis=1) / phi
-        times = np.arange(T)
-        tau_of_n = phi * (times // phi)
-        ratio = np.exp(log_id[:, times] - log_id[:, tau_of_n] - log_gz[:, times // phi])
-    else:
-        batch = simulate_clients(market, prof, T, n_paths, rng, y0=y0)
-        ratio = batch["gamma_client"][:, :T] / batch["gamma_robo"][:, :T]
+    batch = simulate_clients(market, prof, T, n_paths, np.random.default_rng(seed), y0=y0)
+    ratio = batch["gamma_client"][:, :T] / batch["gamma_robo"][:, :T]
     per_path = np.abs(ratio - 1.0).mean(axis=1)
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n_paths))
 
 
-@pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("phi", [1, 2, 4, 6, 8, 9, 12, 13])
-def test_r_measure_equals_path_major_formula(two_state_market, phi, reduced):
+def test_r_measure_equals_path_major_formula(two_state_market, phi):
     # Floats, not a printed digest: %.12g would hide a last-bit change.
     prof = shocky_profile(alpha=0.05, gamma_bar=np.array([1.0, 1.3]))
-    got = r_measure(phi, 2.0, two_state_market, prof, 30, 3000, seed=phi, y0=1,
-                    reduced=reduced)
+    got = r_measure(phi, 2.0, two_state_market, prof, 30, 3000, seed=phi, y0=1)
     want = _path_major_r_measure(phi, 2.0, two_state_market, prof, 30, 3000,
-                                 seed=phi, y0=1, reduced=reduced)
+                                 seed=phi, y0=1)
     assert got == want
+
+
+@pytest.mark.parametrize("phi, beta", [
+    (2.5, 2.0), (True, 2.0), (0, 2.0), (math.nan, 2.0), ("3", 2.0),
+    (3, True), (3, -1.0), (3, math.nan), (3, math.inf),
+])
+def test_measures_reject_bad_phi_and_beta_before_sampling(two_state_market, monkeypatch,
+                                                          phi, beta):
+    import robo_mv.personalization as personalization
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled or solved before checking phi and beta")
+
+    for name in ("_client_steps", "solve", "solve_allocations"):
+        monkeypatch.setattr(personalization, name, no_work)
+    prof = shocky_profile()
+    with pytest.raises(ConfigError):
+        r_measure(phi, beta, two_state_market, prof, 12, 200, seed=1)
+    with pytest.raises(ConfigError):
+        s_measure(phi, beta, two_state_market, prof, 12, GridSpec(), 200, seed=1)
+
+
+def test_measures_take_integral_phi_and_beta_of_any_number_type(two_state_market):
+    prof, grid = shocky_profile(), GridSpec(xi_count=7, zsum_count=5, quad_points=5)
+    r = r_measure(3, 2.0, two_state_market, prof, 12, 200, seed=1)
+    s = s_measure(3, 2.0, two_state_market, prof, 12, grid, 200, seed=1)
+    for phi, beta in ((3.0, 2), (np.int64(3), np.float64(2.0))):
+        assert r_measure(phi, beta, two_state_market, prof, 12, 200, seed=1) == r
+        assert s_measure(phi, beta, two_state_market, prof, 12, grid, 200, seed=1) == s
 
 
 @pytest.mark.parametrize("y0", [-1, 2, 1.0])
 def test_r_measure_rejects_unknown_start_regime(two_state_market, y0):
-    for reduced in (False, True):
-        with pytest.raises(ConfigError, match="y0"):
-            r_measure(3, 2.0, two_state_market, shocky_profile(), 12, 200, seed=1,
-                      y0=y0, reduced=reduced)
+    with pytest.raises(ConfigError, match="y0"):
+        r_measure(3, 2.0, two_state_market, shocky_profile(), 12, 200, seed=1, y0=y0)
 
 
 # -- Monte Carlo measure of the allocation gap ------------------------------------

@@ -815,23 +815,17 @@ def test_window_allocations_match_per_step_lookups(two_state_market, phi, gamma_
                 GridSpec(xi_count=7, zsum_count=5, quad_points=5))
     batch = simulate_clients(two_state_market, prof, T, 400,
                              np.random.default_rng(phi), y0=1)
-    xi, csum, gc, regimes = (np.ascontiguousarray(batch[k].T) for k in
-                             ("xi", "window_csum", "gamma_client", "regimes"))
-    policy = (tab.pi, tab.grid, tab.profile)
-    got = list(_window_allocations(*policy, xi, csum, regimes[:T], phi))
-    # With no window sums every step is its own window, as for the
-    # full-information client of the S measure.
-    got_zero = list(_window_allocations(*policy, gc, None, regimes[:T], 1))
-    assert len(got) == len(got_zero) == T
-    zeros = np.zeros(400)
+    xi, csum, regimes = (np.ascontiguousarray(batch[k].T) for k in
+                         ("xi", "window_csum", "regimes"))
+    got = list(_window_allocations(tab.pi, tab.grid, tab.profile, xi, csum,
+                                   regimes[:T]))
+    assert len(got) == T
     gbar = prof.gamma_bar_table(T, 2)
     for n in range(T):
         prev, cur = window_sums(batch["window_csum"], phi, n)
         y, y_tau = batch["regimes"][:, n], batch["regimes"][:, phi * (n // phi)]
         xi_tilde = batch["xi"][:, n] / gbar[phi * (n // phi), y_tau]
         assert np.array_equal(got[n], tab.allocation_at(n, xi_tilde, prev, cur, y))
-        assert np.array_equal(got_zero[n], tab.allocation_at(
-            n, batch["gamma_client"][:, n] / gbar[n, y], zeros, zeros, y))
 
 
 def test_window_allocations_keep_the_lookup_checks(two_state_market):
@@ -840,19 +834,19 @@ def test_window_allocations_keep_the_lookup_checks(two_state_market):
     xi, csum = np.full((5, 6), 3.0), np.zeros((5, 6))
     regimes = np.zeros((4, 6), dtype=np.int64)
     policy = (tab.pi, tab.grid, tab.profile)
-    assert len(list(_window_allocations(*policy, xi, csum, regimes, 2))) == 4
+    assert len(list(_window_allocations(*policy, xi, csum, regimes))) == 4
     with pytest.raises(ConfigError, match="outside"):
-        list(_window_allocations(*policy, xi, csum, np.zeros((5, 6), dtype=np.int64), 2))
+        list(_window_allocations(*policy, xi, csum, np.zeros((5, 6), dtype=np.int64)))
     for bad in (-1, 2):
         wrong = regimes.copy()
         wrong[3, 5] = bad
         with pytest.raises(ConfigError, match="regime"):
-            list(_window_allocations(*policy, xi, csum, wrong, 2))
+            list(_window_allocations(*policy, xi, csum, wrong))
     for value in (0.0, -1.0):
         nonpositive = xi.copy()
         nonpositive[2, 1] = value
         with pytest.raises(ConfigError, match="positive"):
-            list(_window_allocations(*policy, nonpositive, csum, regimes, 2))
+            list(_window_allocations(*policy, nonpositive, csum, regimes))
 
 
 # -- advisor-gamma bookkeeping ---------------------------------------------------
