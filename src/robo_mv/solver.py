@@ -360,7 +360,8 @@ def _window_allocations(pi: np.ndarray, grid: Grid, profile: RiskProfileParams,
             else:
                 prev = np.zeros(len(y))
             xp, corners, _, _ = _xp_stencil(grid, table_shape, np.log(x), prev)
-        ic, fc, _ = _locate(grid.cur, window_csum[n] - window_csum[tau])
+        cur = window_csum[n] - window_csum[tau]
+        ic, fc, _ = _locate(grid.cur, cur)
         yield _corner_sum(pi[n], xp, corners, ic, fc, y)
 
 
