@@ -220,12 +220,14 @@ def r_tilde_sandwich(
 
 
 def _advisor_profile(
-    phi, beta, market: MarketParams, profile: RiskProfileParams, n_paths, y0,
+    phi, beta, market: MarketParams, profile: RiskProfileParams, T, n_paths, y0,
 ) -> RiskProfileParams:
     """The advisor's profile of R and S: `profile` with phi and beta in
-    place of its own. phi, beta, the start regime y0 and n_paths are all
-    checked first, so a bad value fails before any sampling or solve."""
+    place of its own. phi, beta, the horizon T, the start regime y0 and
+    n_paths are all checked first, so a bad value fails before any sampling
+    or solve."""
     check_regime(market, y0, "y0")
+    check_count(T, "T", 1)
     if n_paths < 100:
         raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
     phi = _check_inputs(phi, integer=True, beta=beta)
@@ -251,7 +253,7 @@ def r_measure(
     frozen-regime measure that r_tilde approximates is this measure on a
     one-regime market whose per-step return SD is sigma0.
     """
-    prof = _advisor_profile(phi, beta, market, profile, n_paths, y0)
+    prof = _advisor_profile(phi, beta, market, profile, T, n_paths, y0)
     rng = np.random.default_rng(seed)
     rows = _client_steps(market, prof, T, n_paths, rng, y0,
                          ("gamma_client", "gamma_robo"))
@@ -318,7 +320,7 @@ def s_measure(
     allocation is below 1e-10 in magnitude are excluded from the average and
     counted in excluded_steps; if nothing remains the estimate is undefined.
     """
-    robo_prof = _advisor_profile(phi, beta, market, profile, n_paths, y0)
+    robo_prof = _advisor_profile(phi, beta, market, profile, T, n_paths, y0)
     if full_policy is not None and full_policy.params_sha256 != _params_digest(
         market, _full_information(profile), T, grid, None
     ):

@@ -149,15 +149,6 @@ def test_closed_forms_reject_non_finite_and_negative_inputs(name, bad):
             call()
 
 
-def test_sandwich_takes_an_integer_phi():
-    # The flanking multiples exist for an integer spacing only.
-    for phi in (2.5, True):
-        with pytest.raises(ConfigError, match="phi"):
-            r_tilde_sandwich(phi, 2.0, SIGMA0, SHOCK_P, SHOCK_SD, HORIZON)
-    assert r_tilde_sandwich(6.0, 2.0, SIGMA0, SHOCK_P, SHOCK_SD, HORIZON) == \
-        r_tilde_sandwich(6, 2.0, SIGMA0, SHOCK_P, SHOCK_SD, HORIZON)
-
-
 def test_r_tilde_continuous_and_unbounded():
     args = (2.0, SIGMA0, SHOCK_P, SHOCK_SD)
     for phi in (1.0, 2.5, 7.0, 30.0):
@@ -378,6 +369,11 @@ def test_sandwich_flanking_scales():
     lo, hi = r_tilde_sandwich(5, 2.0, SIGMA0, SHOCK_P, SHOCK_SD, 36)
     assert lo == pytest.approx(35 / 36 * rt, rel=1e-15)
     assert hi == pytest.approx(40 / 36 * rt, rel=1e-15)
+    # The flanking multiples exist for an integer spacing only.
+    assert r_tilde_sandwich(5.0, 2.0, SIGMA0, SHOCK_P, SHOCK_SD, 36) == (lo, hi)
+    for phi in (2.5, True):
+        with pytest.raises(ConfigError, match="phi"):
+            r_tilde_sandwich(phi, 2.0, SIGMA0, SHOCK_P, SHOCK_SD, 36)
 
 
 # -- Monte Carlo measure of the risk-model gap ------------------------------------
@@ -451,24 +447,25 @@ def test_r_measure_equals_path_major_formula(two_state_market, phi):
     assert got == want
 
 
-@pytest.mark.parametrize("phi, beta", [
-    (2.5, 2.0), (True, 2.0), (0, 2.0), (math.nan, 2.0), ("3", 2.0),
-    (3, True), (3, -1.0), (3, math.nan), (3, math.inf),
+@pytest.mark.parametrize("phi, beta, T", [
+    (2.5, 2.0, 12), (True, 2.0, 12), (0, 2.0, 12), (math.nan, 2.0, 12), ("3", 2.0, 12),
+    (3, True, 12), (3, -1.0, 12), (3, math.nan, 12), (3, math.inf, 12),
+    (3, 2.0, 0), (3, 2.0, 2.5), (3, 2.0, True),
 ])
-def test_measures_reject_bad_phi_and_beta_before_sampling(two_state_market, monkeypatch,
-                                                          phi, beta):
+def test_measures_reject_bad_phi_beta_and_horizon_before_sampling(
+        two_state_market, monkeypatch, phi, beta, T):
     import robo_mv.personalization as personalization
 
     def no_work(*args, **kwargs):
-        raise AssertionError("sampled or solved before checking phi and beta")
+        raise AssertionError("sampled or solved before checking phi, beta and T")
 
     for name in ("_client_steps", "solve", "solve_allocations"):
         monkeypatch.setattr(personalization, name, no_work)
     prof = shocky_profile()
     with pytest.raises(ConfigError):
-        r_measure(phi, beta, two_state_market, prof, 12, 200, seed=1)
+        r_measure(phi, beta, two_state_market, prof, T, 200, seed=1)
     with pytest.raises(ConfigError):
-        s_measure(phi, beta, two_state_market, prof, 12, GridSpec(), 200, seed=1)
+        s_measure(phi, beta, two_state_market, prof, T, GridSpec(), 200, seed=1)
 
 
 def test_measures_take_integral_phi_and_beta_of_any_number_type(two_state_market):
