@@ -35,10 +35,13 @@ def _check_inputs(phi=None, integer: bool = False, **rates):
     """The one input rule of the closed forms and the Monte Carlo measures:
     phi, unless None, is a finite number >= 1 (an integer when `integer`),
     and each named rate a finite number >= 0 (`check_number`, then the
-    sign); anything else raises ConfigError. Returns phi as checked."""
+    sign), p_eps, a probability, also <= 1; anything else raises
+    ConfigError. Returns phi as checked."""
     for name, value in rates.items():
         if check_number(value, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got {value!r}")
+        if name == "p_eps" and value > 1:
+            raise ConfigError(f"p_eps must lie in [0, 1], got {value!r}")
     if phi is None:
         return None
     checked = check_number(phi, "phi", integer)
@@ -64,8 +67,6 @@ class PersonalizationInputs:
     def __post_init__(self):
         _check_inputs(beta=self.beta, p_eps=self.p_eps, sigma_eps=self.sigma_eps,
                       sigma0=self.sigma0)
-        if self.p_eps > 1:
-            raise ConfigError(f"p_eps must lie in [0, 1], got {self.p_eps}")
         check_count(self.T, "T", 1)
 
     def flanking_multiples(self, phi: int) -> tuple[int, int]:
@@ -228,6 +229,7 @@ def _advisor_profile(
     or solve."""
     check_regime(market, y0, "y0")
     check_count(T, "T", 1)
+    check_count(n_paths, "n_paths", 1)
     if n_paths < 100:
         raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
     phi = _check_inputs(phi, integer=True, beta=beta)

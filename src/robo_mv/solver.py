@@ -1285,22 +1285,25 @@ def _tables_digest(params_sha256: str, tables: dict, clamps: ClampCounters) -> s
     return h.hexdigest()
 
 
-def _csv_template(g: Grid) -> str:
-    """One CSV slice as a %-format string: the header, then a row per grid
-    node in (xi, prev, cur, regime) order with its coordinates already
-    formatted and four %s slots for (pi_star, a, b, V), which save_policy
-    fills with `%.12g` strings, one per distinct float64 bit pattern, so
-    -0.0 and 0.0 stay distinct. Lines end in \\r\\n, as csv.writer ends
-    them."""
-    tails = [
-        f"{p:.12g},{c:.12g},{y},%s,%s,%s,%s\r\n"
-        for p, c, y in itertools.product(g.prev.tolist(), g.cur.tolist(),
-                                         range(g.num_states))
-    ]
-    # One join per xi node: "x," before each of the node's row endings.
-    return "xi,prev_sum,cur_sum,regime,pi_star,a,b,V\r\n" + "".join(
-        f"{x:.12g},".join(["", *tails]) for x in g.xi.tolist()
-    )
+def _write_csv_slice(path: Path, xis: list, block: list, values: np.ndarray) -> None:
+    """Write one CSV slice: `values` holds (pi_star, a, b, V) per grid node in
+    (xi, prev, cur, regime) order, `xis` the formatted xi nodes, and `block`
+    ten strings per row of one xi node with the row heads and separators in
+    place; the xi and value slots are refilled for each node. The slice's
+    strings are freed on return, before the next slice's are formed; only
+    the block keeps its last node's."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    strings = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()],
+                       dtype=object)
+    rows = len(block) // 10
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("xi,prev_sum,cur_sum,regime,pi_star,a,b,V\r\n")
+        for x, cells in zip(xis, inverse.reshape(len(xis), -1)):
+            node = strings[cells].tolist()
+            block[0::10] = [x] * rows
+            for k in range(4):
+                block[2 + 2 * k::10] = node[k::4]
+            f.write("".join(block))
 
 
 def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
@@ -1318,7 +1321,13 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
     `PolicyTables.V`. Each distinct float64 bit pattern of a period is
     formatted once (`%.12g`) and reused wherever it repeats; distinct bits
     stay distinct, so -0.0 still prints "-0" beside 0.0's "0" and the bytes
-    are those of formatting every value with `%.12g`.
+    are those of formatting every value with `%.12g`. The xi strings and the
+    (prev, cur, regime) row heads are formatted once per save, and a slice
+    is written one xi node at a time: one reused block of ten strings per
+    row (xi, row head, then the four values and their separators) is filled
+    and joined, so no string of a whole slice is ever built, and only one
+    slice's value strings are alive at a time. Lines end in \\r\\n, as
+    csv.writer ends them.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -1327,19 +1336,19 @@ def save_policy(tables: PolicyTables, outdir: str | Path) -> Path:
         name: np.ascontiguousarray(getattr(tables, name), dtype=np.float64)
         for name in _TABLE_NAMES
     }
-    template = _csv_template(g)
+    xis = [f"{x:.12g}" for x in g.xi.tolist()]
+    heads = [f",{p:.12g},{c:.12g},{y},"
+             for p, c, y in itertools.product(g.prev.tolist(), g.cur.tolist(),
+                                              range(g.num_states))]
+    block = [","] * (10 * len(heads))
+    block[1::10] = heads
+    block[9::10] = ["\r\n"] * len(heads)
     tabs = _ProfileTables(tables.market, tables.profile, tables.T)
     for n in range(tables.T):
         a_n, b_n = arrays["a"][n], arrays["b"][n]
         values = np.stack([arrays["pi"][n], a_n, b_n,
                            _value_slice(a_n, b_n, tabs, g.xi, n)], axis=-1).ravel()
-        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-        strings = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()],
-                           dtype=object)
-        (outdir / f"policy_{n:04d}.csv").write_text(
-            template % tuple(strings[inverse].tolist()),
-            encoding="utf-8", newline="",
-        )
+        _write_csv_slice(outdir / f"policy_{n:04d}.csv", xis, block, values)
     # np.savez stamps each member with the current time; a fixed ZipInfo
     # date keeps identical solves byte-identical.
     with zipfile.ZipFile(outdir / _POLICY_STORE, "w") as zf:

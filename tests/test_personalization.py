@@ -149,6 +149,33 @@ def test_closed_forms_reject_non_finite_and_negative_inputs(name, bad):
             call()
 
 
+@pytest.mark.parametrize("p_eps", [1.5, np.nextafter(1.0, 2.0)])
+def test_closed_forms_reject_shock_probability_above_one(p_eps):
+    # p_eps is a probability, as RiskProfileParams and PersonalizationInputs
+    # say; r_tilde at 1.5 returned 0.744 and phi_star phi=1.
+    args = dict(CLOSED_FORM_ARGS, p_eps=p_eps)
+    rates = [args[k] for k in ("beta", "sigma0", "p_eps", "sigma_eps")]
+    for call in (
+        lambda: r_tilde(*args.values()),
+        lambda: r_tilde_dphi(*args.values()),
+        lambda: r_tilde_sandwich(*args.values(), HORIZON),
+        lambda: interact_every_step_suboptimal(*rates),
+        lambda: phi_star(*rates),
+    ):
+        with pytest.raises(ConfigError, match=r"p_eps must lie in \[0, 1\]"):
+            call()
+
+
+def test_closed_forms_take_shock_probability_one():
+    args = dict(CLOSED_FORM_ARGS, p_eps=1.0)
+    rates = [args[k] for k in ("beta", "sigma0", "p_eps", "sigma_eps")]
+    assert math.isfinite(r_tilde(*args.values()))
+    assert math.isfinite(r_tilde_dphi(*args.values()))
+    assert phi_star(*rates).phi >= 1.0
+    assert interact_every_step_suboptimal(*rates) in (True, False)
+    PersonalizationInputs(beta=2.0, p_eps=1.0, sigma_eps=0.64, sigma0=SIGMA0, T=36)
+
+
 def test_r_tilde_continuous_and_unbounded():
     args = (2.0, SIGMA0, SHOCK_P, SHOCK_SD)
     for phi in (1.0, 2.5, 7.0, 30.0):
@@ -466,6 +493,37 @@ def test_measures_reject_bad_phi_beta_and_horizon_before_sampling(
         r_measure(phi, beta, two_state_market, prof, T, 200, seed=1)
     with pytest.raises(ConfigError):
         s_measure(phi, beta, two_state_market, prof, T, GridSpec(), 200, seed=1)
+
+
+@pytest.mark.parametrize("n_paths", [True, 150.5, math.nan, "200", 0, -5])
+def test_measures_reject_non_count_paths_before_sampling(
+        two_state_market, monkeypatch, n_paths):
+    # A non-count is a plain ConfigError naming n_paths, not the
+    # InsufficientSamples of a count below 100.
+    import robo_mv.personalization as personalization
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled or solved before checking n_paths")
+
+    for name in ("_client_steps", "solve", "solve_allocations"):
+        monkeypatch.setattr(personalization, name, no_work)
+    prof = shocky_profile()
+    for call in (
+        lambda: r_measure(3, 2.0, two_state_market, prof, 12, n_paths, seed=1),
+        lambda: s_measure(3, 2.0, two_state_market, prof, 12, GridSpec(), n_paths,
+                          seed=1),
+    ):
+        with pytest.raises(ConfigError, match="n_paths") as info:
+            call()
+        assert not isinstance(info.value, InsufficientSamples)
+
+
+def test_measures_take_numpy_path_counts(two_state_market):
+    prof, grid = shocky_profile(), GridSpec(xi_count=7, zsum_count=5, quad_points=5)
+    assert (r_measure(3, 2.0, two_state_market, prof, 12, np.int64(200), seed=1)
+            == r_measure(3, 2.0, two_state_market, prof, 12, 200, seed=1))
+    assert (s_measure(3, 2.0, two_state_market, prof, 12, grid, np.int64(200), seed=1)
+            == s_measure(3, 2.0, two_state_market, prof, 12, grid, 200, seed=1))
 
 
 def test_measures_take_integral_phi_and_beta_of_any_number_type(two_state_market):

@@ -1106,6 +1106,51 @@ def test_policy_csv_export_transient_memory(tmp_path, two_state_market):
     assert peak < 11.2e6
 
 
+@pytest.mark.parametrize("market, beta, phi, block", [
+    ("two_state_market", 0.0, 3, (1, 1, 2)),
+    ("two_state_market", 2.0, 1, (3, 1, 2)),
+    ("single_state_market", 2.0, 3, (3, 3, 1)),
+    ("single_state_market", 0.0, 1, (1, 1, 1)),
+], ids=["beta0", "phi1", "one-regime", "one-row"])
+def test_policy_csv_export_block_shapes_match_row_by_row_writer(
+        tmp_path, request, market, beta, phi, block):
+    # save_policy writes each slice one xi node at a time, a block of
+    # Np*Nc*M rows: beta=0 collapses both window axes, phi=1 the cur axis,
+    # a one-regime market the regime axis, and all three leave one row.
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64, beta=beta, phi=phi)
+    tab = solve(request.getfixturevalue(market), prof, 3,
+                GridSpec(xi_count=5, zsum_count=3, quad_points=4))
+    assert tab.grid.shape == (5, *block)
+    save_policy(tab, tmp_path / "new")
+    (tmp_path / "old").mkdir()
+    _old_csv_export(tab, tmp_path / "old")
+    for n in range(3):
+        name = f"policy_{n:04d}.csv"
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "old" / name).read_bytes()
+        assert new.count(b"\r\n") == 1 + 5 * math.prod(block)
+
+
+def test_policy_csv_export_transient_memory_of_distinct_slices(tmp_path,
+                                                               two_state_market):
+    # The benchmark's profile at T=6: slices 0 and 1 are 99.7% and 96.6%
+    # distinct, so nearly every value of them is formatted. One slice's
+    # strings at a time, written in per-xi-node blocks, gave an 18.5 MB peak;
+    # a %-template of the whole slice, with the previous slice's strings
+    # still alive, 29.5 MB (tracemalloc, numpy 2.4).
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64, beta=2.0, phi=3)
+    tab = solve(two_state_market, prof, 6, GridSpec())
+    values = np.stack([tab.pi[0], tab.a[0], tab.b[0], tab.V[0]], axis=-1)
+    assert np.unique(values.view(np.uint64)).size >= 0.95 * values.size
+    tracemalloc.start()
+    try:
+        save_policy(tab, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_policy_store_rejects_every_corrupting_bit_flip(tmp_path, single_state_market):
     # A flip in zip metadata the tables do not depend on may load; any other
     # flip must raise ConfigError, never load different tables or crash.
