@@ -228,19 +228,18 @@ def cmd_simulate(args) -> int:
         if "strategy" in cfg:
             raise ConfigError("strategy and policy_dir are mutually exclusive")
         tables = load_policy(cfg["policy_dir"])
-        market, strategy, profile = tables.market, tables, tables.profile
+        market, strategy = tables.market, tables
         T = check_number(cfg.get("horizon", tables.T), "horizon", integer=True)
     else:
         market = market_from_dict(_need(cfg, "market", "simulate"))
         strat_doc = dict(_need(cfg, "strategy", "simulate"))
         _check_keys(strat_doc, {"pi_bar", "delta"}, "strategy")
         strategy = CycleStrategy(**strat_doc)
-        profile = None
         T = check_number(_need(cfg, "horizon", "simulate"), "horizon", integer=True)
 
     sim = SimConfig(
         market=market, strategy=strategy, T=T, n_paths=n_paths, seed=seed,
-        profile=profile, y0=check_number(cfg.get("y0", 0), "y0", integer=True),
+        y0=check_number(cfg.get("y0", 0), "y0", integer=True),
         x0=check_number(cfg.get("x0", 1.0), "x0"),
         bounds=cfg.get("bounds"), liquidate=cfg.get("liquidate", False),
     )

@@ -24,6 +24,7 @@ from robo_mv.errors import (
 )
 from robo_mv.market import (
     MarketParams,
+    check_count,
     check_number,
     stationary_distribution,
     validate,
@@ -72,6 +73,8 @@ class SharpeInputs:
     u: float
 
     def __post_init__(self):
+        for name in ("lam", "a", "b", "u"):
+            check_number(getattr(self, name), name)
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must lie in [0, 1], got {self.lam}")
         for name in ("a", "b", "u"):
@@ -226,8 +229,7 @@ def implied_gamma(pi_bar: float, delta: float, market: MarketParams, T: int) -> 
     """
     validate(market)
     strategy = CycleStrategy(pi_bar, delta)
-    if T < 1:
-        raise ConfigError(f"horizon T must be >= 1, got {T}")
+    check_count(T, "horizon T", 1)
     M = market.num_states
     alloc = strategy.allocations(M)
     a, b = state_only_ab(market, np.tile(alloc, (T, 1)))
@@ -258,6 +260,5 @@ def implied_gamma(pi_bar: float, delta: float, market: MarketParams, T: int) -> 
 
 def annualize_sharpe(s_step: float, steps_per_year: int) -> float:
     """Scale a per-step Sharpe ratio to an annual one."""
-    if steps_per_year < 1:
-        raise ConfigError(f"steps_per_year must be >= 1, got {steps_per_year}")
+    check_count(steps_per_year, "steps_per_year", 1)
     return s_step * math.sqrt(steps_per_year)

@@ -1,8 +1,8 @@
 """Forward simulation of wealth paths and terminal-distribution statistics.
 
 A strategy is either a fixed state-keyed allocation cycle (CycleStrategy) or
-a solved policy (PolicyTables together with the client profile that drives
-its risk-aversion inputs). Either way the wealth recursion is
+a solved policy (PolicyTables, whose own client profile drives its
+risk-aversion inputs). Either way the wealth recursion is
 
     X_{n+1} = R_step(y_n) X_n + (z_{n+1} - r_step(y_n)) * dollars_n,
 
@@ -46,7 +46,7 @@ from robo_mv.market import (
     check_number,
     check_regime,
 )
-from robo_mv.risk_profile import RiskProfileParams, _client_steps
+from robo_mv.risk_profile import _client_steps
 from robo_mv.solver import (
     PolicyTables,
     _params_digest,
@@ -62,12 +62,12 @@ _CHUNK = 1 << 15
 class SimConfig:
     """One simulation experiment: market, strategy, horizon, and bookkeeping.
 
-    profile is required when the strategy is a solved policy (it drives the
-    client's communicated risk aversion along each path) and ignored for
-    fixed cycles. A solved policy must have been solved for this market and
-    profile (its `params_sha256` is checked), and keeps the bounds it was
-    solved with: bounds, which clamp a fixed cycle's fractions, must then be
-    None or equal. liquidate zeroes the risky position of ruined paths.
+    A solved policy brings the client profile it was solved for, which
+    drives the client's communicated risk aversion along each path. It must
+    have been solved for this market (its `params_sha256` is checked), and
+    keeps the bounds it was solved with: bounds, which clamp a fixed cycle's
+    fractions, must then be None or equal. liquidate zeroes the risky
+    position of ruined paths.
     """
 
     market: MarketParams
@@ -75,7 +75,6 @@ class SimConfig:
     T: int
     n_paths: int
     seed: object = None
-    profile: RiskProfileParams | None = None
     y0: int = 0
     x0: float = 1.0
     bounds: tuple[float, float] | None = None
@@ -91,18 +90,14 @@ class SimConfig:
         if not isinstance(self.liquidate, bool):
             raise ConfigError(f"liquidate must be a bool, got {self.liquidate!r}")
         if isinstance(self.strategy, PolicyTables):
-            if self.profile is None:
-                raise ConfigError("a solved-policy strategy needs a client profile")
             if self.T > self.strategy.T:
                 raise ConfigError(
                     f"horizon {self.T} exceeds the policy's {self.strategy.T}"
                 )
             s = self.strategy
-            if _params_digest(self.market, self.profile, s.T, s.grid,
+            if _params_digest(self.market, s.profile, s.T, s.grid,
                               s.bounds) != s.params_sha256:
-                raise ConfigError(
-                    "the policy was solved for another market or client profile"
-                )
+                raise ConfigError("the policy was solved for another market")
             if self.bounds not in (None, s.bounds):
                 raise ConfigError(f"bounds {self.bounds} differ from the bounds "
                                   f"{s.bounds} the policy was solved with")
@@ -123,10 +118,10 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
         for paths, steps, z in _return_blocks(market, regimes, rng):
             _advance(X[paths], regimes[steps, paths], z, config, alloc)
     else:
-        rows = _client_steps(market, config.profile, T, m, rng, config.y0,
+        policy = config.strategy
+        rows = _client_steps(market, policy.profile, T, m, rng, config.y0,
                              ("regimes", "returns", "xi", "window_csum"))
         regimes = rows["regimes"][:T]
-        policy = config.strategy
         fracs = _window_allocations(policy.pi, policy.grid, policy.profile,
                                     rows["xi"], rows["window_csum"], regimes)
         if policy.bounds is not None:
@@ -229,8 +224,8 @@ def stats(returns) -> StatsSummary:
 def annualized(returns, T: int, steps_per_year: int) -> tuple[np.ndarray, int]:
     """Per-path annualized rates (1+r)^(k/T) - 1 and the count of excluded
     paths (total return at or below -100%, where the power is undefined)."""
-    if T < 1 or steps_per_year < 1:
-        raise ConfigError(f"need T >= 1 and steps_per_year >= 1, got {T}, {steps_per_year}")
+    check_count(T, "T", 1)
+    check_count(steps_per_year, "steps_per_year", 1)
     x = np.asarray(returns, dtype=float)
     ok = x > -1.0
     rates = (1.0 + x[ok]) ** (steps_per_year / T) - 1.0

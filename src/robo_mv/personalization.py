@@ -50,31 +50,6 @@ def _check_inputs(phi=None, integer: bool = False, **rates):
     return checked
 
 
-@dataclass(frozen=True)
-class PersonalizationInputs:
-    """Inputs of the closed-form analysis.
-
-    sigma0 is the per-step return SD in the starting regime (annual vol
-    divided by sqrt(steps per year)).
-    """
-
-    beta: float
-    p_eps: float
-    sigma_eps: float
-    sigma0: float
-    T: int
-
-    def __post_init__(self):
-        _check_inputs(beta=self.beta, p_eps=self.p_eps, sigma_eps=self.sigma_eps,
-                      sigma0=self.sigma0)
-        check_count(self.T, "T", 1)
-
-    def flanking_multiples(self, phi: int) -> tuple[int, int]:
-        """Largest multiple of phi <= T and smallest multiple >= T."""
-        phi = _check_inputs(phi, integer=True)
-        return phi * (self.T // phi), phi * math.ceil(self.T / phi)
-
-
 def r_tilde(phi: float, beta: float, sigma0: float, p_eps: float, sigma_eps: float) -> float:
     """Closed-form approximation of the personalization measure R.
 
@@ -207,14 +182,14 @@ def r_tilde_sandwich(
     phi: int, beta: float, sigma0: float, p_eps: float, sigma_eps: float, T: int
 ) -> tuple[float, float]:
     """Bracketing values (T_phi/T * r_tilde, T^phi/T * r_tilde) for the Monte
-    Carlo R, where T_phi and T^phi are the multiples of phi flanking T; phi
-    must be an integer."""
-    inputs = PersonalizationInputs(
-        beta=beta, p_eps=p_eps, sigma_eps=sigma_eps, sigma0=sigma0, T=T
-    )
-    t_lo, t_hi = inputs.flanking_multiples(phi)
+    Carlo R, where T_phi and T^phi are the largest multiple of phi <= T and
+    the smallest >= T; T and phi must be integers >= 1. sigma0 is the
+    per-step return SD in the starting regime (annual vol divided by
+    sqrt(steps per year))."""
+    check_count(T, "T", 1)
+    phi = _check_inputs(phi, integer=True)
     rt = r_tilde(phi, beta, sigma0, p_eps, sigma_eps)
-    return t_lo / T * rt, t_hi / T * rt
+    return phi * (T // phi) / T * rt, phi * math.ceil(T / phi) / T * rt
 
 
 # -- Monte Carlo measures -----------------------------------------------------

@@ -34,9 +34,10 @@ class RiskProfileParams:
         beta: behavioral-bias coefficient (>= 0).
         phi: interaction period in steps (integer >= 1; schedule 0, phi, 2phi...).
         gamma_bar: business-cycle factor. A scalar, a length-M vector
-            (state profile, constant in time), or a (T+1, M) table.
-        eta: optional explicit age-trend table of length T+1, overriding the
-            -alpha*(T-n) default.
+            (state profile, constant in time), or a table of at least
+            (T+1, M), of which the first T+1 rows are used.
+        eta: optional explicit age-trend table of at least T+1 entries,
+            replacing the -alpha*(T-n) default (alpha is then unused).
     """
 
     gamma0: float

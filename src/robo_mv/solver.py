@@ -844,24 +844,17 @@ def allocation_independent(
     return mt / (gamma_n * s2) * (mu_a - R * gamma_n * (mu_b - mu_a * mu_a)) / denom
 
 
-def step_moments(
-    n: int,
-    state: ReducedState,
-    tables: PolicyTables,
-    market: MarketParams | None = None,
-    profile: RiskProfileParams | None = None,
-):
+def step_moments(n: int, state: ReducedState, tables: PolicyTables):
     """Conditional moments (mu_a, mu_az, mu_b, mu_bz, mu_bz2) at one state.
 
     Expectations of a_{n+1} and b_{n+1} (weighted by powers of the excess
     return Ztilde) over the step into n+1, conditional on the time-n reduced
-    state. The jump-shock sum at an interaction step is integrated directly
-    at the query point (exact binomial mixture x quadrature), so this routine
-    is an independent, slower counterpart of the vectorized slice engine.
+    state, under the market and client profile the tables were solved for.
+    The jump-shock sum at an interaction step is integrated directly at the
+    query point (exact binomial mixture x quadrature), so this routine is an
+    independent, slower counterpart of the vectorized slice engine.
     """
-    market = market if market is not None else tables.market
-    profile = profile if profile is not None else tables.profile
-    grid = tables.grid
+    market, profile, grid = tables.market, tables.profile, tables.grid
     tabs = _ProfileTables(market, profile, tables.T)
     check_count(n, "time index", 0)
     if n >= tables.T:
@@ -913,18 +906,10 @@ def step_moments(
     return tuple(acc)
 
 
-def update_ab(
-    n: int,
-    state: ReducedState,
-    pi_star: float,
-    tables: PolicyTables,
-    market: MarketParams | None = None,
-    profile: RiskProfileParams | None = None,
-):
+def update_ab(n: int, state: ReducedState, pi_star: float, tables: PolicyTables):
     """One-state moment recursion: a_n = E[(R+Ztilde pi) a_{n+1}], same for b."""
-    market = market if market is not None else tables.market
-    mu_a, mu_az, mu_b, mu_bz, mu_bz2 = step_moments(n, state, tables, market, profile)
-    R = float(market.R_step[state.regime])
+    mu_a, mu_az, mu_b, mu_bz, mu_bz2 = step_moments(n, state, tables)
+    R = float(tables.market.R_step[state.regime])
     a_n = R * mu_a + pi_star * mu_az
     b_n = R * R * mu_b + 2.0 * R * pi_star * mu_bz + pi_star**2 * mu_bz2
     return a_n, b_n

@@ -25,11 +25,11 @@ from robo_mv.cycle_analytics import (
 from robo_mv.market import stationary_distribution
 from robo_mv.montecarlo import SimConfig, annualized, long_run_sharpe, simulate, stats
 from robo_mv.personalization import (
-    PersonalizationInputs,
     phi_star,
     r_measure,
     r_tilde,
     r_tilde_dphi,
+    r_tilde_sandwich,
     s_measure,
 )
 from robo_mv.risk_profile import RiskProfileParams
@@ -174,7 +174,7 @@ def test_value_tables_and_policy_resimulation(single_state_market):
     b0 = float(tables.b[0, ix, ip, ic, 0])
 
     cfg = SimConfig(market=m, strategy=tables, T=24, n_paths=200_000,
-                    seed=4242, profile=profile)
+                    seed=4242)
     gross = 1.0 + simulate(cfg, threads=4)
     for sample, want in ((gross, a0), (gross**2, b0)):
         se = sample.std(ddof=1) / math.sqrt(sample.size)
@@ -259,17 +259,15 @@ def test_interaction_tradeoff_closed_forms_and_monte_carlo(single_state_market):
     # the sampled measure sits inside the envelope at full sample size
     profile = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64)
     T = 36
-    inputs = PersonalizationInputs(beta=0.0, p_eps=0.05, sigma_eps=0.64,
-                                   sigma0=SIGMA0, T=T)
     for beta in (0.0, 2.0, 4.0):
         for phi in (1, 2, 3, 4, 6, 9, 12):
-            lo_mult, hi_mult = inputs.flanking_multiples(phi)
+            lo, hi = r_tilde_sandwich(phi, beta, SIGMA0, 0.05, 0.64, T)
             rt = r_tilde(phi, beta, SIGMA0, 0.05, 0.64)
             est, se = r_measure(phi, beta, single_state_market, profile, T,
                                 50_000, seed=4242 + phi)
             slack = sandwich_allowance(phi, beta, 0.05, 0.64, T)
-            lower = lo_mult / T * rt - slack - 4.0 * se
-            upper = hi_mult / T * rt + 0.02 * rt + 4.0 * se
+            lower = lo - slack - 4.0 * se
+            upper = hi + 0.02 * rt + 4.0 * se
             assert lower <= est <= upper, (beta, phi, est, lower, upper)
 
 

@@ -115,6 +115,10 @@ def test_cycle_strategy_rejects_bad_fields(pi_bar, delta):
         {"b": 0.0},
         {"u": 0.0},
         {"u": -1.0},
+        {"a": math.inf},
+        {"u": math.inf},
+        {"lam": True},
+        {"a": "2"},
     ],
 )
 def test_sharpe_inputs_validation(kw):
@@ -540,6 +544,9 @@ def test_implied_gamma_rejects_bad_args(two_state_market):
         implied_gamma(-0.6, 0.0, two_state_market, T=12)
     with pytest.raises(ConfigError):
         implied_gamma(0.6, -1.0, two_state_market, T=12)
+    for T in (True, 2.5, math.nan):
+        with pytest.raises(ConfigError, match="horizon T"):
+            implied_gamma(0.6, 0.0, two_state_market, T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -551,5 +558,6 @@ def test_annualize_sharpe():
     assert annualize_sharpe(0.1, 12) == pytest.approx(0.1 * math.sqrt(12), rel=1e-15)
     assert annualize_sharpe(0.42, 1) == 0.42
     assert annualize_sharpe(0.0, 12) == 0.0
-    with pytest.raises(ConfigError):
-        annualize_sharpe(0.1, 0)
+    for steps_per_year in (0, True, 12.5, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            annualize_sharpe(0.1, steps_per_year)

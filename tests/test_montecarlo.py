@@ -68,48 +68,36 @@ def test_config_validation(two_state_market, small_policy):
     ):
         with pytest.raises(ConfigError):
             SimConfig(**{**good, **bad})
-    # A solved policy needs its client profile and enough solved horizon.
+    # A solved policy needs enough solved horizon.
     with pytest.raises(ConfigError):
-        SimConfig(market=policy.market, strategy=policy, T=8, n_paths=10)
-    with pytest.raises(ConfigError):
-        SimConfig(market=policy.market, strategy=policy, T=9, n_paths=10,
-                  profile=profile)
-    SimConfig(market=policy.market, strategy=policy, T=8, n_paths=10,
-              profile=profile)
+        SimConfig(market=policy.market, strategy=policy, T=9, n_paths=10)
+    SimConfig(market=policy.market, strategy=policy, T=8, n_paths=10)
     # A policy keeps the bounds it was solved with: None means those.
     with pytest.raises(ConfigError, match="solved with"):
         SimConfig(market=policy.market, strategy=policy, T=8, n_paths=10,
-                  profile=profile, bounds=(0.0, 1.0))
+                  bounds=(0.0, 1.0))
     bounded = solve(policy.market, profile, 8, GridSpec(xi_count=5), [0, 1])
     assert bounded.bounds == (0, 1)
     for bounds in (None, (0.0, 1.0), [0, 1]):
         SimConfig(market=policy.market, strategy=bounded, T=8, n_paths=10,
-                  profile=profile, bounds=bounds)
+                  bounds=bounds)
 
 
-def test_config_rejects_a_policy_solved_for_another_market_or_profile(
+def test_config_rejects_a_policy_solved_for_another_market(
         single_state_market, small_policy):
     profile, policy = small_policy
     other_market = MarketParams(
         num_states=1, transition=np.array([[1.0]]), risk_free=np.array([0.01]),
         mean_return=np.array([0.10]), vol_return=np.array([0.20]))
-    for market, prof in (
-        (policy.market, RiskProfileParams(gamma0=30.0, p_eps=0.0, phi=1)),
-        (policy.market, RiskProfileParams(gamma0=3.0, p_eps=0.0, beta=2.0)),
-        (other_market, profile),
-    ):
-        with pytest.raises(ConfigError, match="solved for another"):
-            SimConfig(market=market, strategy=policy, T=8, n_paths=10,
-                      profile=prof)
-    # Equal parameters in fresh objects are the same market and profile.
+    with pytest.raises(ConfigError, match="solved for another market"):
+        SimConfig(market=other_market, strategy=policy, T=8, n_paths=10)
+    # Equal parameters in a fresh object are the same market.
     cfg = SimConfig(market=MarketParams(**vars(single_state_market)),
-                    strategy=policy, T=8, n_paths=10,
-                    profile=RiskProfileParams(gamma0=3.0, p_eps=0.0), seed=1)
+                    strategy=policy, T=8, n_paths=10, seed=1)
     assert simulate(cfg).shape == (10,)
     # A numpy-integer horizon digests as the int it equals.
     policy = solve(single_state_market, profile, np.int64(8), GridSpec(xi_count=5))
-    SimConfig(market=single_state_market, strategy=policy, T=8, n_paths=10,
-              profile=profile)
+    SimConfig(market=single_state_market, strategy=policy, T=8, n_paths=10)
 
 
 def _cfg(market, **kw):
@@ -222,7 +210,7 @@ def test_policy_returns_match_deterministic_fraction_product(
     profile, policy = small_policy
     T, n = 8, 400
     cfg = SimConfig(market=single_state_market, strategy=policy, T=T,
-                    n_paths=n, seed=13, profile=profile)
+                    n_paths=n, seed=13)
     got = simulate(cfg)
 
     xi0 = np.array([3.0])
@@ -257,9 +245,9 @@ def _path_major_chunk_returns(config, m, rng):
 
     else:
         policy = config.strategy
-        batch = simulate_clients(market, config.profile, T, m, rng, y0=config.y0)
+        batch = simulate_clients(market, policy.profile, T, m, rng, y0=config.y0)
         regimes, returns = batch["regimes"], batch["returns"]
-        phi = config.profile.phi
+        phi = policy.profile.phi
 
         def frac_at(n, y):
             prev, cur = window_sums(batch["window_csum"], phi, n)
@@ -336,7 +324,7 @@ def test_time_major_recursion_matches_path_major_loop_under_a_policy(
     policy = solve(two_state_market, profile, 6,
                    GridSpec(xi_count=7, zsum_count=5, quad_points=5), bounds)
     config = SimConfig(market=two_state_market, strategy=policy, T=6, n_paths=1,
-                       profile=profile, y0=1, x0=2.0, bounds=bounds,
+                       y0=1, x0=2.0, bounds=bounds,
                        liquidate=liquidate)
     # Draw pieces of 16 paths: the client core's sampler crosses 32 of them.
     _assert_matches_path_major_loop(config, 500, 29, _BLOCK=97)
@@ -460,10 +448,12 @@ def test_annualized_excludes_ruined_paths():
 
 
 def test_annualized_validation():
-    with pytest.raises(ConfigError):
-        annualized([0.1], 0, 12)
-    with pytest.raises(ConfigError):
-        annualized([0.1], 24, 0)
+    for T in (0, True, 2.5, math.nan):
+        with pytest.raises(ConfigError, match="T"):
+            annualized([0.1], T, 12)
+    for steps_per_year in (0, 12.5, math.nan):
+        with pytest.raises(ConfigError, match="steps_per_year"):
+            annualized([0.1], 24, steps_per_year)
 
 
 # -- long-run Sharpe ratio ---------------------------------------------------------

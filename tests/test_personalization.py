@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 
 from robo_mv.errors import ConfigError, InsufficientSamples
 from robo_mv.personalization import (
-    PersonalizationInputs,
     PhiStar,
     full_information_policy,
     interact_every_step_suboptimal,
@@ -86,24 +85,23 @@ def sandwich_band(phi, beta, sigma0, p_eps, sigma_eps, T):
     ],
 )
 def test_inputs_validation(kwargs):
-    base = {"beta": 2.0, "p_eps": 0.05, "sigma_eps": 0.64, "sigma0": SIGMA0, "T": 36}
+    base = {"phi": 3, "beta": 2.0, "sigma0": SIGMA0, "p_eps": 0.05,
+            "sigma_eps": 0.64, "T": 36}
     base.update(kwargs)
     with pytest.raises(ConfigError):
-        PersonalizationInputs(**base)
+        r_tilde_sandwich(**base)
 
 
 def test_flanking_multiples():
-    inp = PersonalizationInputs(beta=2.0, p_eps=0.05, sigma_eps=0.64,
-                                sigma0=SIGMA0, T=36)
-    assert inp.flanking_multiples(5) == (35, 40)
-    assert inp.flanking_multiples(6) == (36, 36)
-    assert inp.flanking_multiples(1) == (36, 36)
-    assert inp.flanking_multiples(7) == (35, 42)
-    assert inp.flanking_multiples(36) == (36, 36)
-    assert inp.flanking_multiples(50) == (0, 50)
+    # The sandwich scales r_tilde by the multiples of phi flanking T, over T.
+    args = (2.0, SIGMA0, 0.05, 0.64)
+    for phi, lo, hi in ((5, 35, 40), (6, 36, 36), (1, 36, 36), (7, 35, 42),
+                        (36, 36, 36), (50, 0, 50)):
+        rt = r_tilde(phi, *args)
+        assert r_tilde_sandwich(phi, *args, 36) == (lo / 36 * rt, hi / 36 * rt)
     for phi in (0, 2.5, True):
         with pytest.raises(ConfigError):
-            inp.flanking_multiples(phi)
+            r_tilde_sandwich(phi, *args, 36)
 
 
 # -- closed-form approximation ---------------------------------------------------
@@ -151,8 +149,8 @@ def test_closed_forms_reject_non_finite_and_negative_inputs(name, bad):
 
 @pytest.mark.parametrize("p_eps", [1.5, np.nextafter(1.0, 2.0)])
 def test_closed_forms_reject_shock_probability_above_one(p_eps):
-    # p_eps is a probability, as RiskProfileParams and PersonalizationInputs
-    # say; r_tilde at 1.5 returned 0.744 and phi_star phi=1.
+    # p_eps is a probability, as RiskProfileParams says; r_tilde at 1.5
+    # returned 0.744 and phi_star phi=1.
     args = dict(CLOSED_FORM_ARGS, p_eps=p_eps)
     rates = [args[k] for k in ("beta", "sigma0", "p_eps", "sigma_eps")]
     for call in (
@@ -173,7 +171,7 @@ def test_closed_forms_take_shock_probability_one():
     assert math.isfinite(r_tilde_dphi(*args.values()))
     assert phi_star(*rates).phi >= 1.0
     assert interact_every_step_suboptimal(*rates) in (True, False)
-    PersonalizationInputs(beta=2.0, p_eps=1.0, sigma_eps=0.64, sigma0=SIGMA0, T=36)
+    assert all(map(math.isfinite, r_tilde_sandwich(*args.values(), 36)))
 
 
 def test_r_tilde_continuous_and_unbounded():
