@@ -150,6 +150,7 @@ def sharpe_delta(delta: float, inputs: SharpeInputs) -> float:
         h = ((1-lam)(1+u) + lam (a^2 + u b^2)(1+delta)^2) / g^2,
         g = 1 + lam (a (1+delta) - 1).
     """
+    check_number(delta, "delta")
     lam, a, b, u = inputs.lam, inputs.a, inputs.b, inputs.u
     g = 1.0 + lam * (a * (1.0 + delta) - 1.0)
     if g <= 0.0:
@@ -169,6 +170,7 @@ def monotone_in_delta(delta: float, inputs: SharpeInputs) -> bool:
 
         ds/ddelta > 0  <=>  1 + u > a (1 + (b^2/a^2) u) (1 + delta).
     """
+    check_number(delta, "delta")
     a, b, u = inputs.a, inputs.b, inputs.u
     return 1.0 + u > (a + u * b * b / a) * (1.0 + delta)
 
@@ -187,6 +189,7 @@ def sensitivity_predicates(inputs: SharpeInputs, delta: float = 0.0) -> dict:
 
     with e = a(1+delta) - 1, c0 = 1 + u, c1 = (a^2 + u b^2)(1+delta)^2.
     """
+    check_number(delta, "delta")
     lam, a, b, u = inputs.lam, inputs.a, inputs.b, inputs.u
     d1 = 1.0 + delta
     e = a * d1 - 1.0
@@ -206,7 +209,7 @@ def concavity_at_zero(inputs: SharpeInputs, step: float = 1e-3) -> float:
     the recession allocation hurts more than raising it helps) and zero at
     lam = 0, where the tilt never applies.
     """
-    if not step > 0:
+    if not check_number(step, "step") > 0:
         raise ConfigError(f"step must be > 0, got {step}")
     s = lambda d: sharpe_delta(d, inputs)
     return (s(step) - 2.0 * s(0.0) + s(-step)) / (step * step)

@@ -475,8 +475,19 @@ def test_concavity_scales_linearly_in_lambda():
 
 
 def test_concavity_rejects_bad_step(two_state_market):
-    with pytest.raises(ConfigError):
-        concavity_at_zero(inputs_from_market(two_state_market), step=0.0)
+    for step in (0.0, math.inf, math.nan, True, "1e-3"):
+        with pytest.raises(ConfigError):
+            concavity_at_zero(inputs_from_market(two_state_market), step=step)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, True, "0.1"])
+def test_tilt_closed_forms_reject_non_numbers(delta):
+    # NaN used to give a NaN ratio and all-False predicates, not an error.
+    for call in (lambda: sharpe_delta(delta, ROUNDED_INPUTS),
+                 lambda: monotone_in_delta(delta, ROUNDED_INPUTS),
+                 lambda: sensitivity_predicates(ROUNDED_INPUTS, delta)):
+        with pytest.raises(ConfigError, match="delta"):
+            call()
 
 
 # ---------------------------------------------------------------------------
