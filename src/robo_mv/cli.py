@@ -4,7 +4,8 @@ Each subcommand reads one JSON experiment config (see docs/formats.md),
 applies flag overrides, runs the corresponding engine operation, and writes
 CSV/JSON artifacts plus a `run.json` manifest into the output directory. The
 manifest records the resolved config, flags, and seed; pointing --config at a
-manifest reruns that experiment bit-exactly (explicit flags still win).
+manifest reruns that experiment bit-exactly (explicit flags still win, and a
+stored flag the command does not take exits 2).
 
 Exit codes: 0 ok, 2 bad configuration, 3 numerical failure or any other
 unexpected error, 4 I/O trouble.
@@ -17,7 +18,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,16 @@ from robo_mv.solver import GridSpec, load_policy, save_policy, solve
 _GRID_KEYS = {f.name for f in fields(GridSpec)}
 _EXPERIMENT_KEYS = {
     "market", "risk_profile", "horizon", "grid", "strategy", "policy_dir",
-    "y0", "x0", "bounds", "liquidate", "beta",
+    "y0", "x0", "bounds", "liquidate",
+}
+# The flags each command stores: the dests of its parser but config and out.
+_FLAGS = {
+    "stationary": set(),
+    "solve": set(),
+    "simulate": {"paths", "seed", "threads", "bins", "dump_paths"},
+    "sharpe": {"sweep", "from", "to", "steps"},
+    "implied-gamma": {"horizon"},
+    "personalize": {"phi_range", "beta", "paths", "s_paths", "seed"},
 }
 
 
@@ -60,7 +70,7 @@ def _load_config(path, command: str) -> tuple[dict, dict]:
     """Read an experiment config, unwrapping a run manifest if given one.
 
     Returns (config, stored_flags); stored_flags come from a manifest and act
-    as defaults below explicit command-line flags.
+    as defaults below explicit command-line flags, and must be in _FLAGS.
     """
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -79,6 +89,7 @@ def _load_config(path, command: str) -> tuple[dict, dict]:
     else:
         cfg, stored = doc, {}
     _check_keys(cfg, _EXPERIMENT_KEYS, "experiment")
+    _check_keys(stored, _FLAGS[command], f"stored {command} flag")
     return cfg, stored
 
 
@@ -94,12 +105,18 @@ def _need(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
-def _grid_spec(cfg: dict, quad_points=None) -> GridSpec:
+def _grid_spec(cfg: dict) -> GridSpec:
     doc = dict(cfg.get("grid", {}))
     _check_keys(doc, _GRID_KEYS, "grid")
-    if quad_points is not None:
-        doc["quad_points"] = quad_points
     return GridSpec(**doc)
+
+
+def _mix(cfg: dict) -> tuple[float, float]:
+    """pi_bar and delta of the config's `strategy`, 0.6 and 0.0 by default."""
+    doc = dict(cfg.get("strategy", {}))
+    _check_keys(doc, {"pi_bar", "delta"}, "strategy")
+    return (check_number(doc.get("pi_bar", 0.6), "pi_bar"),
+            check_number(doc.get("delta", 0.0), "delta"))
 
 
 def _resolve(explicit, stored_flags: dict, name: str, default):
@@ -194,18 +211,16 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg, flags = _load_config(args.config, "solve")
+    cfg, _ = _load_config(args.config, "solve")
     market = market_from_dict(_need(cfg, "market", "solve"))
     profile = profile_from_dict(_need(cfg, "risk_profile", "solve"))
     T = check_number(_need(cfg, "horizon", "solve"), "horizon", integer=True)
-    qp = _resolve(args.quad_points, flags, "quad_points", None)
-    grid = _grid_spec(cfg, quad_points=qp)
-    tables = solve(market, profile, T, grid, cfg.get("bounds"))
+    tables = solve(market, profile, T, _grid_spec(cfg), cfg.get("bounds"))
     out = _out_dir(args)
     save_policy(tables, out)
     outputs = [f"policy_{n:04d}.csv" for n in range(T)] + [
         "manifest.json", "policy.npz"]
-    _manifest(out, "solve", cfg, {"quad_points": qp}, outputs)
+    _manifest(out, "solve", cfg, {}, outputs)
     print(f"wrote {T} policy slices to {out}")
     return 0
 
@@ -225,8 +240,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"dump_paths must be true or false, got {dump!r}")
 
     if "policy_dir" in cfg:
-        if "strategy" in cfg:
-            raise ConfigError("strategy and policy_dir are mutually exclusive")
+        for key in ("strategy", "market", "risk_profile"):
+            if key in cfg:
+                raise ConfigError(f"{key} and policy_dir are mutually exclusive")
         tables = load_policy(cfg["policy_dir"])
         market, strategy = tables.market, tables
         T = check_number(cfg.get("horizon", tables.T), "horizon", integer=True)
@@ -273,17 +289,14 @@ def cmd_simulate(args) -> int:
 def cmd_sharpe(args) -> int:
     cfg, flags = _load_config(args.config, "sharpe")
     market = market_from_dict(_need(cfg, "market", "sharpe"))
-    strat_doc = dict(cfg.get("strategy", {}))
-    _check_keys(strat_doc, {"pi_bar", "delta"}, "strategy")
-    base_pi = check_number(strat_doc.get("pi_bar", 0.6), "pi_bar")
-    base_delta = check_number(strat_doc.get("delta", 0.0), "delta")
+    base_pi, base_delta = _mix(cfg)
 
     sweep = _resolve(args.sweep, flags, "sweep", "delta")
     if sweep not in ("delta", "pi_bar"):
         raise ConfigError(f"--sweep must be 'delta' or 'pi_bar', got {sweep!r}")
     lo, hi = (
         check_number(_resolve(explicit, flags, key, default), "--from and --to")
-        for explicit, key, default in ((getattr(args, "from_"), "from", -0.5),
+        for explicit, key, default in ((getattr(args, "from"), "from", -0.5),
                                        (args.to, "to", 0.5))
     )
     steps = check_number(_resolve(args.steps, flags, "steps", 21), "--steps",
@@ -312,12 +325,7 @@ def cmd_sharpe(args) -> int:
 def cmd_implied_gamma(args) -> int:
     cfg, flags = _load_config(args.config, "implied-gamma")
     market = market_from_dict(_need(cfg, "market", "implied-gamma"))
-    strat_doc = dict(cfg.get("strategy", {}))
-    _check_keys(strat_doc, {"pi_bar", "delta"}, "strategy")
-    pi_bar = check_number(_resolve(args.pi_bar, flags, "pi_bar",
-                                   strat_doc.get("pi_bar", 0.6)), "pi_bar")
-    delta = check_number(_resolve(args.delta, flags, "delta",
-                                  strat_doc.get("delta", 0.0)), "delta")
+    pi_bar, delta = _mix(cfg)
     T = check_number(_resolve(args.horizon, flags, "horizon", cfg.get("horizon", 0)),
                      "horizon", integer=True)
     if T < 1:
@@ -327,9 +335,7 @@ def cmd_implied_gamma(args) -> int:
     _write_csv(out / "implied_gamma.csv", ["n", "regime", "gamma"],
                [(n, y, gam[n, y]) for n in range(T)
                 for y in range(market.num_states)])
-    _manifest(out, "implied-gamma", cfg,
-              {"pi_bar": pi_bar, "delta": delta, "horizon": T},
-              ["implied_gamma.csv"])
+    _manifest(out, "implied-gamma", cfg, {"horizon": T}, ["implied_gamma.csv"])
     print(f"wrote {T * market.num_states} rows to {out / 'implied_gamma.csv'}")
     return 0
 
@@ -353,8 +359,7 @@ def cmd_personalize(args) -> int:
     T = check_number(_need(cfg, "horizon", "personalize"), "horizon", integer=True)
     y0 = check_number(cfg.get("y0", 0), "y0", integer=True)
     check_regime(market, y0, "y0")
-    beta = check_number(
-        _resolve(args.beta, flags, "beta", cfg.get("beta", profile.beta)), "beta")
+    beta = check_number(_resolve(args.beta, flags, "beta", profile.beta), "beta")
     phis = _parse_phi_range(_resolve(args.phi_range, flags, "phi_range", "1:12"))
     n_paths = check_number(_resolve(args.paths, flags, "paths", 20_000),
                            "--paths", integer=True)
@@ -368,14 +373,14 @@ def cmd_personalize(args) -> int:
     full_policy = None
     rows = []
     for i, phi in enumerate(phis):
-        r, r_se = r_measure(phi, beta, market, profile, T, n_paths,
-                            children[2 * i], y0=y0)
+        advisor = replace(profile, phi=phi, beta=beta)
+        r, r_se = r_measure(market, advisor, T, n_paths, children[2 * i], y0=y0)
         # Solved once, after the first R estimate: the solver's working
         # memory then does not add to the peak that R's path sample sets.
         if full_policy is None:
             full_policy = full_information_policy(market, profile, T, grid)
-        sm = s_measure(phi, beta, market, profile, T, grid, s_paths,
-                       children[2 * i + 1], y0=y0, full_policy=full_policy)
+        sm = s_measure(market, advisor, T, grid, s_paths, children[2 * i + 1],
+                       y0=y0, full_policy=full_policy)
         rt = r_tilde(phi, beta, sigma0, profile.p_eps, profile.sigma_eps)
         rows.append((phi, r, r_se, rt, sm.estimate, sm.se))
     out = _out_dir(args)
@@ -411,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="backward-induction policy tables")
     common(sp)
-    sp.add_argument("--quad-points", type=int, default=None)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("simulate", help="wealth paths and distribution stats")
@@ -426,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sharpe", help="long-run Sharpe ratio sweep")
     common(sp)
     sp.add_argument("--sweep", choices=("delta", "pi_bar"), default=None)
-    sp.add_argument("--from", dest="from_", type=float, default=None)
+    sp.add_argument("--from", type=float, default=None)
     sp.add_argument("--to", type=float, default=None)
     sp.add_argument("--steps", type=int, default=None)
     sp.set_defaults(func=cmd_sharpe)
@@ -434,8 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("implied-gamma",
                         help="risk aversion recovering a fixed-mix rule")
     common(sp)
-    sp.add_argument("--pi-bar", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--horizon", type=int, default=None)
     sp.set_defaults(func=cmd_implied_gamma)
 
@@ -453,8 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -32,11 +32,11 @@ _ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
 
 def _check_inputs(phi=None, integer: bool = False, **rates):
-    """The one input rule of the closed forms and the Monte Carlo measures:
-    phi, unless None, is a finite number >= 1 (an integer when `integer`),
-    and each named rate a finite number >= 0 (`check_number`, then the
-    sign), p_eps, a probability, also <= 1; anything else raises
-    ConfigError. Returns phi as checked."""
+    """The one input rule of the closed forms: phi, unless None, is a
+    finite number >= 1 (an integer when `integer`), and each named rate a
+    finite number >= 0 (`check_number`, then the sign), p_eps, a
+    probability, also <= 1; anything else raises ConfigError. Returns phi
+    as checked."""
     for name, value in rates.items():
         if check_number(value, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got {value!r}")
@@ -195,25 +195,17 @@ def r_tilde_sandwich(
 # -- Monte Carlo measures -----------------------------------------------------
 
 
-def _advisor_profile(
-    phi, beta, market: MarketParams, profile: RiskProfileParams, T, n_paths, y0,
-) -> RiskProfileParams:
-    """The advisor's profile of R and S: `profile` with phi and beta in
-    place of its own. phi, beta, the horizon T, the start regime y0 and
-    n_paths are all checked first, so a bad value fails before any sampling
-    or solve."""
+def _check_sampling(market: MarketParams, T, n_paths, y0) -> None:
+    """The horizon T, the start regime y0 and n_paths of R and S, checked
+    first, so that a bad value fails before any sampling or solve."""
     check_regime(market, y0, "y0")
     check_count(T, "T", 1)
     check_count(n_paths, "n_paths", 1)
     if n_paths < 100:
         raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
-    phi = _check_inputs(phi, integer=True, beta=beta)
-    return replace(profile, phi=phi, beta=float(beta))
 
 
 def r_measure(
-    phi: int,
-    beta: float,
     market: MarketParams,
     profile: RiskProfileParams,
     T: int,
@@ -225,14 +217,14 @@ def r_measure(
     measure R: the time-averaged relative gap |gamma^C_n/gamma_n - 1| along
     the full regime-switching dynamics from the start regime y0.
 
-    phi (an integer >= 1) and beta (>= 0) override the profile's values;
-    the profile supplies the idiosyncratic-shock and trend parameters. The
-    frozen-regime measure that r_tilde approximates is this measure on a
-    one-regime market whose per-step return SD is sigma0.
+    `profile` is the advisor's: its phi and beta are the interaction period
+    and the bias under study. The frozen-regime measure that r_tilde
+    approximates is this measure on a one-regime market whose per-step
+    return SD is sigma0.
     """
-    prof = _advisor_profile(phi, beta, market, profile, T, n_paths, y0)
+    _check_sampling(market, T, n_paths, y0)
     rng = np.random.default_rng(seed)
-    rows = _client_steps(market, prof, T, n_paths, rng, y0,
+    rows = _client_steps(market, profile, T, n_paths, rng, y0,
                          ("gamma_client", "gamma_robo"))
     ratio = rows["gamma_client"][:T]
     ratio /= rows["gamma_robo"][:T]
@@ -273,8 +265,6 @@ def _full_information(profile: RiskProfileParams) -> RiskProfileParams:
 
 
 def s_measure(
-    phi: int,
-    beta: float,
     market: MarketParams,
     profile: RiskProfileParams,
     T: int,
@@ -286,7 +276,8 @@ def s_measure(
 ) -> SMeasure:
     """Monte Carlo estimate of S: the time-averaged relative gap between the
     allocation the advisor's model produces and the allocation under full
-    information (every-step interaction, no bias).
+    information (every-step interaction, no bias). `profile` is the
+    advisor's, as for r_measure.
 
     Both policies are solved on the same grid and evaluated along shared
     simulated paths; of the advisor's policy only the allocation table is
@@ -297,7 +288,7 @@ def s_measure(
     allocation is below 1e-10 in magnitude are excluded from the average and
     counted in excluded_steps; if nothing remains the estimate is undefined.
     """
-    robo_prof = _advisor_profile(phi, beta, market, profile, T, n_paths, y0)
+    _check_sampling(market, T, n_paths, y0)
     if full_policy is not None and full_policy.params_sha256 != _params_digest(
         market, _full_information(profile), T, grid, None
     ):
@@ -305,15 +296,15 @@ def s_measure(
             "full_policy is not the full_information_policy of this market, "
             f"profile, grid and horizon T = {T}"
         )
-    robo_grid, robo_pi = solve_allocations(market, robo_prof, T, grid)
+    robo_grid, robo_pi = solve_allocations(market, profile, T, grid)
     policy_full = (full_policy if full_policy is not None
                    else full_information_policy(market, profile, T, grid))
 
     rng = np.random.default_rng(seed)
-    rows = _client_steps(market, robo_prof, T, n_paths, rng, y0,
+    rows = _client_steps(market, profile, T, n_paths, rng, y0,
                          ("regimes", "gamma_client", "xi", "window_csum"))
     regimes = rows["regimes"][:T]
-    robo = _window_allocations(robo_pi, robo_grid, robo_prof, rows["xi"],
+    robo = _window_allocations(robo_pi, robo_grid, profile, rows["xi"],
                                rows["window_csum"], regimes)
     # The full-information client reports gamma^C every step, unbiased. Its
     # beta = 0 grid has one node on each window axis, where every window sum

@@ -37,7 +37,7 @@ class RiskProfileParams:
             (state profile, constant in time), or a table of at least
             (T+1, M), of which the first T+1 rows are used.
         eta: optional explicit age-trend table of at least T+1 entries,
-            replacing the -alpha*(T-n) default (alpha is then unused).
+            replacing the -alpha*(T-n) default; set one or the other.
     """
 
     gamma0: float
@@ -78,6 +78,8 @@ class RiskProfileParams:
         elif check_number(gb, "gamma_bar") <= 0:
             raise ConfigError(f"gamma_bar must be strictly positive, got {gb}")
         if self.eta is not None:
+            if self.alpha != 0:
+                raise ConfigError("set alpha or an eta table, not both")
             object.__setattr__(self, "eta", check_array(self.eta, "eta"))
             if not np.all(np.isfinite(self.eta)):
                 raise ConfigError("eta must be finite")

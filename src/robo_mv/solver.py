@@ -258,7 +258,8 @@ def _locate(nodes: np.ndarray, x: np.ndarray, axis: int | None = None):
     nodes[idx]*(1-frac) + nodes[idx+1]*frac. A single-node axis absorbs every
     query at its only node (collapsed axes are exact by construction, so such
     queries are not clamping events). n_clamped counts the clamped queries
-    along `axis` (all of them, as an int, when None).
+    along `axis` (all of them, as an int, when None): those outside
+    [nodes[0], nodes[-1]], so that a query on an edge node never is.
     """
     x = np.asarray(x, dtype=float)
     n = len(nodes)
@@ -268,7 +269,7 @@ def _locate(nodes: np.ndarray, x: np.ndarray, axis: int | None = None):
     else:
         step = (nodes[-1] - nodes[0]) / (n - 1)
         t = (x - nodes[0]) / step
-        clamped = (t < 0.0) | (t > n - 1.0)
+        clamped = (x < nodes[0]) | (x > nodes[-1])
         t = np.clip(t, 0.0, n - 1.0)
         idx = np.minimum(t.astype(np.intp), n - 2)
         frac = t - idx
@@ -690,24 +691,23 @@ class _StepOperators:
         # d[y, q, 0, c] = shift - bp w
         d = (shift - self._bp_w)[:, :, None, :]
         prev = np.arange(Np)[:, None]
-        x0 = self.grid.logxi[0]
+        lo, hi = self.grid.logxi[0], self.grid.logxi[-1]
 
-        def t_at(k):
-            """The locator's position of xi node k (-inf/+inf beyond the
-            axis), shape (M, Q, Np, Nc)."""
+        def lx_at(k):
+            """The log xi that xi node k reads (-inf/+inf beyond the axis),
+            shape (M, Q, Np, Nc)."""
             lx = self._base[np.clip(k, 0, Nxi - 1), prev] + d
-            t = (lx - x0) / self._xi_step
-            return np.where(k < 0, -np.inf, np.where(k >= Nxi, np.inf, t))
+            return np.where(k < 0, -np.inf, np.where(k >= Nxi, np.inf, lx))
 
-        t0 = t_at(np.zeros((M, len(self.gh_w), Np, Nc), dtype=np.intp))
+        t0 = (self._base[0, prev] + d - lo) / self._xi_step
         # Node i sits at t0 + i up to rounding, so the clamped nodes follow
-        # in closed form; the rounded positions are monotone in i, so
-        # checking the two nodes next to each boundary makes the count exact.
+        # in closed form; log xi is monotone in i, so checking the two nodes
+        # next to each edge in log xi, as the locator does, makes it exact.
         first_in = np.clip(np.ceil(-t0), 0, Nxi).astype(np.intp)
-        below = first_in - 1 + (t_at(first_in - 1) < 0) + (t_at(first_in) < 0)
+        below = first_in - 1 + (lx_at(first_in - 1) < lo) + (lx_at(first_in) < lo)
         first_above = Nxi - np.clip(np.ceil(t0), 0, Nxi).astype(np.intp)
-        above = (Nxi - first_above - 1 + (t_at(first_above - 1) > Nxi - 1)
-                 + (t_at(first_above) > Nxi - 1))
+        above = (Nxi - first_above - 1 + (lx_at(first_above - 1) > hi)
+                 + (lx_at(first_above) > hi))
         n_clamped = (below + above).sum(axis=(2, 3))
         s = np.clip(t0, -Nxi, Nxi - 1)
         k0 = np.floor(s)

@@ -263,8 +263,9 @@ def test_interaction_tradeoff_closed_forms_and_monte_carlo(single_state_market):
         for phi in (1, 2, 3, 4, 6, 9, 12):
             lo, hi = r_tilde_sandwich(phi, beta, SIGMA0, 0.05, 0.64, T)
             rt = r_tilde(phi, beta, SIGMA0, 0.05, 0.64)
-            est, se = r_measure(phi, beta, single_state_market, profile, T,
-                                50_000, seed=4242 + phi)
+            advisor = replace(profile, phi=phi, beta=beta)
+            est, se = r_measure(single_state_market, advisor, T, 50_000,
+                                seed=4242 + phi)
             slack = sandwich_allowance(phi, beta, 0.05, 0.64, T)
             lower = lo - slack - 4.0 * se
             upper = hi + 0.02 * rt + 4.0 * se
@@ -428,11 +429,11 @@ def test_tradeoff_curves_have_interior_minima(single_state_market):
         r_curve = {}
         s_curve = {}
         for phi in phis:
-            r_curve[phi], _ = r_measure(phi, beta, single_state_market,
-                                        profile, T, 20_000, seed=2718 + phi)
-            s_curve[phi] = s_measure(phi, beta, single_state_market, profile,
-                                     T, GridSpec(), 10_000,
-                                     seed=5200 + phi).estimate
+            advisor = replace(profile, phi=phi, beta=beta)
+            r_curve[phi], _ = r_measure(single_state_market, advisor, T, 20_000,
+                                        seed=2718 + phi)
+            s_curve[phi] = s_measure(single_state_market, advisor, T, GridSpec(),
+                                     10_000, seed=5200 + phi).estimate
         best_r = min(phis, key=lambda p: r_curve[p])
         best_s = min(phis, key=lambda p: s_curve[p])
         assert phis[0] < best_r < phis[-1], (beta, r_curve)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
+import argparse
 import json
 import math
 import os
@@ -133,14 +134,13 @@ def test_stationary_writes_artifacts(tmp_path):
 # -- solve -----------------------------------------------------------------------
 
 
-def test_solve_writes_policy_slices_and_records_flags(tmp_path):
+def test_solve_writes_policy_slices_and_records_no_flags(tmp_path):
     doc = single_state_config()
     doc["horizon"] = 4
-    doc["grid"] = {"xi_count": 5, "quad_points": 8}
+    doc["grid"] = {"xi_count": 5, "quad_points": 12}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "pol"
-    assert main(["solve", "--config", cfg, "--out", str(out),
-                 "--quad-points", "12"]) == 0
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
 
     slices = sorted(p.name for p in out.glob("policy_*.csv"))
     assert slices == [f"policy_{n:04d}.csv" for n in range(4)]
@@ -148,10 +148,10 @@ def test_solve_writes_policy_slices_and_records_flags(tmp_path):
 
     tables = load_policy(out)
     assert tables.T == 4
-    assert tables.grid.quad_points == 12  # flag beats the config value
+    assert tables.grid.quad_points == 12
 
     manifest = json.loads((out / "run.json").read_text())
-    assert manifest["flags"] == {"quad_points": 12}
+    assert manifest["flags"] == {}
     assert "policy.npz" in manifest["outputs"]
     assert (out / "policy.npz").exists()
 
@@ -362,6 +362,11 @@ def test_solve_applies_and_stores_the_config_bounds(tmp_path):
 @pytest.mark.parametrize("extra", [
     {"strategy": {"pi_bar": 0.6, "delta": 0.0}},
     {"bounds": [0, 1]},
+    # The policy's own market and profile, or malformed ones: never read.
+    {"market": single_state_config()["market"]},
+    {"risk_profile": single_state_config()["risk_profile"]},
+    {"market": {"states": "x"}},
+    {"risk_profile": {"gamma0": float("nan")}},
 ])
 def test_simulate_from_policy_dir_rejects_a_strategy_or_other_bounds(tmp_path, extra,
                                                                      capsys):
@@ -443,7 +448,7 @@ def test_bad_stored_seed_exits_2(tmp_path, seed, capsys):
 
 _SMALL_FLAGS = {
     "simulate": {"paths": 100, "seed": 1, "bins": 5, "threads": 1},
-    "solve": {"quad_points": 4},
+    "solve": {},
     "sharpe": {"steps": 3, "from": 0.1, "to": 0.3},
     "implied-gamma": {"horizon": 4},
     "personalize": {"paths": 100, "s_paths": 100, "seed": 1, "phi_range": "1:1"},
@@ -559,16 +564,69 @@ def test_bad_number_in_config_section_exits_2(tmp_path, command, section, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,argv,flags,config,name", [
+    ("solve", ["--quad-points", "4"], {}, {}, "--quad-points"),
+    ("implied-gamma", ["--pi-bar", "0.5"], {}, {}, "--pi-bar"),
+    ("implied-gamma", ["--delta", "0.3"], {}, {}, "--delta"),
+    ("solve", [], {"quad_points": 4}, {}, "quad_points"),
+    ("implied-gamma", [], {"pi_bar": 0.5}, {}, "pi_bar"),
+    ("implied-gamma", [], {"delta": 0.3}, {}, "delta"),
+    ("personalize", [], {}, {"beta": 2.0}, "beta"),
+])
+def test_removed_flag_or_key_exits_2_in_one_line(tmp_path, command, argv, flags,
+                                                 config, name, capsys):
+    # Each value has one home; a second one, on the command line, among a
+    # manifest's stored flags or as a top-level config key, is rejected
+    # rather than quietly ignored.
+    manifest = {"kind": "run_manifest", "command": command,
+                "config": {**_small_run_config(), **config},
+                "flags": {**_SMALL_FLAGS[command], **flags}}
+    path = write_config(tmp_path, manifest, name="run.json")
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert name in err
+    assert not out.exists()
+
+
+def test_manifest_flag_tables_match_the_parser():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(cli._FLAGS)
+    for command, sp in sub.choices.items():
+        dests = {a.dest for a in sp._actions} - {"help", "config", "out"}
+        assert dests == cli._FLAGS[command], command
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("stationary", []),
+    ("solve", []),
+    ("sharpe", ["--steps", "3"]),
+    ("implied-gamma", ["--horizon", "4"]),
+])
+def test_each_command_reruns_from_its_own_manifest(tmp_path, command, argv):
+    # The flags a command records are flags it takes back.
+    cfg = write_config(tmp_path, _small_run_config())
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", cfg, "--out", str(first), *argv]) == 0
+    assert main([command, "--config", str(first / "run.json"),
+                 "--out", str(second)]) == 0
+    for path in first.iterdir():
+        assert path.read_bytes() == (second / path.name).read_bytes(), path.name
+
+
 def test_integral_floats_in_config_sections_solve_as_ints(tmp_path):
     cfg = _small_run_config()
+    cfg["grid"]["quad_points"] = 4
     ints = write_config(tmp_path, cfg, name="ints.json")
     cfg["market"]["steps_per_year"] = 12.0
     cfg["risk_profile"]["phi"] = 1.0
-    cfg["grid"] = {"xi_count": 5.0, "zsum_count": 3.0}
+    cfg["grid"] = {"xi_count": 5.0, "zsum_count": 3.0, "quad_points": 4.0}
     floats = write_config(tmp_path, cfg, name="floats.json")
     for name, path in (("a", ints), ("b", floats)):
-        assert main(["solve", "--config", path, "--out", str(tmp_path / name),
-                     "--quad-points", "4"]) == 0
+        assert main(["solve", "--config", path, "--out", str(tmp_path / name)]) == 0
     for name in ("manifest.json", "policy.npz"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
@@ -693,10 +751,12 @@ def test_sharpe_pi_bar_sweep_is_flat_in_single_state(tmp_path):
 
 
 def test_implied_gamma_rows_match_module(tmp_path):
-    cfg = write_config(tmp_path, two_state_config())
+    doc = two_state_config()
+    doc["strategy"]["delta"] = 0.3
+    cfg = write_config(tmp_path, doc)
     out = tmp_path / "ig"
     assert main(["implied-gamma", "--config", cfg, "--out", str(out),
-                 "--horizon", "6", "--delta", "0.3"]) == 0
+                 "--horizon", "6"]) == 0
     lines = (out / "implied_gamma.csv").read_text().strip().split("\n")
     assert lines[0] == "n,regime,gamma"
     assert len(lines) == 1 + 6 * 2
@@ -724,7 +784,7 @@ def test_implied_gamma_without_admissible_value_exits_3(tmp_path, capsys):
 
 def test_personalize_csv_and_manifest_roundtrip(tmp_path):
     doc = single_state_config()
-    doc["beta"] = 2.0
+    doc["risk_profile"]["beta"] = 2.0
     doc["grid"] = {"xi_count": 7, "quad_points": 8}
     cfg = write_config(tmp_path, doc)
     first, second = tmp_path / "a", tmp_path / "b"

@@ -405,20 +405,20 @@ def test_sandwich_flanking_scales():
 
 
 def test_r_measure_zero_without_shocks_or_bias(single_state_market):
-    quiet = RiskProfileParams(gamma0=1.0, p_eps=0.0)
-    est, se = r_measure(3, 0.0, single_state_market, quiet, HORIZON, 500, seed=5)
+    quiet = RiskProfileParams(gamma0=1.0, p_eps=0.0, phi=3)
+    est, se = r_measure(single_state_market, quiet, HORIZON, 500, seed=5)
     assert est == 0.0 and se == 0.0
 
 
 def test_r_measure_zero_when_unbiased_and_always_interacting(single_state_market):
-    est, se = r_measure(1, 0.0, single_state_market, shocky_profile(), HORIZON,
-                        500, seed=5)
+    est, se = r_measure(single_state_market, shocky_profile(), HORIZON, 500, seed=5)
     assert est == 0.0 and se == 0.0
 
 
 def test_r_measure_needs_enough_paths(single_state_market):
     with pytest.raises(InsufficientSamples):
-        r_measure(3, 2.0, single_state_market, shocky_profile(), HORIZON, 99, seed=1)
+        r_measure(single_state_market, shocky_profile(phi=3, beta=2.0), HORIZON, 99,
+                  seed=1)
 
 
 def test_r_measure_matches_identity_recomputation(two_state_market):
@@ -428,10 +428,9 @@ def test_r_measure_matches_identity_recomputation(two_state_market):
     prof = shocky_profile(alpha=0.9, phi=4, beta=2.0,
                           gamma_bar=np.array([1.0, 1.6]))
     T, n = 24, 400
-    est, _ = r_measure(4, 2.0, two_state_market, prof, T, n, seed=31)
+    est, _ = r_measure(two_state_market, prof, T, n, seed=31)
 
-    batch = simulate_clients(two_state_market, replace(prof, phi=4, beta=2.0),
-                             T, n, np.random.default_rng(31))
+    batch = simulate_clients(two_state_market, prof, T, n, np.random.default_rng(31))
     rows = np.arange(n)[:, None]
     tau = batch["tau"][:, :T]
     anchor = batch["gamma_id"][rows, tau] * batch["gamma_z"][:, :T]
@@ -444,9 +443,8 @@ def test_r_measure_tracks_closed_form_band(single_state_market, beta, phi):
     # The frozen-regime measure that r_tilde approximates is R on a
     # one-regime market, whose per-step SD is SIGMA0.
     assert single_state_market.sigma_step[0] == pytest.approx(SIGMA0, rel=1e-15)
-    prof = shocky_profile()
-    est, se = r_measure(phi, beta, single_state_market, prof, HORIZON, 20_000,
-                        seed=12345)
+    prof = shocky_profile(phi=phi, beta=beta)
+    est, se = r_measure(single_state_market, prof, HORIZON, 20_000, seed=12345)
     lo, hi = r_tilde_sandwich(phi, beta, SIGMA0, SHOCK_P, SHOCK_SD, HORIZON)
     err = sandwich_band(phi, beta, SIGMA0, SHOCK_P, SHOCK_SD, HORIZON)
     rt = r_tilde(phi, beta, SIGMA0, SHOCK_P, SHOCK_SD)
@@ -466,7 +464,8 @@ def _path_major_r_measure(phi, beta, market, profile, T, n_paths, seed, y0=0):
 def test_r_measure_equals_path_major_formula(two_state_market, phi):
     # Floats, not a printed digest: %.12g would hide a last-bit change.
     prof = shocky_profile(alpha=0.05, gamma_bar=np.array([1.0, 1.3]))
-    got = r_measure(phi, 2.0, two_state_market, prof, 30, 3000, seed=phi, y0=1)
+    got = r_measure(two_state_market, replace(prof, phi=phi, beta=2.0), 30, 3000,
+                    seed=phi, y0=1)
     want = _path_major_r_measure(phi, 2.0, two_state_market, prof, 30, 3000,
                                  seed=phi, y0=1)
     assert got == want
@@ -486,11 +485,13 @@ def test_measures_reject_bad_phi_beta_and_horizon_before_sampling(
 
     for name in ("_client_steps", "solve", "solve_allocations"):
         monkeypatch.setattr(personalization, name, no_work)
-    prof = shocky_profile()
+    # phi and beta are the advisor profile's, which checks them itself.
     with pytest.raises(ConfigError):
-        r_measure(phi, beta, two_state_market, prof, T, 200, seed=1)
+        prof = shocky_profile(phi=phi, beta=beta)
+        r_measure(two_state_market, prof, T, 200, seed=1)
     with pytest.raises(ConfigError):
-        s_measure(phi, beta, two_state_market, prof, T, GridSpec(), 200, seed=1)
+        prof = shocky_profile(phi=phi, beta=beta)
+        s_measure(two_state_market, prof, T, GridSpec(), 200, seed=1)
 
 
 @pytest.mark.parametrize("n_paths", [True, 150.5, math.nan, "200", 0, -5])
@@ -505,11 +506,10 @@ def test_measures_reject_non_count_paths_before_sampling(
 
     for name in ("_client_steps", "solve", "solve_allocations"):
         monkeypatch.setattr(personalization, name, no_work)
-    prof = shocky_profile()
+    prof = shocky_profile(phi=3, beta=2.0)
     for call in (
-        lambda: r_measure(3, 2.0, two_state_market, prof, 12, n_paths, seed=1),
-        lambda: s_measure(3, 2.0, two_state_market, prof, 12, GridSpec(), n_paths,
-                          seed=1),
+        lambda: r_measure(two_state_market, prof, 12, n_paths, seed=1),
+        lambda: s_measure(two_state_market, prof, 12, GridSpec(), n_paths, seed=1),
     ):
         with pytest.raises(ConfigError, match="n_paths") as info:
             call()
@@ -517,41 +517,45 @@ def test_measures_reject_non_count_paths_before_sampling(
 
 
 def test_measures_take_numpy_path_counts(two_state_market):
-    prof, grid = shocky_profile(), GridSpec(xi_count=7, zsum_count=5, quad_points=5)
-    assert (r_measure(3, 2.0, two_state_market, prof, 12, np.int64(200), seed=1)
-            == r_measure(3, 2.0, two_state_market, prof, 12, 200, seed=1))
-    assert (s_measure(3, 2.0, two_state_market, prof, 12, grid, np.int64(200), seed=1)
-            == s_measure(3, 2.0, two_state_market, prof, 12, grid, 200, seed=1))
+    prof = shocky_profile(phi=3, beta=2.0)
+    grid = GridSpec(xi_count=7, zsum_count=5, quad_points=5)
+    assert (r_measure(two_state_market, prof, 12, np.int64(200), seed=1)
+            == r_measure(two_state_market, prof, 12, 200, seed=1))
+    assert (s_measure(two_state_market, prof, 12, grid, np.int64(200), seed=1)
+            == s_measure(two_state_market, prof, 12, grid, 200, seed=1))
 
 
 def test_measures_take_integral_phi_and_beta_of_any_number_type(two_state_market):
     prof, grid = shocky_profile(), GridSpec(xi_count=7, zsum_count=5, quad_points=5)
-    r = r_measure(3, 2.0, two_state_market, prof, 12, 200, seed=1)
-    s = s_measure(3, 2.0, two_state_market, prof, 12, grid, 200, seed=1)
+    advisor = replace(prof, phi=3, beta=2.0)
+    r = r_measure(two_state_market, advisor, 12, 200, seed=1)
+    s = s_measure(two_state_market, advisor, 12, grid, 200, seed=1)
     for phi, beta in ((3.0, 2), (np.int64(3), np.float64(2.0))):
-        assert r_measure(phi, beta, two_state_market, prof, 12, 200, seed=1) == r
-        assert s_measure(phi, beta, two_state_market, prof, 12, grid, 200, seed=1) == s
+        advisor = replace(prof, phi=phi, beta=beta)
+        assert r_measure(two_state_market, advisor, 12, 200, seed=1) == r
+        assert s_measure(two_state_market, advisor, 12, grid, 200, seed=1) == s
 
 
 @pytest.mark.parametrize("y0", [-1, 2, 1.0])
 def test_r_measure_rejects_unknown_start_regime(two_state_market, y0):
     with pytest.raises(ConfigError, match="y0"):
-        r_measure(3, 2.0, two_state_market, shocky_profile(), 12, 200, seed=1, y0=y0)
+        r_measure(two_state_market, shocky_profile(phi=3, beta=2.0), 12, 200, seed=1,
+                  y0=y0)
 
 
 # -- Monte Carlo measure of the allocation gap ------------------------------------
 
 
 def test_s_measure_zero_when_fully_informed(single_state_market):
-    res = s_measure(1, 0.0, single_state_market, shocky_profile(), HORIZON,
-                    GridSpec(), 400, seed=7)
+    res = s_measure(single_state_market, shocky_profile(), HORIZON, GridSpec(), 400,
+                    seed=7)
     assert res.estimate == 0.0 and res.se == 0.0
     assert res.excluded_steps == 0 and res.total_steps == HORIZON * 400
 
 
 def test_s_measure_needs_enough_paths(single_state_market):
     with pytest.raises(InsufficientSamples):
-        s_measure(3, 2.0, single_state_market, shocky_profile(), HORIZON,
+        s_measure(single_state_market, shocky_profile(phi=3, beta=2.0), HORIZON,
                   GridSpec(), 50, seed=7)
 
 
@@ -559,19 +563,19 @@ def test_s_measure_reuses_a_given_full_information_policy(single_state_market):
     prof, grid, T = shocky_profile(), GridSpec(xi_count=9, quad_points=8), 12
     full = full_information_policy(single_state_market, prof, T, grid)
     for phi in (2, 3):
-        shared = s_measure(phi, 2.0, single_state_market, prof, T, grid, 300,
-                           seed=11, full_policy=full)
-        alone = s_measure(phi, 2.0, single_state_market, prof, T, grid, 300,
-                          seed=11)
+        advisor = replace(prof, phi=phi, beta=2.0)
+        shared = s_measure(single_state_market, advisor, T, grid, 300, seed=11,
+                           full_policy=full)
+        alone = s_measure(single_state_market, advisor, T, grid, 300, seed=11)
         assert shared == alone
     shorter = full_information_policy(single_state_market, prof, T - 1, grid)
     with pytest.raises(ConfigError, match="full_policy"):
-        s_measure(2, 2.0, single_state_market, prof, T, grid, 300, seed=11,
-                  full_policy=shorter)
+        s_measure(single_state_market, replace(prof, phi=2, beta=2.0), T, grid, 300,
+                  seed=11, full_policy=shorter)
 
 
 def test_s_measure_basic_cell(single_state_market):
-    res = s_measure(3, 2.0, single_state_market, shocky_profile(), HORIZON,
+    res = s_measure(single_state_market, shocky_profile(phi=3, beta=2.0), HORIZON,
                     GridSpec(), 2000, seed=7)
     assert 0.10 < res.estimate < 0.18
     assert 0.0 < res.se < res.estimate
@@ -585,11 +589,9 @@ def test_s_measure_gap_to_r_measure_within_band(single_state_market):
     # squared-bias scales. The 2.5 constant was calibrated on a 14-cell
     # sweep where the observed ratio stayed below 1.7.
     beta, phi = 2.0, 3
-    prof = shocky_profile()
-    r, se_r = r_measure(phi, beta, single_state_market, prof, HORIZON, 20_000,
-                        seed=2718)
-    s = s_measure(phi, beta, single_state_market, prof, HORIZON, GridSpec(),
-                  4000, seed=2718)
+    prof = shocky_profile(phi=phi, beta=beta)
+    r, se_r = r_measure(single_state_market, prof, HORIZON, 20_000, seed=2718)
+    s = s_measure(single_state_market, prof, HORIZON, GridSpec(), 4000, seed=2718)
     gap = s.estimate - r
     band = 2.5 * ((phi - 1) * SHOCK_P * SHOCK_SD**2 + beta**2 * 0.20**2 / phi**2)
     assert gap > 4.0 * (se_r + s.se)
@@ -630,8 +632,8 @@ def test_s_measure_equals_path_major_formula(two_state_market, phi):
     prof = shocky_profile(gamma0=3.0, alpha=0.02)
     grid, T = GridSpec(xi_count=9, zsum_count=7, quad_points=5), 18
     full = full_information_policy(two_state_market, prof, T, grid)
-    got = s_measure(phi, 2.0, two_state_market, prof, T, grid, 500, seed=phi, y0=1,
-                    full_policy=full)
+    got = s_measure(two_state_market, replace(prof, phi=phi, beta=2.0), T, grid, 500,
+                    seed=phi, y0=1, full_policy=full)
     want = _path_major_s_measure(phi, 2.0, two_state_market, prof, T, grid, 500,
                                  phi, 1, full)
     assert (got.estimate, got.se, got.excluded_steps) == want
@@ -650,8 +652,8 @@ def test_s_measure_rejects_unknown_start_regime_before_solving(two_state_market,
     monkeypatch.setattr(personalization, "solve", no_solve)
     for y0 in (-1, 2, 1.0):
         with pytest.raises(ConfigError, match="y0"):
-            s_measure(3, 2.0, two_state_market, shocky_profile(), 12, GridSpec(), 200,
-                      seed=1, y0=y0)
+            s_measure(two_state_market, shocky_profile(phi=3, beta=2.0), 12, GridSpec(),
+                      200, seed=1, y0=y0)
 
 
 def test_s_measure_keeps_only_the_advisor_allocations(two_state_market):
@@ -664,8 +666,8 @@ def test_s_measure_keeps_only_the_advisor_allocations(two_state_market):
     full = full_information_policy(two_state_market, prof, T, grid)
     tracemalloc.start()
     try:
-        s_measure(2, 2.0, two_state_market, prof, T, grid, 4_000, seed=41,
-                  full_policy=full)
+        s_measure(two_state_market, replace(prof, phi=2, beta=2.0), T, grid, 4_000,
+                  seed=41, full_policy=full)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -684,5 +686,5 @@ def test_s_measure_rejects_a_full_policy_solved_for_other_inputs(single_state_ma
     ]
     for other in others:
         with pytest.raises(ConfigError, match="full_policy"):
-            s_measure(2, 2.0, single_state_market, prof, T, grid, 300, seed=11,
-                      full_policy=other)
+            s_measure(single_state_market, replace(prof, phi=2, beta=2.0), T, grid, 300,
+                      seed=11, full_policy=other)

@@ -63,6 +63,7 @@ from robo_mv.risk_profile import (
         {"gamma0": 1.0, "gamma_bar": [1.0, "x"]},
         {"gamma0": 1.0, "gamma_bar": [1.0, float("nan")]},
         {"gamma0": 1.0, "eta": ["a", 0.0]},
+        {"gamma0": 1.0, "alpha": 0.9, "eta": np.zeros(5)},
     ],
 )
 def test_bad_parameters_rejected(kwargs):
@@ -90,7 +91,7 @@ def test_gamma_bar_broadcasting():
 
 def test_eta_table_override():
     eta = np.linspace(-0.5, 0.0, 5)
-    p = RiskProfileParams(gamma0=1.0, alpha=0.9, eta=eta)
+    p = RiskProfileParams(gamma0=1.0, eta=eta)
     assert p.eta_at(2, 4) == eta[2]
     np.testing.assert_array_equal(p.eta_at(np.arange(5), 4), eta)
     with pytest.raises(ConfigError):
@@ -448,7 +449,8 @@ def _client_cases(draw):
     if draw(st.booleans()):
         eta = np.random.default_rng(phi).normal(0.0, 0.3, T + 1)
     profile = RiskProfileParams(
-        gamma0=draw(st.floats(0.5, 6.0)), alpha=draw(st.floats(0.0, 0.2)),
+        gamma0=draw(st.floats(0.5, 6.0)),
+        alpha=0.0 if eta is not None else draw(st.floats(0.0, 0.2)),
         p_eps=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
         sigma_eps=draw(st.floats(0.1, 1.0)), beta=draw(st.floats(0.0, 4.0)),
         phi=phi, gamma_bar=gamma_bar, eta=eta,

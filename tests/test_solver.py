@@ -604,7 +604,7 @@ def test_unbiased_client_without_shocks_is_tracked_for_any_phi(
     every = solve(two_state_market, prof, T)
     sparse = solve(two_state_market, replace(prof, phi=phi), T)
     assert np.max(np.abs(sparse.pi - every.pi)) <= 1e-13 * np.max(np.abs(every.pi))
-    s = s_measure(phi, 0.0, two_state_market, prof, T, GridSpec(), 400, 7,
+    s = s_measure(two_state_market, replace(prof, phi=phi), T, GridSpec(), 400, 7,
                   full_policy=every)
     assert s.estimate <= 1e-12
 
@@ -1381,11 +1381,14 @@ def test_step_operators_match_loop_kernel(case):
 
 def test_step_operators_count_rounded_edge_nodes_like_the_loop_kernel(
         two_state_market):
-    # On this axis the locator puts the last xi node a rounding error past
-    # the edge, so an unshifted lookup there counts as clamped.
+    # On this axis the locator's position of the last xi node rounds past
+    # the edge; a lookup exactly on it is still not clamped, in either
+    # engine.
     grid = Grid(np.geomspace(1 / 3.7, 3.7, 8), np.zeros(1), np.zeros(1),
                 quad_points=5, num_states=2)
-    assert _locate(grid.logxi, grid.logxi)[2] == 1
+    span = grid.logxi[-1] - grid.logxi[0]
+    assert span / (span / 7) > 7
+    assert _locate(grid.logxi, grid.logxi)[2] == 0
     profile = RiskProfileParams(gamma0=1.0, p_eps=0.05, sigma_eps=0.64)
     tabs = _ProfileTables(two_state_market, profile, 2)
     specs = [(np.ones(grid.shape), 1), (np.ones(grid.shape), 2)]
@@ -1394,6 +1397,16 @@ def test_step_operators_count_rounded_edge_nodes_like_the_loop_kernel(
     _StepOperators(two_state_market, tabs, grid, 2).slice_expectations(
         0, [(np.moveaxis(tbl, -1, 0), j) for tbl, j in specs], got_clamps)
     assert asdict(got_clamps) == asdict(want_clamps)
+
+
+def test_solve_books_no_clamped_mass_at_a_rounded_edge_node(two_state_market):
+    # gamma0/32..32 gamma0 on 101 nodes puts the last node a rounding error
+    # past the edge; the 99- and 103-node axes clamp 0.0038 and 0.0037 of
+    # the mass. Counting the edge node as clamped gave 0.0132 here.
+    profile = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64)
+    spec = GridSpec(xi_count=101, xi_lo=3.0 / 32, xi_hi=3.0 * 32)
+    tables = solve(two_state_market, profile, 1, spec)
+    assert tables.solve_clamps.xi_fraction < 0.005
 
 
 # -- the regime-major core against the regime-last one ---------------------------
