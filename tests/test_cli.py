@@ -565,13 +565,20 @@ def test_bad_number_in_config_section_exits_2(tmp_path, command, section, key,
 
 
 @pytest.mark.parametrize("command,argv,flags,config,name", [
-    ("solve", ["--quad-points", "4"], {}, {}, "--quad-points"),
-    ("implied-gamma", ["--pi-bar", "0.5"], {}, {}, "--pi-bar"),
-    ("implied-gamma", ["--delta", "0.3"], {}, {}, "--delta"),
-    ("solve", [], {"quad_points": 4}, {}, "quad_points"),
-    ("implied-gamma", [], {"pi_bar": 0.5}, {}, "pi_bar"),
-    ("implied-gamma", [], {"delta": 0.3}, {}, "delta"),
-    ("personalize", [], {}, {"beta": 2.0}, "beta"),
+    pytest.param("solve", ["--quad-points", "4"], {}, {}, "--quad-points",
+                 id="solve-argv-quad-points"),
+    pytest.param("implied-gamma", ["--pi-bar", "0.5"], {}, {}, "--pi-bar",
+                 id="implied-gamma-argv-pi-bar"),
+    pytest.param("implied-gamma", ["--delta", "0.3"], {}, {}, "--delta",
+                 id="implied-gamma-argv-delta"),
+    pytest.param("solve", [], {"quad_points": 4}, {}, "quad_points",
+                 id="solve-flags-quad_points"),
+    pytest.param("implied-gamma", [], {"pi_bar": 0.5}, {}, "pi_bar",
+                 id="implied-gamma-flags-pi_bar"),
+    pytest.param("implied-gamma", [], {"delta": 0.3}, {}, "delta",
+                 id="implied-gamma-flags-delta"),
+    pytest.param("personalize", [], {}, {"beta": 2.0}, "beta",
+                 id="personalize-config-beta"),
 ])
 def test_removed_flag_or_key_exits_2_in_one_line(tmp_path, command, argv, flags,
                                                  config, name, capsys):

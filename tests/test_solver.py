@@ -1400,9 +1400,10 @@ def test_step_operators_count_rounded_edge_nodes_like_the_loop_kernel(
 
 
 def test_solve_books_no_clamped_mass_at_a_rounded_edge_node(two_state_market):
-    # gamma0/32..32 gamma0 on 101 nodes puts the last node a rounding error
-    # past the edge; the 99- and 103-node axes clamp 0.0038 and 0.0037 of
-    # the mass. Counting the edge node as clamped gave 0.0132 here.
+    # On gamma0/32..32 gamma0 with 101 nodes the locator's position of the
+    # last node rounds past the edge. The 99- and 103-node axes clamp 0.0038
+    # and 0.0037 of the mass, and so should this one; an edge node counted
+    # as clamped reads 0.0132.
     profile = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64)
     spec = GridSpec(xi_count=101, xi_lo=3.0 / 32, xi_hi=3.0 * 32)
     tables = solve(two_state_market, profile, 1, spec)
