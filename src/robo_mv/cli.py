@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from robo_mv.market import (
 )
 from robo_mv.montecarlo import SimConfig, annualized, simulate, stats
 from robo_mv.personalization import (
+    check_sampling,
     full_information_policy,
     r_measure,
     r_tilde,
@@ -105,15 +107,25 @@ def _need(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str, context: str | None = None) -> dict:
+    """The config section `key` (market, risk_profile, grid or strategy),
+    which must be a JSON object: required when `context` names the command
+    that needs it, else {} when absent."""
+    doc = _need(cfg, key, context) if context is not None else cfg.get(key, {})
+    if not isinstance(doc, dict):
+        raise ConfigError(f"'{key}' must be a JSON object, got {doc!r}")
+    return doc
+
+
 def _grid_spec(cfg: dict) -> GridSpec:
-    doc = dict(cfg.get("grid", {}))
+    doc = _section(cfg, "grid")
     _check_keys(doc, _GRID_KEYS, "grid")
     return GridSpec(**doc)
 
 
 def _mix(cfg: dict) -> tuple[float, float]:
     """pi_bar and delta of the config's `strategy`, 0.6 and 0.0 by default."""
-    doc = dict(cfg.get("strategy", {}))
+    doc = _section(cfg, "strategy")
     _check_keys(doc, {"pi_bar", "delta"}, "strategy")
     return (check_number(doc.get("pi_bar", 0.6), "pi_bar"),
             check_number(doc.get("delta", 0.0), "delta"))
@@ -199,7 +211,7 @@ def _seed_value(explicit, stored_flags: dict):
 
 def cmd_stationary(args) -> int:
     cfg, _ = _load_config(args.config, "stationary")
-    market = market_from_dict(_need(cfg, "market", "stationary"))
+    market = market_from_dict(_section(cfg, "market", "stationary"))
     dist = stationary_distribution(market)
     print(", ".join(f"{p:.6f}" for p in dist))
     if args.out:
@@ -212,8 +224,8 @@ def cmd_stationary(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg, _ = _load_config(args.config, "solve")
-    market = market_from_dict(_need(cfg, "market", "solve"))
-    profile = profile_from_dict(_need(cfg, "risk_profile", "solve"))
+    market = market_from_dict(_section(cfg, "market", "solve"))
+    profile = profile_from_dict(_section(cfg, "risk_profile", "solve"))
     T = check_number(_need(cfg, "horizon", "solve"), "horizon", integer=True)
     tables = solve(market, profile, T, _grid_spec(cfg), cfg.get("bounds"))
     out = _out_dir(args)
@@ -247,9 +259,10 @@ def cmd_simulate(args) -> int:
         market, strategy = tables.market, tables
         T = check_number(cfg.get("horizon", tables.T), "horizon", integer=True)
     else:
-        market = market_from_dict(_need(cfg, "market", "simulate"))
-        strat_doc = dict(_need(cfg, "strategy", "simulate"))
+        market = market_from_dict(_section(cfg, "market", "simulate"))
+        strat_doc = _section(cfg, "strategy", "simulate")
         _check_keys(strat_doc, {"pi_bar", "delta"}, "strategy")
+        _need(strat_doc, "pi_bar", "strategy")
         strategy = CycleStrategy(**strat_doc)
         T = check_number(_need(cfg, "horizon", "simulate"), "horizon", integer=True)
 
@@ -288,7 +301,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sharpe(args) -> int:
     cfg, flags = _load_config(args.config, "sharpe")
-    market = market_from_dict(_need(cfg, "market", "sharpe"))
+    market = market_from_dict(_section(cfg, "market", "sharpe"))
     base_pi, base_delta = _mix(cfg)
 
     sweep = _resolve(args.sweep, flags, "sweep", "delta")
@@ -324,7 +337,7 @@ def cmd_sharpe(args) -> int:
 
 def cmd_implied_gamma(args) -> int:
     cfg, flags = _load_config(args.config, "implied-gamma")
-    market = market_from_dict(_need(cfg, "market", "implied-gamma"))
+    market = market_from_dict(_section(cfg, "market", "implied-gamma"))
     pi_bar, delta = _mix(cfg)
     T = check_number(_resolve(args.horizon, flags, "horizon", cfg.get("horizon", 0)),
                      "horizon", integer=True)
@@ -354,8 +367,8 @@ def _parse_phi_range(text) -> range:
 
 def cmd_personalize(args) -> int:
     cfg, flags = _load_config(args.config, "personalize")
-    market = market_from_dict(_need(cfg, "market", "personalize"))
-    profile = profile_from_dict(_need(cfg, "risk_profile", "personalize"))
+    market = market_from_dict(_section(cfg, "market", "personalize"))
+    profile = profile_from_dict(_section(cfg, "risk_profile", "personalize"))
     T = check_number(_need(cfg, "horizon", "personalize"), "horizon", integer=True)
     y0 = check_number(cfg.get("y0", 0), "y0", integer=True)
     check_regime(market, y0, "y0")
@@ -368,21 +381,33 @@ def cmd_personalize(args) -> int:
     seed = _seed_value(args.seed, flags)
     grid = _grid_spec(cfg)
     sigma0 = float(market.sigma_step[y0])
+    advisors = [replace(profile, phi=phi, beta=beta) for phi in phis]
+    # Every input check of both measures, before any work starts: they
+    # differ only in the path count, and building the advisors' profiles
+    # has checked their phi and beta.
+    for paths in (n_paths, s_paths):
+        check_sampling(market, profile, T, paths, y0)
 
     children = np.random.SeedSequence(seed).spawn(2 * len(phis))
     full_policy = None
     rows = []
-    for i, phi in enumerate(phis):
-        advisor = replace(profile, phi=phi, beta=beta)
-        r, r_se = r_measure(market, advisor, T, n_paths, children[2 * i], y0=y0)
-        # Solved once, after the first R estimate: the solver's working
-        # memory then does not add to the peak that R's path sample sets.
-        if full_policy is None:
-            full_policy = full_information_policy(market, profile, T, grid)
-        sm = s_measure(market, advisor, T, grid, s_paths, children[2 * i + 1],
-                       y0=y0, full_policy=full_policy)
-        rt = r_tilde(phi, beta, sigma0, profile.p_eps, profile.sigma_eps)
-        rows.append((phi, r, r_se, rt, sm.estimate, sm.se))
+    # For each phi, R runs on the worker thread while this one solves the
+    # full-information policy (first phi only) and runs S. R is joined
+    # before the next phi, and its error, if any, wins: R comes first in
+    # the serial order.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for i, (phi, advisor) in enumerate(zip(phis, advisors)):
+            r_job = pool.submit(r_measure, market, advisor, T, n_paths,
+                                children[2 * i], y0)
+            try:
+                if full_policy is None:
+                    full_policy = full_information_policy(market, profile, T, grid)
+                sm = s_measure(market, advisor, T, grid, s_paths, children[2 * i + 1],
+                               y0=y0, full_policy=full_policy)
+            finally:
+                r, r_se = r_job.result()
+            rt = r_tilde(phi, beta, sigma0, profile.p_eps, profile.sigma_eps)
+            rows.append((phi, r, r_se, rt, sm.estimate, sm.se))
     out = _out_dir(args)
     _write_csv(out / "personalize.csv",
                ["phi", "R", "R_se", "R_tilde", "S", "S_se"], rows)
@@ -397,8 +422,17 @@ def cmd_personalize(args) -> int:
 # -- parser and dispatch ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that they
+    print as one `configuration error:` line and exit 2 like every other
+    configuration error. Its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="robo-mv",
         description="Adaptive mean-variance allocation engine",
     )
@@ -455,10 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, unknown = _build_parser().parse_known_args(argv)
     try:
-        if unknown:
-            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -18,14 +18,22 @@ import numpy as np
 
 from robo_mv.errors import ConfigError, InsufficientSamples, ZeroAllocation
 from robo_mv.market import MarketParams, check_count, check_number, check_regime
-from robo_mv.risk_profile import RiskProfileParams, _client_steps, _time_sums
+from robo_mv.risk_profile import (
+    RiskProfileParams,
+    _client_blocks,
+    _client_steps,
+    _time_sums,
+)
 from robo_mv.solver import (
+    ClampCounters,
     GridSpec,
     PolicyTables,
+    _backward_steps,
+    _checked_grid,
     _params_digest,
-    _window_allocations,
+    _put_regime_last,
+    _window_lookup,
     solve,
-    solve_allocations,
 )
 
 _ROOT_2_PI = math.sqrt(2.0 / math.pi)
@@ -195,14 +203,25 @@ def r_tilde_sandwich(
 # -- Monte Carlo measures -----------------------------------------------------
 
 
-def _check_sampling(market: MarketParams, T, n_paths, y0) -> None:
-    """The horizon T, the start regime y0 and n_paths of R and S, checked
-    first, so that a bad value fails before any sampling or solve."""
+# Path-steps per block of r_measure's client paths: 1 820 paths at T = 18,
+# so that a block's few float rows stay well under 1 MB each.
+_R_BLOCK = 1 << 15
+
+
+def check_sampling(market: MarketParams, profile: RiskProfileParams, T, n_paths,
+                   y0=0) -> None:
+    """The input checks that r_measure and s_measure make first, so that a
+    bad value fails before any sampling or solve: the horizon T, the start
+    regime y0, n_paths (at least 100), and the profile's gamma_bar and eta
+    tables against the market and T. Raises ConfigError (InsufficientSamples
+    for too few paths)."""
     check_regime(market, y0, "y0")
     check_count(T, "T", 1)
     check_count(n_paths, "n_paths", 1)
     if n_paths < 100:
         raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
+    profile.gamma_bar_table(T, market.num_states)
+    profile.eta_at(np.arange(T + 1), T)
 
 
 def r_measure(
@@ -221,18 +240,25 @@ def r_measure(
     and the bias under study. The frozen-regime measure that r_tilde
     approximates is this measure on a one-regime market whose per-step
     return SD is sigma0.
+
+    The paths are simulated in blocks of about `_R_BLOCK` path-steps
+    (`risk_profile._client_blocks`), each reduced to its per-path averages
+    before the next is built; the estimate has the bits of the whole batch.
     """
-    _check_sampling(market, T, n_paths, y0)
+    check_sampling(market, profile, T, n_paths, y0)
     rng = np.random.default_rng(seed)
-    rows = _client_steps(market, profile, T, n_paths, rng, y0,
-                         ("gamma_client", "gamma_robo"))
-    ratio = rows["gamma_client"][:T]
-    ratio /= rows["gamma_robo"][:T]
-    ratio -= 1.0
-    # Per-path time averages of |ratio - 1|, summed pairwise like a
-    # contiguous path-major row so that the estimate keeps its bits for a
-    # given seed.
-    per_path = _time_sums(np.abs(ratio, out=ratio)) / T
+    per_path = np.empty(n_paths)
+    for paths, rows in _client_blocks(market, profile, T, n_paths, rng, y0,
+                                      ("gamma_client", "gamma_robo"),
+                                      max(1, _R_BLOCK // T)):
+        ratio = rows["gamma_client"][:T]
+        ratio /= rows["gamma_robo"][:T]
+        ratio -= 1.0
+        # Per-path time averages of |ratio - 1|, summed pairwise like a
+        # contiguous path-major row so that the estimate keeps its bits for
+        # a given seed.
+        per_path[paths] = _time_sums(np.abs(ratio, out=ratio)) / T
+        del rows, ratio  # freed before the next block is built
     est = float(per_path.mean())
     se = float(per_path.std(ddof=1) / math.sqrt(n_paths))
     return est, se
@@ -280,15 +306,17 @@ def s_measure(
     advisor's, as for r_measure.
 
     Both policies are solved on the same grid and evaluated along shared
-    simulated paths; of the advisor's policy only the allocation table is
-    solved for (`solve_allocations`). `full_policy`, if given, is the
-    full-information policy already solved by full_information_policy for
-    the same market, profile, T and grid; its parameter digest must match,
-    or ConfigError is raised. Path-steps where the full-information
-    allocation is below 1e-10 in magnitude are excluded from the average and
-    counted in excluded_steps; if nothing remains the estimate is undefined.
+    simulated paths. The paths are simulated first; the advisor's policy is
+    then read one period at a time as the backward induction yields it, so
+    only one regime-last slice of it is kept, plus the advisor's allocation
+    at every path-step. `full_policy`, if given, is the full-information
+    policy already solved by full_information_policy for the same market,
+    profile, T and grid; its parameter digest must match, or ConfigError is
+    raised. Path-steps where the full-information allocation is below 1e-10
+    in magnitude are excluded from the average and counted in
+    excluded_steps; if nothing remains the estimate is undefined.
     """
-    _check_sampling(market, T, n_paths, y0)
+    check_sampling(market, profile, T, n_paths, y0)
     if full_policy is not None and full_policy.params_sha256 != _params_digest(
         market, _full_information(profile), T, grid, None
     ):
@@ -296,24 +324,33 @@ def s_measure(
             "full_policy is not the full_information_policy of this market, "
             f"profile, grid and horizon T = {T}"
         )
-    robo_grid, robo_pi = solve_allocations(market, profile, T, grid)
-    policy_full = (full_policy if full_policy is not None
-                   else full_information_policy(market, profile, T, grid))
-
     rng = np.random.default_rng(seed)
     rows = _client_steps(market, profile, T, n_paths, rng, y0,
                          ("regimes", "gamma_client", "xi", "window_csum"))
     regimes = rows["regimes"][:T]
-    robo = _window_allocations(robo_pi, robo_grid, profile, rows["xi"],
-                               rows["window_csum"], regimes)
+
+    g = _checked_grid(market, profile, T, grid)
+    robo_at = _window_lookup(g, profile, (T,) + g.shape, rows.pop("xi"),
+                             rows["window_csum"], regimes)
+    pi_n = np.empty(g.shape)
+    robo = np.empty((T, n_paths))
+    for n, p_n, _, _ in _backward_steps(market, profile, T, g, None, ClampCounters()):
+        _put_regime_last(pi_n, p_n)
+        robo[n] = robo_at(n, pi_n)
+    del robo_at, pi_n
+
+    policy_full = (full_policy if full_policy is not None
+                   else full_information_policy(market, profile, T, grid))
     # The full-information client reports gamma^C every step, unbiased. Its
     # beta = 0 grid has one node on each window axis, where every window sum
     # reads the same, so it shares the advisor's rows of window sums.
-    full = _window_allocations(policy_full.pi, policy_full.grid, policy_full.profile,
-                               rows["gamma_client"], rows["window_csum"], regimes)
+    full_at = _window_lookup(policy_full.grid, policy_full.profile,
+                             policy_full.pi.shape, rows["gamma_client"],
+                             rows["window_csum"], regimes)
     path_sum = np.zeros(n_paths)
     path_cnt = np.zeros(n_paths, dtype=int)
-    for pi_robo, pi_full in zip(robo, full):
+    for n, pi_robo in enumerate(robo):
+        pi_full = full_at(n, policy_full.pi[n])
         ok = np.abs(pi_full) >= 1e-10
         gap = np.where(
             ok, np.abs(pi_robo - pi_full) / np.where(ok, np.abs(pi_full), 1.0), 0.0

@@ -18,7 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NotInteractionTime, WindowLengthMismatch
-from .market import MarketParams, _sample_steps, check_array, check_number
+from .market import (
+    MarketParams,
+    _fill_returns,
+    _sample_regimes,
+    _sample_steps,
+    check_array,
+    check_number,
+)
 
 
 @dataclass(frozen=True)
@@ -139,11 +146,19 @@ def sample_eps(
     scalar = size is None
     n = 1 if scalar else size
     jump = rng.random(n) < params.p_eps
-    eps = rng.standard_normal(n)
+    eps = _shock_logs(params, jump, rng.standard_normal(n))
+    return float(eps[0]) if scalar else eps
+
+
+def _shock_logs(params: RiskProfileParams, jump: np.ndarray,
+                eps: np.ndarray) -> np.ndarray:
+    """The log-shocks of `sample_eps` from its draws, in place in the
+    standard normals `eps`: sigma_eps * eps - sigma_eps^2 / 2 where `jump`,
+    else 0."""
     eps *= params.sigma_eps
     eps -= 0.5 * params.sigma_eps**2
     np.copyto(eps, 0.0, where=~jump)
-    return float(eps[0]) if scalar else eps
+    return eps
 
 
 def bias_factor(window_excess_returns, beta: float, phi: int) -> float:
@@ -236,58 +251,96 @@ def _client_steps(
     (uint8 for up to 256 regimes; `simulate_clients` widens them to int64),
     and `tau` as a read-only broadcast view. All are C-contiguous except
     `tau`. Whatever the fields, the draws are those of `simulate_clients`:
-    `market._sample_steps`, then `sample_eps` of size (n_paths, T). Every
-    element gets the same arithmetic, so each row holds the bits of that
-    function's column. The sampler's working set is about 8 B of returns
-    and 1 B of regime per path-step; each float field adds 8 B per
-    path-step.
+    `market._sample_steps`, then `sample_eps` of size (n_paths, T). The
+    rows are assembled by `_window_bias` and `_client_gammas`, which
+    `_client_blocks` runs on blocks of paths. Every element gets the same
+    arithmetic, so each row holds the bits of that function's column. The
+    sampler's working set is about 8 B of returns and 1 B of regime per
+    path-step; each float field adds 8 B per path-step.
     """
-    phi, beta = profile.phi, profile.beta
     regimes, returns = _sample_steps(market, y0, T, n_paths, rng)
-    gbar = profile.gamma_bar_table(T, market.num_states)
-    eta = np.asarray(profile.eta_at(np.arange(T + 1), T), dtype=float)
     # Idiosyncratic martingale: one potential jump per step 1..T.
     eps = sample_eps(profile, rng, size=(n_paths, T))
 
     want = set(fields)
-    robo = bool(want & {"xi", "gamma_robo"})
-    times = np.arange(T + 1)
-    tau_of_n = phi * (times // phi)
     out = {}
-    if "window_csum" in want or "gamma_z" in want or robo:
-        demeaned = market.mu_step[regimes[:-1]]
-        np.subtract(returns, demeaned, out=demeaned)
-        if "window_csum" in want:
-            out["window_csum"] = _cumsum_rows(demeaned)
-        # Log bias, then bias, at each interaction time k*phi.
-        gz_at_inter = window_log_bias(demeaned, beta, phi)
-        np.exp(gz_at_inter, out=gz_at_inter)
-        del demeaned
-        if "gamma_z" in want:
-            out["gamma_z"] = gz_at_inter[times // phi]
+    gz_at_inter = None
+    if want & {"window_csum", "gamma_z", "xi", "gamma_robo"}:
+        gz_at_inter = _window_bias(market, profile, regimes, returns, want, out)
     if "returns" in want:
         out["returns"] = returns
     del returns
-
-    if want & {"gamma_id", "gamma_client"} or robo:
-        gamma_id = _cumsum_rows(eps.T)
+    if want & _GAMMA_FIELDS:
+        log_id = _cumsum_rows(eps.T)
         del eps
-        np.exp(gamma_id, out=gamma_id)
-        gamma_id *= profile.gamma0
-        if "gamma_id" in want:
-            out["gamma_id"] = gamma_id
-            gamma_client = gamma_id * np.exp(eta)[:, None]
-        else:
-            gamma_client = gamma_id
-            gamma_client *= np.exp(eta)[:, None]
-        # gamma_bar_n(Y_n) per path; one column when it ignores the regime.
-        if profile.gamma_bar_is_state_constant():
-            gbar_path = gbar[:, :1]
-        else:
-            gbar_path = gbar[times[:, None], regimes]
-        gamma_client *= gbar_path
-        if "gamma_client" in want:
-            out["gamma_client"] = gamma_client
+        _client_gammas(market, profile, regimes, log_id, gz_at_inter, want, out)
+    if "regimes" in want:
+        out["regimes"] = regimes
+    if "tau" in want:
+        tau_of_n = profile.phi * (np.arange(T + 1) // profile.phi)
+        out["tau"] = np.broadcast_to(tau_of_n[:, None], (T + 1, n_paths))
+    return out
+
+
+# The fields `_client_gammas` builds from the shocks.
+_GAMMA_FIELDS = frozenset({"gamma_id", "gamma_client", "xi", "gamma_robo"})
+
+
+def _window_bias(market: MarketParams, profile: RiskProfileParams,
+                 regimes: np.ndarray, returns: np.ndarray, want, out: dict):
+    """The return half of the client core for a block of paths, from its
+    time-major regimes (T+1, paths) and returns (T, paths): returns the
+    bias factor gamma^Z at each interaction time k*phi, rows
+    (T//phi + 1, paths), and adds `window_csum` and `gamma_z` to `out` when
+    `want` names them."""
+    phi = profile.phi
+    demeaned = market.mu_step[regimes[:-1]]
+    np.subtract(returns, demeaned, out=demeaned)
+    if "window_csum" in want:
+        out["window_csum"] = _cumsum_rows(demeaned)
+    # Log bias, then bias, at each interaction time k*phi.
+    gz_at_inter = window_log_bias(demeaned, profile.beta, phi)
+    np.exp(gz_at_inter, out=gz_at_inter)
+    del demeaned
+    if "gamma_z" in want:
+        out["gamma_z"] = gz_at_inter[np.arange(len(regimes)) // phi]
+    return gz_at_inter
+
+
+def _client_gammas(market: MarketParams, profile: RiskProfileParams,
+                   regimes: np.ndarray, log_id: np.ndarray, gz_at_inter, want,
+                   out: dict) -> None:
+    """The shock half of the client core for a block of paths: adds the
+    fields of `_GAMMA_FIELDS` that `want` names to `out`, as rows
+    (T+1, paths). `log_id` holds the running sums of the block's log-shocks
+    (`_cumsum_rows` of the time-major `sample_eps`) and becomes the
+    idiosyncratic martingale in place; `gz_at_inter` is the block's
+    `_window_bias`, needed for xi and gamma_robo only."""
+    T = len(regimes) - 1
+    phi = profile.phi
+    gbar = profile.gamma_bar_table(T, market.num_states)
+    eta = np.asarray(profile.eta_at(np.arange(T + 1), T), dtype=float)
+    times = np.arange(T + 1)
+    tau_of_n = phi * (times // phi)
+    robo = bool(want & {"xi", "gamma_robo"})
+
+    gamma_id = log_id
+    np.exp(gamma_id, out=gamma_id)
+    gamma_id *= profile.gamma0
+    if "gamma_id" in want:
+        out["gamma_id"] = gamma_id
+        gamma_client = gamma_id * np.exp(eta)[:, None]
+    else:
+        gamma_client = gamma_id
+        gamma_client *= np.exp(eta)[:, None]
+    # gamma_bar_n(Y_n) per path; one column when it ignores the regime.
+    if profile.gamma_bar_is_state_constant():
+        gbar_path = gbar[:, :1]
+    else:
+        gbar_path = gbar[times[:, None], regimes]
+    gamma_client *= gbar_path
+    if "gamma_client" in want:
+        out["gamma_client"] = gamma_client
     if robo:
         xi = gamma_client[tau_of_n]
         xi *= gz_at_inter[times // phi]
@@ -298,11 +351,53 @@ def _client_steps(
             gamma_robo *= gbar_path
             gamma_robo /= gbar_path[tau_of_n]
             out["gamma_robo"] = gamma_robo
-    if "regimes" in want:
-        out["regimes"] = regimes
-    if "tau" in want:
-        out["tau"] = np.broadcast_to(tau_of_n[:, None], (T + 1, n_paths))
-    return out
+
+
+def _client_blocks(market: MarketParams, profile: RiskProfileParams, T: int,
+                   n_paths: int, rng: np.random.Generator, y0: int, fields,
+                   width: int):
+    """The client simulator in blocks of `width` paths: yields
+    ``(paths, rows)`` for consecutive path slices, with rows the named
+    fields of `_GAMMA_FIELDS` for those paths, bit for bit the columns of
+    `_client_steps`. Each block's rows are dropped when the next is asked
+    for.
+
+    The draws are those of `_client_steps`, in its order: every regime
+    uniform (`_sample_regimes`); the return Gaussians of each block in turn,
+    each block reduced at once to its bias factors (`_window_bias`); every
+    jump uniform, kept as a bool mask; then the shock Gaussians of each
+    block, from which its rows are assembled (`_client_gammas`).
+    ``Generator`` fills in order, so drawing path blocks of a path-major
+    draw gives its numbers. The working set is 1 B of regime and of jump
+    mask per path-step, the bias factors (8 B per path and interaction
+    time), and a few float rows of one block.
+    """
+    want = set(fields)
+    phi = profile.phi
+    blocks = [slice(p, min(p + width, n_paths)) for p in range(0, n_paths, width)]
+    regimes = _sample_regimes(market, y0, T, n_paths, rng)
+    gz_at_inter = np.empty((T // phi + 1, n_paths))
+    buf = np.empty(T * min(width, n_paths))
+    for paths in blocks:
+        z = buf[:T * (paths.stop - paths.start)].reshape(T, -1)
+        _fill_returns(market, regimes[:-1, paths], rng, z)
+        gz_at_inter[:, paths] = _window_bias(market, profile, regimes[:, paths], z,
+                                             (), {})
+    del buf, z
+    jump = np.empty((n_paths, T), dtype=bool)
+    for paths in blocks:
+        np.less(rng.random(jump[paths].shape), profile.p_eps, out=jump[paths])
+    for paths in blocks:
+        eps = _shock_logs(profile, jump[paths], rng.standard_normal(jump[paths].shape))
+        log_id = _cumsum_rows(eps.T)
+        del eps
+        rows = {}
+        _client_gammas(market, profile, regimes[:, paths], log_id, gz_at_inter[:, paths],
+                       want, rows)
+        del log_id
+        yield paths, rows
+        # The caller drops its reference too before asking for the next block.
+        del rows
 
 
 def _cumsum_rows(rows: np.ndarray) -> np.ndarray:

@@ -331,29 +331,46 @@ def _corner_sum(table: np.ndarray, xp, corners, ic, fc, y) -> np.ndarray:
 def _window_allocations(pi: np.ndarray, grid: Grid, profile: RiskProfileParams,
                         xi, window_csum, regimes):
     """Yield the allocation that ``allocation_at`` reads from the table `pi`
-    (regime last, solved on `grid` for `profile`) at time n, state
+    (regime last, solved on `grid` for `profile`) at each time n = 0 ..
+    len(regimes) - 1, from time-major client rows, bit for bit: the lookups
+    of `_window_lookup`, in time order."""
+    at = _window_lookup(grid, profile, pi.shape, xi, window_csum, regimes)
+    for n in range(len(regimes)):
+        yield at(n, pi[n])
+
+
+def _window_lookup(grid: Grid, profile: RiskProfileParams, shape, xi, window_csum,
+                   regimes):
+    """The allocation lookup along time-major rows of simulated clients:
+    returns ``at(n, pi_n)``, the allocation that ``allocation_at`` reads at
+    time n from `pi_n`, the regime-last slice at n of a table of `shape`
+    ``(T, xi, prev, cur, M)`` solved on `grid` for `profile`, at the state
     ``(xi[n] / gamma_bar_tau(regimes[tau]), prev_n, cur_n, regimes[n])``,
-    bit for bit, for n = 0 .. len(regimes) - 1, from time-major rows, with
-    tau the window's first time and xi the communicated risk aversion of the
-    client simulator.
+    bit for bit, with tau the window's first time and xi the communicated
+    risk aversion of the client simulator. More than T rows of regimes
+    raise ConfigError, as do regimes outside [0, M) and xi <= 0.
 
     The window sums (prev_n, cur_n) come from the rows of `window_csum` as
     `risk_profile.window_sums` forms them for the profile's phi. xi must be
     constant over each interaction window [k*phi, (k+1)*phi), as the client
-    simulator's is: xi and prev are then checked and located once per
-    window, and only cur moves the stencil.
+    simulator's is: xi and prev are then checked and located once for the
+    latest window asked for, so asking for the times of each window
+    together, in either order, locates each window once, and only cur moves
+    the stencil.
     """
-    T = len(pi)
+    T, table_shape = shape[0], shape[1:]
     if len(regimes) > T:
         raise ConfigError(f"time index {T} outside [0, {T})")
-    table_shape = pi.shape[1:]
     _checked_regimes(regimes, table_shape[-1])
     gbar = profile.gamma_bar_table(T, table_shape[-1])
     phi = profile.phi
-    for n, y in enumerate(regimes):
-        if n % phi == 0:
-            tau = n
-            x = np.asarray(xi[n], dtype=float) / gbar[tau, y]
+    window = {}
+
+    def at(n: int, pi_n: np.ndarray) -> np.ndarray:
+        tau = phi * (n // phi)
+        if window.get("tau") != tau:
+            y = regimes[tau]
+            x = np.asarray(xi[tau], dtype=float) / gbar[tau, y]
             if np.any(x <= 0):
                 raise ConfigError("xi queries must be strictly positive")
             if tau >= phi:
@@ -361,9 +378,12 @@ def _window_allocations(pi: np.ndarray, grid: Grid, profile: RiskProfileParams,
             else:
                 prev = np.zeros(len(y))
             xp, corners, _, _ = _xp_stencil(grid, table_shape, np.log(x), prev)
+            window.update(tau=tau, xp=xp, corners=corners)
         cur = window_csum[n] - window_csum[tau]
         ic, fc, _ = _locate(grid.cur, cur)
-        yield _corner_sum(pi[n], xp, corners, ic, fc, y)
+        return _corner_sum(pi_n, window["xp"], window["corners"], ic, fc, regimes[n])
+
+    return at
 
 
 # -- advisor gamma bookkeeping ---------------------------------------------------
@@ -1032,28 +1052,6 @@ def solve(
         market=market, profile=profile, T=T, grid=g,
         pi=pi, a=a, b=b, bounds=bounds, solve_clamps=counters,
     )
-
-
-def solve_allocations(
-    market: MarketParams,
-    profile: RiskProfileParams,
-    T: int,
-    spec: GridSpec,
-) -> tuple[Grid, np.ndarray]:
-    """The grid and allocation table of ``solve(market, profile, T, spec)``,
-    bit for bit, without the moment tables: pi has shape (T,) + grid,
-    regime last.
-
-    For a caller that reads only the unbounded allocations, such as the S
-    measure: the solve keeps one period of a and b instead of T+1, and
-    raises what solve raises.
-    """
-    g = _checked_grid(market, profile, T, spec)
-    pi = np.empty((T,) + g.shape)
-    for n, p_n, _, _ in _backward_steps(market, profile, T, g, None,
-                                        ClampCounters()):
-        _put_regime_last(pi[n], p_n)
-    return g, pi
 
 
 def moment_m(

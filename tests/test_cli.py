@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 import robo_mv.cli as cli
 from robo_mv.cli import main
 from robo_mv.cycle_analytics import CycleStrategy, annualize_sharpe, implied_gamma, sharpe_general
-from robo_mv.errors import DegenerateVariance
+from robo_mv.errors import ConfigError, DegenerateVariance, NumericalError
 from robo_mv.market import market_from_dict
 from robo_mv.personalization import phi_star, r_tilde
 from robo_mv.risk_profile import profile_from_dict
@@ -597,6 +599,60 @@ def test_removed_flag_or_key_exits_2_in_one_line(tmp_path, command, argv, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,section,value", [
+    ("sharpe", "strategy", 0.6),
+    ("implied-gamma", "strategy", [0.6, 0.0]),
+    ("simulate", "strategy", "pi_bar"),
+    ("simulate", "strategy", {"delta": 0.1}),
+    ("solve", "grid", [1, 2]),
+    ("personalize", "grid", None),
+    ("solve", "risk_profile", 3),
+    ("personalize", "risk_profile", [3.0]),
+    ("solve", "market", "two-state"),
+    ("stationary", "market", [[0.95, 0.05], [0.10, 0.90]]),
+])
+def test_config_section_that_is_not_an_object_exits_2(tmp_path, command, section,
+                                                      value, capsys):
+    # A market, risk_profile, grid or strategy section is a JSON object, and
+    # a simulate strategy names its pi_bar.
+    cfg = _small_run_config()
+    cfg[section] = value
+    manifest = {"kind": "run_manifest", "command": command, "config": cfg,
+                "flags": dict(_SMALL_FLAGS.get(command, {}))}
+    path = write_config(tmp_path, manifest, name="run.json")
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert (section in err or "pi_bar" in err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["simulate", "--config", "CFG", "--out", "OUT", "--paths", "x"], "--paths"),
+    (["simulate", "--config", "CFG", "--out", "OUT", "--seed", "1.5"], "--seed"),
+    (["solve", "--config", "CFG"], "--out"),
+    (["personalize", "--out", "OUT"], "--config"),
+    (["sharpe", "--config", "CFG", "--out", "OUT", "--sweep", "gamma"], "--sweep"),
+    (["stationary", "--config", "CFG", "--bins", "3"], "--bins"),
+    (["rebalance"], "rebalance"),
+    ([], "command"),
+])
+def test_usage_error_exits_2_in_one_line(tmp_path, argv, name, capsys):
+    # argparse's own errors (a bad value, a missing required flag, an
+    # unknown flag or command) are configuration errors like any other.
+    cfg = write_config(tmp_path, _small_run_config())
+    out = tmp_path / "o"
+    argv = [{"CFG": cfg, "OUT": str(out)}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert name in err
+    assert not out.exists()
+
+
 def test_manifest_flag_tables_match_the_parser():
     parser = cli._build_parser()
     (sub,) = [a for a in parser._actions
@@ -825,9 +881,9 @@ def test_personalize_solves_full_information_policy_once(tmp_path, monkeypatch):
             return solver(*args, **kwargs)
         return counted
 
-    # The advisor's policy is solved by solve_allocations, the
-    # full-information one by solve.
-    for name in ("solve", "solve_allocations"):
+    # s_measure runs the advisor's backward induction itself; the
+    # full-information policy is solved by solve.
+    for name in ("solve", "_backward_steps"):
         monkeypatch.setattr(personalization, name,
                             counting(getattr(personalization, name)))
     doc = single_state_config()
@@ -847,6 +903,111 @@ def test_personalize_solves_full_information_policy_once(tmp_path, monkeypatch):
     assert sorted(calls) == [1, 1, 1, 1, 2, 3]
     assert ((tmp_path / "once" / "personalize.csv").read_bytes()
             == (tmp_path / "each" / "personalize.csv").read_bytes())
+
+
+class _SerialPool:
+    """A stand-in for ThreadPoolExecutor that runs each job when it is
+    submitted, on the calling thread: the serial order R, then S."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        job = Future()
+        try:
+            job.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            job.set_exception(exc)
+        return job
+
+
+def _personalize_argv(tmp_path):
+    doc = two_state_config()
+    del doc["strategy"]
+    doc["risk_profile"] = {"gamma0": 3.0, "p_eps": 0.05, "sigma_eps": 0.64}
+    doc["horizon"] = 6
+    doc["grid"] = {"xi_count": 7, "zsum_count": 5, "quad_points": 5}
+    return ["personalize", "--config", write_config(tmp_path, doc), "--phi-range",
+            "1:3", "--beta", "2", "--paths", "300", "--s-paths", "200", "--seed", "9"]
+
+
+def test_personalize_overlap_writes_the_serial_bytes(tmp_path, monkeypatch):
+    # R runs beside S on a worker thread; the artifacts are those of the
+    # serial order, and no thread is left behind.
+    argv = _personalize_argv(tmp_path)
+    before = threading.active_count()
+    assert main(argv + ["--out", str(tmp_path / "overlap")]) == 0
+    assert threading.active_count() == before
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    for name in ("personalize.csv", "run.json"):
+        assert ((tmp_path / "overlap" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes()), name
+    assert len((tmp_path / "serial" / "personalize.csv").read_text().split("\n")) == 5
+
+
+@pytest.mark.parametrize("faulty", [("R",), ("S",), ("R", "S")])
+def test_personalize_overlap_reports_the_serial_error(tmp_path, monkeypatch, capsys,
+                                                      faulty):
+    # A fault at phi = 2, after phi = 1 succeeded: the exit code and the one
+    # line of the serial order (R before S), no output directory, and no
+    # thread left behind.
+    def failing(measure, exc):
+        def run(market, profile, *args, **kwargs):
+            if profile.phi == 2:
+                raise exc
+            return measure(market, profile, *args, **kwargs)
+        return run
+
+    if "R" in faulty:
+        monkeypatch.setattr(cli, "r_measure",
+                            failing(cli.r_measure, NumericalError("R failed")))
+    if "S" in faulty:
+        monkeypatch.setattr(cli, "s_measure",
+                            failing(cli.s_measure, ConfigError("S failed")))
+    argv = _personalize_argv(tmp_path)
+    results = {}
+    for mode in ("overlap", "serial"):
+        if mode == "serial":
+            monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
+        before = threading.active_count()
+        out = tmp_path / mode
+        code = main(argv + ["--out", str(out)])
+        assert threading.active_count() == before
+        assert not out.exists()
+        results[mode] = (code, capsys.readouterr().err)
+    assert results["overlap"] == results["serial"]
+    code, err = results["overlap"]
+    want = ((3, "numerical failure: R failed\n") if "R" in faulty
+            else (2, "configuration error: S failed\n"))
+    assert (code, err) == want
+
+
+def test_personalize_checks_both_measures_before_any_work(tmp_path, monkeypatch,
+                                                          capsys):
+    import robo_mv.personalization as personalization
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled or solved before checking the inputs")
+
+    for name in ("_client_blocks", "_client_steps", "_backward_steps", "solve"):
+        monkeypatch.setattr(personalization, name, no_work)
+    argv = _personalize_argv(tmp_path)
+    before = threading.active_count()
+    for flag, value in (("--s-paths", "99"), ("--paths", "50")):
+        out = tmp_path / flag.strip("-")
+        i = argv.index(flag)
+        assert main(argv[:i + 1] + [value] + argv[i + 2:] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: need at least 100 paths")
+        assert not out.exists()
+    assert threading.active_count() == before
 
 
 def test_personalize_with_regime_varying_gamma_bar_reaches_phi_3(tmp_path):

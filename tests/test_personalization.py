@@ -6,11 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from robo_mv.errors import ConfigError, InsufficientSamples
+import robo_mv.personalization as personalization
+from robo_mv.errors import ConfigError, GridExhausted, InsufficientSamples
+from robo_mv.market import MarketParams
 from robo_mv.personalization import (
     PhiStar,
     full_information_policy,
@@ -24,10 +28,12 @@ from robo_mv.personalization import (
 )
 from robo_mv.risk_profile import (
     RiskProfileParams,
+    _client_steps,
+    _time_sums,
     simulate_clients,
     window_sums,
 )
-from robo_mv.solver import GridSpec, solve
+from robo_mv.solver import GridSpec, _window_allocations, solve
 
 ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -471,6 +477,11 @@ def test_r_measure_equals_path_major_formula(two_state_market, phi):
     assert got == want
 
 
+# What R and S sample and solve with, each patched out to show that a check
+# comes first.
+_SAMPLERS_AND_SOLVERS = ("_client_blocks", "_client_steps", "_backward_steps", "solve")
+
+
 @pytest.mark.parametrize("phi, beta, T", [
     (2.5, 2.0, 12), (True, 2.0, 12), (0, 2.0, 12), (math.nan, 2.0, 12), ("3", 2.0, 12),
     (3, True, 12), (3, -1.0, 12), (3, math.nan, 12), (3, math.inf, 12),
@@ -478,12 +489,10 @@ def test_r_measure_equals_path_major_formula(two_state_market, phi):
 ])
 def test_measures_reject_bad_phi_beta_and_horizon_before_sampling(
         two_state_market, monkeypatch, phi, beta, T):
-    import robo_mv.personalization as personalization
-
     def no_work(*args, **kwargs):
         raise AssertionError("sampled or solved before checking phi, beta and T")
 
-    for name in ("_client_steps", "solve", "solve_allocations"):
+    for name in _SAMPLERS_AND_SOLVERS:
         monkeypatch.setattr(personalization, name, no_work)
     # phi and beta are the advisor profile's, which checks them itself.
     with pytest.raises(ConfigError):
@@ -499,12 +508,10 @@ def test_measures_reject_non_count_paths_before_sampling(
         two_state_market, monkeypatch, n_paths):
     # A non-count is a plain ConfigError naming n_paths, not the
     # InsufficientSamples of a count below 100.
-    import robo_mv.personalization as personalization
-
     def no_work(*args, **kwargs):
         raise AssertionError("sampled or solved before checking n_paths")
 
-    for name in ("_client_steps", "solve", "solve_allocations"):
+    for name in _SAMPLERS_AND_SOLVERS:
         monkeypatch.setattr(personalization, name, no_work)
     prof = shocky_profile(phi=3, beta=2.0)
     for call in (
@@ -641,14 +648,12 @@ def test_s_measure_equals_path_major_formula(two_state_market, phi):
 
 def test_s_measure_rejects_unknown_start_regime_before_solving(two_state_market,
                                                               monkeypatch):
-    import robo_mv.personalization as personalization
-
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking y0")
 
-    # s_measure solves the advisor's policy with solve_allocations and the
-    # full-information one with solve.
-    monkeypatch.setattr(personalization, "solve_allocations", no_solve)
+    # s_measure runs the advisor's backward induction itself and solves the
+    # full-information policy with solve.
+    monkeypatch.setattr(personalization, "_backward_steps", no_solve)
     monkeypatch.setattr(personalization, "solve", no_solve)
     for y0 in (-1, 2, 1.0):
         with pytest.raises(ConfigError, match="y0"):
@@ -659,8 +664,11 @@ def test_s_measure_rejects_unknown_start_regime_before_solving(two_state_market,
 def test_s_measure_keeps_only_the_advisor_allocations(two_state_market):
     # The benchmark's shape: T=18, phi=2, the default grid, 4 000 paths. The
     # full PolicyTables of the advisor's solve (pi, a, b and V) peaked at
-    # 30.0 MB under tracemalloc; its allocation table alone is 5.2 MB, and
-    # the whole estimate peaks at 13.8 MB.
+    # 30.0 MB under tracemalloc, and its allocation table alone is 5.2 MB.
+    # Stored without the moment tables, the estimate peaked at 13.8 MB; read
+    # one period at a time as the induction yields it, with one regime-last
+    # slice and the advisor's allocation per path-step (0.6 MB), it peaks
+    # at 11.5 MB.
     prof = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64)
     T, grid = 18, GridSpec()
     full = full_information_policy(two_state_market, prof, T, grid)
@@ -671,7 +679,7 @@ def test_s_measure_keeps_only_the_advisor_allocations(two_state_market):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18e6
+    assert peak < 13e6
 
 
 def test_s_measure_rejects_a_full_policy_solved_for_other_inputs(single_state_market,
@@ -688,3 +696,118 @@ def test_s_measure_rejects_a_full_policy_solved_for_other_inputs(single_state_ma
         with pytest.raises(ConfigError, match="full_policy"):
             s_measure(single_state_market, replace(prof, phi=2, beta=2.0), T, grid, 300,
                       seed=11, full_policy=other)
+
+
+# -- the streamed measures against their whole-batch forms -------------------------
+
+
+def _whole_batch_r_measure(market, profile, T, n_paths, seed, y0=0):
+    """R as it was computed before it streamed its paths in blocks: the whole
+    batch's rows from the time-major client core, kept as the bit-exact
+    reference."""
+    rows = _client_steps(market, profile, T, n_paths, np.random.default_rng(seed), y0,
+                         ("gamma_client", "gamma_robo"))
+    ratio = rows["gamma_client"][:T]
+    ratio /= rows["gamma_robo"][:T]
+    ratio -= 1.0
+    per_path = _time_sums(np.abs(ratio, out=ratio)) / T
+    return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n_paths))
+
+
+def _whole_batch_s_measure(market, profile, T, grid, n_paths, seed, y0=0):
+    """S as it was computed before it read the induction one period at a
+    time: the advisor's whole allocation table, then the rows, then one
+    lookup of each policy per step, kept as the bit-exact reference."""
+    robo_tab = solve(market, profile, T, grid)
+    full = full_information_policy(market, profile, T, grid)
+    rows = _client_steps(market, profile, T, n_paths, np.random.default_rng(seed), y0,
+                         ("regimes", "gamma_client", "xi", "window_csum"))
+    regimes = rows["regimes"][:T]
+    robo = _window_allocations(robo_tab.pi, robo_tab.grid, profile, rows["xi"],
+                               rows["window_csum"], regimes)
+    full_rows = _window_allocations(full.pi, full.grid, full.profile,
+                                    rows["gamma_client"], rows["window_csum"], regimes)
+    path_sum = np.zeros(n_paths)
+    path_cnt = np.zeros(n_paths, dtype=int)
+    for pi_robo, pi_full in zip(robo, full_rows):
+        ok = np.abs(pi_full) >= 1e-10
+        gap = np.where(
+            ok, np.abs(pi_robo - pi_full) / np.where(ok, np.abs(pi_full), 1.0), 0.0
+        )
+        path_sum += gap
+        path_cnt += ok
+    live = path_cnt > 0
+    per_path = path_sum[live] / path_cnt[live]
+    return (float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(live.sum())),
+            int(T * n_paths - path_cnt.sum()))
+
+
+@st.composite
+def _measure_cases(draw):
+    M = draw(st.integers(1, 3))
+    transition = np.array([
+        draw(st.lists(st.floats(0.05, 1.0), min_size=M, max_size=M)) for _ in range(M)
+    ])
+    transition /= transition.sum(axis=1, keepdims=True)
+    market = MarketParams(
+        num_states=M, transition=transition, risk_free=np.linspace(0.0, 0.02, M),
+        mean_return=np.linspace(0.06, 0.14, M), vol_return=np.linspace(0.12, 0.25, M),
+        steps_per_year=12,
+    )
+    T = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["scalar", "per_regime", "table"]))
+    if kind == "scalar":
+        gamma_bar = draw(st.floats(0.5, 2.0))
+    elif kind == "per_regime":
+        gamma_bar = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=M, max_size=M)))
+    else:
+        gamma_bar = np.exp(np.random.default_rng(T).normal(0.0, 0.2, (T + 1, M)))
+    eta = None
+    if draw(st.booleans()):
+        eta = np.random.default_rng(M).normal(0.0, 0.3, T + 1)
+    profile = RiskProfileParams(
+        gamma0=draw(st.floats(1.0, 6.0)),
+        alpha=0.0 if eta is not None else draw(st.floats(0.0, 0.1)),
+        p_eps=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        sigma_eps=draw(st.floats(0.1, 0.8)), beta=draw(st.sampled_from([0.0, 2.0, 3.5])),
+        phi=draw(st.integers(1, 7)), gamma_bar=gamma_bar, eta=eta,
+    )
+    # Path-steps per R block, small so that the blocks do not divide n_paths.
+    r_block = draw(st.integers(1, 700))
+    return (market, profile, T, draw(st.integers(100, 321)), draw(st.integers(0, M - 1)),
+            draw(st.integers(0, 2**32 - 1)), r_block)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_measure_cases())
+def test_streamed_measures_equal_their_whole_batch_forms(case):
+    market, profile, T, n_paths, y0, seed, r_block = case
+    with mock.patch.object(personalization, "_R_BLOCK", r_block):
+        got = r_measure(market, profile, T, n_paths, seed, y0=y0)
+    assert got == _whole_batch_r_measure(market, profile, T, n_paths, seed, y0)
+
+    grid = GridSpec(xi_count=5, zsum_count=3, quad_points=3)
+    try:
+        want = _whole_batch_s_measure(market, profile, T, grid, n_paths, seed, y0)
+    except GridExhausted:
+        with pytest.raises(GridExhausted):
+            s_measure(market, profile, T, grid, n_paths, seed, y0=y0)
+        return
+    got = s_measure(market, profile, T, grid, n_paths, seed, y0=y0)
+    assert (got.estimate, got.se, got.excluded_steps) == want
+
+
+def test_r_measure_streams_within_its_memory_bound(two_state_market):
+    # The benchmark's shape: 20 000 paths, T=18, phi=1, the longest bias
+    # row. The whole batch peaked at 13.25 MB under tracemalloc; blocks of
+    # _R_BLOCK path-steps keep 1 B of regime and of jump mask per path-step
+    # and 8 B of bias factor per path and interaction time, and peak at
+    # 5.5 MB.
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64, beta=2.0)
+    tracemalloc.start()
+    try:
+        r_measure(two_state_market, prof, 18, 20_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -14,6 +14,8 @@ from robo_mv.market import MarketParams, sample_paths
 from robo_mv.risk_profile import (
     _CLIENT_FIELDS,
     RiskProfileParams,
+    _GAMMA_FIELDS,
+    _client_blocks,
     _client_steps,
     _time_sums,
     bias_factor,
@@ -500,6 +502,32 @@ def test_client_core_matches_path_major_simulator(case):
         else:
             _assert_same_array(rows[name], want[name].T)
         assert rows[name].flags.c_contiguous or name == "tau"
+
+
+@settings(deadline=None, max_examples=100)
+@given(_client_cases(), st.integers(1, 50))
+def test_client_blocks_match_the_core(case, width):
+    # The core in path blocks draws the same numbers in the same order and
+    # assembles each block's columns of the gamma fields bit for bit.
+    market, profile, T, n_paths, y0, seed, fields, widths = case
+    fields = [name for name in fields if name in _GAMMA_FIELDS] or ["gamma_robo"]
+    rng = np.random.default_rng(seed)
+    with mock.patch.multiple(sampler, **widths):
+        want = _client_steps(market, profile, T, n_paths, rng, y0, fields)
+    after = rng.random()
+
+    rng = np.random.default_rng(seed)
+    start = 0
+    with mock.patch.multiple(sampler, **widths):
+        for paths, rows in _client_blocks(market, profile, T, n_paths, rng, y0, fields,
+                                          width):
+            assert (paths.start, paths.stop) == (start, min(start + width, n_paths))
+            start = paths.stop
+            assert sorted(rows) == sorted(fields)
+            for name in fields:
+                _assert_same_array(rows[name], want[name][:, paths])
+    assert start == n_paths
+    assert rng.random() == after
 
 
 def test_client_core_window_bias_sums_pairwise_from_eight_terms(two_state_market):

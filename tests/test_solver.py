@@ -25,11 +25,14 @@ from robo_mv.solver import (
     GridSpec,
     PolicyTables,
     ReducedState,
+    _backward_steps,
+    _checked_grid,
     _gh_nodes,
     _interp3,
     _jump_mixture,
     _locate,
     _ProfileTables,
+    _put_regime_last,
     _Q_CHUNK,
     _StepOperators,
     _interp_matrix,
@@ -41,11 +44,11 @@ from robo_mv.solver import (
     constrain,
     liquidation_overlay,
     _window_allocations,
+    _window_lookup,
     load_policy,
     moment_m,
     save_policy,
     solve,
-    solve_allocations,
     state_only_ab,
     step_moments,
     update_ab,
@@ -177,8 +180,6 @@ def test_solve_rejects_bad_horizon_and_bounds(single_state_market):
     for T in (0, 2.5, 4.0, True):
         with pytest.raises(ConfigError, match="horizon T"):
             solve(single_state_market, prof, T, spec)
-        with pytest.raises(ConfigError, match="horizon T"):
-            solve_allocations(single_state_market, prof, T, spec)
     for bounds in ((1.0, 0.0), (math.nan, 1.0), (0.0,), ("0", "1"),
                    (0.0, math.inf), [0.0, 1.0, 2.0]):
         with pytest.raises(ConfigError, match="bounds"):
@@ -205,8 +206,11 @@ def test_max_clamp_fraction_is_enforced(single_state_market):
     strict = replace(spec, max_clamp_fraction=0.005)
     with pytest.raises(GridExhausted, match="max_clamp_fraction 0.005"):
         solve(single_state_market, prof, 4, strict)
+    # S runs the advisor's induction itself, and the check after its last
+    # step still holds.
     with pytest.raises(GridExhausted, match="max_clamp_fraction 0.005"):
-        solve_allocations(single_state_market, prof, 4, strict)
+        s_measure(single_state_market, replace(prof, phi=2, beta=2.0), 4, strict, 100,
+                  seed=1)
 
 
 # -- terminal and one-period identities ------------------------------------
@@ -826,6 +830,11 @@ def test_window_allocations_match_per_step_lookups(two_state_market, phi, gamma_
         y, y_tau = batch["regimes"][:, n], batch["regimes"][:, phi * (n // phi)]
         xi_tilde = batch["xi"][:, n] / gbar[phi * (n // phi), y_tau]
         assert np.array_equal(got[n], tab.allocation_at(n, xi_tilde, prev, cur, y))
+    # The lookup the S measure makes as the induction yields each period, in
+    # backward time order.
+    at = _window_lookup(tab.grid, tab.profile, tab.pi.shape, xi, csum, regimes[:T])
+    for n in range(T - 1, -1, -1):
+        assert np.array_equal(at(n, tab.pi[n]), got[n])
 
 
 def test_window_allocations_keep_the_lookup_checks(two_state_market):
@@ -1742,19 +1751,27 @@ def test_regime_major_solve_matches_regime_last_loop(case, data):
 
 @settings(max_examples=40, deadline=None)
 @given(_solve_cases())
-def test_solve_allocations_equal_the_solved_pi(case):
-    # solve_allocations runs unbounded; solve's bounded cases are covered by
-    # the regime-last oracle test.
+def test_backward_steps_yield_the_solved_pi(case):
+    # The S measure reads the unbounded induction one period at a time, each
+    # allocation slab put regime last into one reused slice; solve's bounded
+    # cases are covered by the regime-last oracle test.
     market, profile, spec, T, _ = case
+    g = _checked_grid(market, profile, T, spec)
+    steps = _backward_steps(market, profile, T, g, None, ClampCounters())
     try:
         want = solve(market, profile, T, spec)
     except GridExhausted:
         with pytest.raises(GridExhausted):
-            solve_allocations(market, profile, T, spec)
+            list(steps)
         return
-    grid, pi = solve_allocations(market, profile, T, spec)
-    assert grid.to_dict() == want.grid.to_dict()
-    assert np.array_equal(pi, want.pi)
+    assert g.to_dict() == want.grid.to_dict()
+    pi_n = np.empty(g.shape)
+    times = []
+    for n, p_n, _, _ in steps:
+        _put_regime_last(pi_n, p_n)
+        assert np.array_equal(pi_n, want.pi[n])
+        times.append(n)
+    assert times == list(range(T - 1, -1, -1))
 
 
 def test_non_finite_solve_raises_numerical_error():
