@@ -140,17 +140,8 @@ def _resolve(explicit, stored_flags: dict, name: str, default):
 
 
 def _threads(explicit, stored_flags: dict) -> int:
-    val = _resolve(explicit, stored_flags, "threads", None)
-    if val is None:
-        env = os.environ.get("ROBO_MV_THREADS")
-        if env is not None:
-            try:
-                val = int(env)
-            except ValueError:
-                raise ConfigError(f"ROBO_MV_THREADS must be an integer, got {env!r}")
-        else:
-            val = 1
-    val = check_number(val, "threads", integer=True)
+    val = check_number(_resolve(explicit, stored_flags, "threads", 1), "threads",
+                       integer=True)
     if val < 0:
         raise ConfigError(f"threads must be >= 0, got {val}")
     return val if val > 0 else (os.cpu_count() or 1)
@@ -255,6 +246,8 @@ def cmd_simulate(args) -> int:
         for key in ("strategy", "market", "risk_profile"):
             if key in cfg:
                 raise ConfigError(f"{key} and policy_dir are mutually exclusive")
+        if not isinstance(cfg["policy_dir"], str):
+            raise ConfigError(f"policy_dir must be a path, got {cfg['policy_dir']!r}")
         tables = load_policy(cfg["policy_dir"])
         market, strategy = tables.market, tables
         T = check_number(cfg.get("horizon", tables.T), "horizon", integer=True)

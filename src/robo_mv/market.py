@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -448,37 +448,6 @@ def _fill_returns(params: MarketParams, ys: np.ndarray, rng: np.random.Generator
         piece += mu[y]
 
 
-def _sample_steps(
-    params: MarketParams,
-    y0: int,
-    n_steps: int,
-    n_paths: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The regime sampler, time-major: one contiguous row per step.
-
-    Returns regimes (n_steps + 1, n_paths) in ``np.min_scalar_type(M - 1)``
-    (uint8 for up to 256 regimes) and returns, float64 (n_steps, n_paths),
-    both C-contiguous: the transposes of what `sample_paths` returns, under
-    the same draw-order contract. It runs the sampler's two phases,
-    `_sample_regimes` and then `_return_blocks`, which writes the return
-    blocks into one array; the client simulator `risk_profile._client_steps`
-    reads its rows, and `sample_paths` is the path-major int64 view for
-    everyone else. Callers that read the returns once, in order, stream the
-    blocks instead: the wealth recursion of `montecarlo.simulate` for a
-    fixed mix and `montecarlo.long_run_sharpe`.
-
-    The working set is the two outputs, about 8 B of returns and 1 B of
-    regime per path-step, plus a few ~1 MB draw pieces; while the regimes are
-    built it is M + 1 B of transition codes and runs per path-step.
-    """
-    regimes = _sample_regimes(params, y0, n_steps, n_paths, rng)
-    returns = np.empty((n_steps, n_paths))
-    for _ in _return_blocks(params, regimes, rng, out=returns):
-        pass
-    return regimes, returns
-
-
 def sample_paths(
     params: MarketParams,
     y0: int,
@@ -496,11 +465,13 @@ def sample_paths(
     shape or the internal scheme.
 
     This is the path-major layout, one row per path, for callers that want
-    whole paths. It copies the time-major output of `_sample_steps`, which
-    gathers the sampler's two phases: `_sample_regimes` (see there for the
-    block scheme) and the return blocks of `_return_blocks`, which the
-    wealth recursion of a fixed mix and `montecarlo.long_run_sharpe` stream
-    instead.
+    whole paths. It runs the sampler's two phases time-major, one contiguous
+    row per step: `_sample_regimes` (see there for the block scheme), then
+    the return blocks of `_return_blocks`, gathered into one array, and
+    copies the transposes. The wealth recursion of a fixed mix and
+    `montecarlo.long_run_sharpe` stream the blocks instead, and the client
+    simulator `risk_profile._client_blocks` draws the returns of its own
+    path blocks with `_fill_returns`.
 
     Returns:
         regimes: int64 array (n_paths, n_steps + 1); regimes[:, n] is the
@@ -514,7 +485,10 @@ def sample_paths(
     integer regime index, or n_steps and n_paths are not integers with
     n_steps >= 0 and n_paths >= 1 (a bool counts as neither).
     """
-    regimes, returns = _sample_steps(params, y0, n_steps, n_paths, rng)
+    regimes = _sample_regimes(params, y0, n_steps, n_paths, rng)
+    returns = np.empty((n_steps, n_paths))
+    for _ in _return_blocks(params, regimes, rng, out=returns):
+        pass
     # One copy at a time, so at most three of the four arrays are alive.
     regimes = np.ascontiguousarray(regimes.T, dtype=np.int64)
     return regimes, np.ascontiguousarray(returns.T)
@@ -535,6 +509,8 @@ _MARKET_KEYS = {
 
 def market_from_dict(doc: dict) -> MarketParams:
     """Build MarketParams from a plain config mapping (see docs/formats.md)."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"the market config must be a mapping, got {doc!r}")
     unknown = set(doc) - _MARKET_KEYS - {"risk_profile"}
     if unknown:
         raise BadDimension(f"unknown market config keys: {sorted(unknown)}")

@@ -13,11 +13,13 @@ come from the regime sampler's two phases: the regimes of the whole chunk
 (`market._sample_regimes`), then the returns in blocks of whole paths
 (`market._return_blocks`), and each block is advanced over every step
 before the next is drawn. For a solved policy they come from the client
-simulator's time-major core (`risk_profile._client_steps`), and the
-allocations are looked up once per step with the xi and prev stencil
-located once per interaction window. Simulation is chunked into fixed-size
-blocks of paths with RNG streams spawned per block from the master seed, so
-results are bit-identical for a given seed regardless of the thread count.
+simulator, one time-major block of all the chunk's paths
+(`risk_profile._client_steps`, which takes it from `_client_blocks`), and
+the allocations are looked up once per step (`solver._window_lookup`) with
+the xi and prev stencil located once per interaction window. Simulation is
+chunked into fixed-size blocks of paths with RNG streams spawned per block
+from the master seed, so results are bit-identical for a given seed
+regardless of the thread count.
 
 The samplers hand over regimes one byte wide (``np.min_scalar_type(M -
 1)``), and each row is cast to intp once for its gathers. A fixed-mix
@@ -50,7 +52,7 @@ from robo_mv.risk_profile import _client_steps
 from robo_mv.solver import (
     PolicyTables,
     _params_digest,
-    _window_allocations,
+    _window_lookup,
     constrain,
     liquidation_overlay,
 )
@@ -122,8 +124,9 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
         rows = _client_steps(market, policy.profile, T, m, rng, config.y0,
                              ("regimes", "returns", "xi", "window_csum"))
         regimes = rows["regimes"][:T]
-        fracs = _window_allocations(policy.pi, policy.grid, policy.profile,
-                                    rows["xi"], rows["window_csum"], regimes)
+        at = _window_lookup(policy.grid, policy.profile, policy.pi.shape, rows["xi"],
+                            rows["window_csum"], regimes)
+        fracs = (at(n, policy.pi[n]) for n in range(T))
         if policy.bounds is not None:
             fracs = (constrain(f, *policy.bounds) for f in fracs)
         X = np.full(m, float(config.x0))

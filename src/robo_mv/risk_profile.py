@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .market import (
     MarketParams,
     _fill_returns,
     _sample_regimes,
-    _sample_steps,
     check_array,
     check_number,
 )
@@ -219,9 +219,9 @@ def simulate_clients(
     Returns a dict of arrays shaped (n_paths, T+1) (returns: (n_paths, T))
     with the same fields as ClientTrajectory, plus `window_csum` for
     `window_sums`; `simulate_trajectory` wraps a single path. This is the
-    path-major layout: it copies the rows of the time-major core
-    `_client_steps`, which the personalization measures and the policy
-    simulation read as they are.
+    path-major layout: it copies the rows of the one all-paths block of the
+    time-major client simulator `_client_blocks` (`_client_steps`), which
+    the personalization measures and the policy simulation read as they are.
     """
     rows = _client_steps(market, profile, T, n_paths, rng, y0)
     # One copy at a time, dropping each time-major array as it is copied;
@@ -243,47 +243,10 @@ def _client_steps(
     y0: int = 0,
     fields=_CLIENT_FIELDS,
 ) -> dict:
-    """The client simulator, time-major: one contiguous row per time.
-
-    Builds only the named `simulate_clients` fields, each the transpose of
-    that function's array: float rows (T+1, n_paths), returns (T, n_paths),
-    regimes in the sampler's narrow dtype ``np.min_scalar_type(M - 1)``
-    (uint8 for up to 256 regimes; `simulate_clients` widens them to int64),
-    and `tau` as a read-only broadcast view. All are C-contiguous except
-    `tau`. Whatever the fields, the draws are those of `simulate_clients`:
-    `market._sample_steps`, then `sample_eps` of size (n_paths, T). The
-    rows are assembled by `_window_bias` and `_client_gammas`, which
-    `_client_blocks` runs on blocks of paths. Every element gets the same
-    arithmetic, so each row holds the bits of that function's column. The
-    sampler's working set is about 8 B of returns and 1 B of regime per
-    path-step; each float field adds 8 B per path-step.
-    """
-    regimes, returns = _sample_steps(market, y0, T, n_paths, rng)
-    # Idiosyncratic martingale: one potential jump per step 1..T.
-    eps = sample_eps(profile, rng, size=(n_paths, T))
-
-    want = set(fields)
-    out = {}
-    gz_at_inter = None
-    if want & {"window_csum", "gamma_z", "xi", "gamma_robo"}:
-        gz_at_inter = _window_bias(market, profile, regimes, returns, want, out)
-    if "returns" in want:
-        out["returns"] = returns
-    del returns
-    if want & _GAMMA_FIELDS:
-        log_id = _cumsum_rows(eps.T)
-        del eps
-        _client_gammas(market, profile, regimes, log_id, gz_at_inter, want, out)
-    if "regimes" in want:
-        out["regimes"] = regimes
-    if "tau" in want:
-        tau_of_n = profile.phi * (np.arange(T + 1) // profile.phi)
-        out["tau"] = np.broadcast_to(tau_of_n[:, None], (T + 1, n_paths))
-    return out
-
-
-# The fields `_client_gammas` builds from the shocks.
-_GAMMA_FIELDS = frozenset({"gamma_id", "gamma_client", "xi", "gamma_robo"})
+    """The client simulator, time-major, for all paths at once: the rows of
+    the one block of `_client_blocks` of width `n_paths`."""
+    (_, rows), = _client_blocks(market, profile, T, n_paths, rng, y0, fields, n_paths)
+    return rows
 
 
 def _window_bias(market: MarketParams, profile: RiskProfileParams,
@@ -310,11 +273,11 @@ def _window_bias(market: MarketParams, profile: RiskProfileParams,
 def _client_gammas(market: MarketParams, profile: RiskProfileParams,
                    regimes: np.ndarray, log_id: np.ndarray, gz_at_inter, want,
                    out: dict) -> None:
-    """The shock half of the client core for a block of paths: adds the
-    fields of `_GAMMA_FIELDS` that `want` names to `out`, as rows
-    (T+1, paths). `log_id` holds the running sums of the block's log-shocks
-    (`_cumsum_rows` of the time-major `sample_eps`) and becomes the
-    idiosyncratic martingale in place; `gz_at_inter` is the block's
+    """The shock half of the client core for a block of paths: adds those
+    of gamma_id, gamma_client, xi and gamma_robo that `want` names to `out`,
+    as rows (T+1, paths). `log_id` holds the running sums of the block's
+    log-shocks (`_cumsum_rows` of the time-major `sample_eps`) and becomes
+    the idiosyncratic martingale in place; `gz_at_inter` is the block's
     `_window_bias`, needed for xi and gamma_robo only."""
     T = len(regimes) - 1
     phi = profile.phi
@@ -356,45 +319,57 @@ def _client_gammas(market: MarketParams, profile: RiskProfileParams,
 def _client_blocks(market: MarketParams, profile: RiskProfileParams, T: int,
                    n_paths: int, rng: np.random.Generator, y0: int, fields,
                    width: int):
-    """The client simulator in blocks of `width` paths: yields
+    """The client simulator, time-major, in blocks of `width` paths: yields
     ``(paths, rows)`` for consecutive path slices, with rows the named
-    fields of `_GAMMA_FIELDS` for those paths, bit for bit the columns of
-    `_client_steps`. Each block's rows are dropped when the next is asked
-    for.
+    `simulate_clients` fields for those paths, each the transpose of that
+    function's columns, bit for bit: float rows (T+1, paths), returns
+    (T, paths), regimes in the sampler's narrow dtype ``np.min_scalar_type(M
+    - 1)`` (uint8 for up to 256 regimes; `simulate_clients` widens them to
+    int64), and `tau` as a read-only broadcast view. All are C-contiguous
+    except `tau` (and, in a block narrower than `n_paths`, `regimes`, a view
+    of the whole batch's). Each block's rows are dropped when the next is
+    asked for; `_client_steps` takes the one block of all paths.
 
-    The draws are those of `_client_steps`, in its order: every regime
-    uniform (`_sample_regimes`); the return Gaussians of each block in turn,
-    each block reduced at once to its bias factors (`_window_bias`); every
-    jump uniform, kept as a bool mask; then the shock Gaussians of each
-    block, from which its rows are assembled (`_client_gammas`).
-    ``Generator`` fills in order, so drawing path blocks of a path-major
-    draw gives its numbers. The working set is 1 B of regime and of jump
-    mask per path-step, the bias factors (8 B per path and interaction
-    time), and a few float rows of one block.
+    Whatever the fields, the draws are those of `simulate_clients`, in its
+    order: every regime uniform (`_sample_regimes`); the return Gaussians of
+    each block in turn, each block reduced at once to its bias factors and
+    window sums (`_window_bias`); every jump uniform, kept as one bool mask
+    per block; then the shock Gaussians of each block, from which its gamma
+    rows are assembled (`_client_gammas`) and after which its mask is
+    dropped. ``Generator`` fills in order, so drawing path blocks of a
+    path-major draw gives its numbers, and every element gets the same
+    arithmetic. The working set is 1 B of regime and of jump mask per
+    path-step, the bias factors (8 B per path and interaction time), the
+    return-side fields asked for, and a few float rows of one block.
     """
     want = set(fields)
-    phi = profile.phi
-    blocks = [slice(p, min(p + width, n_paths)) for p in range(0, n_paths, width)]
     regimes = _sample_regimes(market, y0, T, n_paths, rng)
-    gz_at_inter = np.empty((T // phi + 1, n_paths))
-    buf = np.empty(T * min(width, n_paths))
+    blocks = [slice(p, min(p + width, n_paths)) for p in range(0, n_paths, width)]
+    outs, biases = [], []
     for paths in blocks:
-        z = buf[:T * (paths.stop - paths.start)].reshape(T, -1)
+        out, z = {}, np.empty((T, paths.stop - paths.start))
         _fill_returns(market, regimes[:-1, paths], rng, z)
-        gz_at_inter[:, paths] = _window_bias(market, profile, regimes[:, paths], z,
-                                             (), {})
-    del buf, z
-    jump = np.empty((n_paths, T), dtype=bool)
-    for paths in blocks:
-        np.less(rng.random(jump[paths].shape), profile.p_eps, out=jump[paths])
-    for paths in blocks:
-        eps = _shock_logs(profile, jump[paths], rng.standard_normal(jump[paths].shape))
+        biases.append(_window_bias(market, profile, regimes[:, paths], z, want, out))
+        if "returns" in want:
+            out["returns"] = z
+        outs.append(out)
+    del z
+    jumps = [rng.random((paths.stop - paths.start, T)) < profile.p_eps
+             for paths in blocks]
+    for i, paths in enumerate(blocks):
+        eps = _shock_logs(profile, jumps[i], rng.standard_normal(jumps[i].shape))
+        jumps[i] = None
         log_id = _cumsum_rows(eps.T)
         del eps
-        rows = {}
-        _client_gammas(market, profile, regimes[:, paths], log_id, gz_at_inter[:, paths],
-                       want, rows)
-        del log_id
+        rows, outs[i] = outs[i], None
+        _client_gammas(market, profile, regimes[:, paths], log_id, biases[i], want, rows)
+        log_id = biases[i] = None
+        if "regimes" in want:
+            rows["regimes"] = regimes[:, paths]
+        if "tau" in want:
+            tau_of_n = profile.phi * (np.arange(T + 1) // profile.phi)
+            rows["tau"] = np.broadcast_to(tau_of_n[:, None],
+                                          (T + 1, paths.stop - paths.start))
         yield paths, rows
         # The caller drops its reference too before asking for the next block.
         del rows
@@ -566,6 +541,8 @@ _PROFILE_KEYS = {
 
 def profile_from_dict(doc: dict) -> RiskProfileParams:
     """Build RiskProfileParams from the `risk_profile` section of a config."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"the risk_profile config must be a mapping, got {doc!r}")
     unknown = set(doc) - _PROFILE_KEYS
     if unknown:
         raise ConfigError(f"unknown risk_profile keys: {sorted(unknown)}")

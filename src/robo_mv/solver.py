@@ -328,17 +328,6 @@ def _corner_sum(table: np.ndarray, xp, corners, ic, fc, y) -> np.ndarray:
     return out
 
 
-def _window_allocations(pi: np.ndarray, grid: Grid, profile: RiskProfileParams,
-                        xi, window_csum, regimes):
-    """Yield the allocation that ``allocation_at`` reads from the table `pi`
-    (regime last, solved on `grid` for `profile`) at each time n = 0 ..
-    len(regimes) - 1, from time-major client rows, bit for bit: the lookups
-    of `_window_lookup`, in time order."""
-    at = _window_lookup(grid, profile, pi.shape, xi, window_csum, regimes)
-    for n in range(len(regimes)):
-        yield at(n, pi[n])
-
-
 def _window_lookup(grid: Grid, profile: RiskProfileParams, shape, xi, window_csum,
                    regimes):
     """The allocation lookup along time-major rows of simulated clients:

@@ -628,6 +628,17 @@ def test_config_section_that_is_not_an_object_exits_2(tmp_path, command, section
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [3, 2.5, None, True, ["a"], {"path": "a"}])
+def test_simulate_policy_dir_that_is_not_a_path_exits_2(tmp_path, value, capsys):
+    cfg = write_config(tmp_path, {"policy_dir": value, "horizon": 3})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "200",
+                 "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: policy_dir") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,name", [
     (["simulate", "--config", "CFG", "--out", "OUT", "--paths", "x"], "--paths"),
     (["simulate", "--config", "CFG", "--out", "OUT", "--seed", "1.5"], "--seed"),
@@ -732,25 +743,13 @@ def test_simulate_unseeded_run_records_entropy(tmp_path):
 # -- threads resolution ---------------------------------------------------------
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_thread_count_does_not_change_the_summary(tmp_path):
     cfg = write_config(tmp_path, two_state_config())
-    monkeypatch.setenv("ROBO_MV_THREADS", "3")
-    out_env = tmp_path / "env"
-    assert main(["simulate", "--config", cfg, "--out", str(out_env),
-                 "--paths", "300", "--seed", "2"]) == 0
-    monkeypatch.delenv("ROBO_MV_THREADS")
-    out_one = tmp_path / "one"
-    assert main(["simulate", "--config", cfg, "--out", str(out_one),
-                 "--paths", "300", "--seed", "2", "--threads", "1"]) == 0
-    assert (out_env / "summary.json").read_bytes() == (out_one / "summary.json").read_bytes()
-
-
-def test_threads_env_must_be_integer(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, two_state_config())
-    monkeypatch.setenv("ROBO_MV_THREADS", "many")
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--paths", "50"]) == 2
-    assert "ROBO_MV_THREADS" in capsys.readouterr().err
+    for threads in ("3", "1"):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / threads),
+                     "--paths", "300", "--seed", "2", "--threads", threads]) == 0
+    assert ((tmp_path / "3" / "summary.json").read_bytes()
+            == (tmp_path / "1" / "summary.json").read_bytes())
 
 
 def test_threads_zero_means_auto(tmp_path):

@@ -16,7 +16,6 @@ from robo_mv.market import (
     _closed_classes,
     _draw_piece,
     _pieces,
-    _sample_steps,
     check,
     check_bounds,
     excess_moments,
@@ -27,6 +26,7 @@ from robo_mv.market import (
     stationary_distribution,
     validate,
 )
+from robo_mv.risk_profile import RiskProfileParams, _client_steps
 
 
 def _mk(transition, risk_free, mean_return, vol_return, k=12):
@@ -449,8 +449,8 @@ def test_sample_paths_matches_per_column_loop(case):
 def test_time_major_core_is_the_transpose_of_sample_paths(case):
     market, y0, n_steps, n_paths, seed = case
     rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = sample_paths(market, y0, n_steps, n_paths, rng_want)
-    got = _sample_steps(market, y0, n_steps, n_paths, rng_got)
+    want = _sample_paths_then_shocks(market, y0, n_steps, n_paths, rng_want)
+    got = _market_rows(market, y0, n_steps, n_paths, rng_got)
     # The core keeps regimes in the narrowest unsigned dtype for M regimes.
     for w, g, dtype in zip(want, got, (np.min_scalar_type(market.num_states - 1),
                                        np.float64)):
@@ -458,6 +458,24 @@ def test_time_major_core_is_the_transpose_of_sample_paths(case):
         assert g.flags.c_contiguous
         assert np.array_equal(g.T, w)
     assert rng_got.random() == rng_want.random()
+
+
+_SHOCKY = RiskProfileParams(gamma0=3.0, p_eps=0.05)
+
+
+def _market_rows(market, y0, n_steps, n_paths, rng):
+    """The regimes and returns of the client simulator's time-major core."""
+    rows = _client_steps(market, _SHOCKY, n_steps, n_paths, rng, y0, ("regimes", "returns"))
+    return rows["regimes"], rows["returns"]
+
+
+def _sample_paths_then_shocks(market, y0, n_steps, n_paths, rng):
+    """`sample_paths`, then the client simulator's other draws: its jump
+    uniforms and shock Gaussians, one per path-step."""
+    paths = sample_paths(market, y0, n_steps, n_paths, rng)
+    rng.random((n_paths, n_steps))
+    rng.standard_normal((n_paths, n_steps))
+    return paths
 
 
 def _wide_market(M, seed):
@@ -475,8 +493,8 @@ def test_sampler_with_257_regimes_keeps_uint16_regimes(n_steps, n_paths):
     want = _loop_sample_paths(market, 256, n_steps, n_paths,
                               np.random.default_rng(n_steps))
     rng_paths, rng_steps = np.random.default_rng(n_steps), np.random.default_rng(n_steps)
-    got = sample_paths(market, 256, n_steps, n_paths, rng_paths)
-    regimes, returns = _sample_steps(market, 256, n_steps, n_paths, rng_steps)
+    got = _sample_paths_then_shocks(market, 256, n_steps, n_paths, rng_paths)
+    regimes, returns = _market_rows(market, 256, n_steps, n_paths, rng_steps)
     assert regimes.dtype == np.uint16 and got[0].dtype == np.int64
     assert want[0].max() > 255
     for w, g, core in zip(want, got, (regimes, returns)):
@@ -513,17 +531,18 @@ def test_time_sliced_draws_concatenate_to_one_draw(draw):
     assert sliced.random() == one.random()
 
 
-def test_sample_steps_peak_memory_is_its_outputs_plus_blocks(two_state_market):
+def test_sample_paths_peak_memory_is_its_outputs_plus_blocks(two_state_market):
     """No full-size path-major draw or temporary is alive: the peak is the
-    two outputs plus a few draw blocks (the one-call draws needed ~1.5x)."""
+    two outputs, the time-major returns they are copied from and a few draw
+    blocks (the one-call draws needed another full-size draw)."""
     tracemalloc.start()
     try:
-        regimes, returns = _sample_steps(two_state_market, 0, 120, 8192,
-                                         np.random.default_rng(0))
+        regimes, returns = sample_paths(two_state_market, 0, 120, 8192,
+                                        np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= regimes.nbytes + returns.nbytes + 4 * 2**20
+    assert peak <= regimes.nbytes + 2 * returns.nbytes + 2 * 2**20
 
 
 # -- config I/O ---------------------------------------------------------------
@@ -563,6 +582,12 @@ def test_market_from_dict_state_labels():
 def test_market_from_dict_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown"):
         market_from_dict(dict(DOC, volatility=[0.1, 0.2]))
+
+
+@pytest.mark.parametrize("doc", [3, 0.5, None, "two-state", [1, 2], [["states", 2]]])
+def test_market_from_dict_rejects_a_config_that_is_not_a_mapping(doc):
+    with pytest.raises(ConfigError, match="must be a mapping"):
+        market_from_dict(doc)
 
 
 def test_market_from_dict_rejects_missing_key():

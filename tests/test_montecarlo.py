@@ -560,6 +560,23 @@ def test_growth_tilt_orders_the_return_distribution(two_state_market):
     assert (summaries[-0.3].sd < summaries[0.0].sd < summaries[0.3].sd)
 
 
+def test_policy_chunk_peak_memory(two_state_market):
+    # The benchmark's policy chunk: beta=2, phi=3, T=3 on the default grid,
+    # 32 768 paths. It peaked at 8.53 MB (tracemalloc, numpy 2.4), about 33
+    # float rows of the chunk; forming xi only at interaction times gave
+    # 8.00 MB.
+    prof = RiskProfileParams(gamma0=3.0, p_eps=0.05, sigma_eps=0.64, beta=2.0, phi=3)
+    policy = solve(two_state_market, prof, 3, GridSpec())
+    config = SimConfig(two_state_market, policy, T=3, n_paths=_CHUNK, seed=5)
+    tracemalloc.start()
+    try:
+        _chunk_returns(config, _CHUNK, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.8e6
+
+
 def test_fixed_mix_peak_memory_is_regimes_plus_one_block_of_returns(two_state_market):
     """Neither a fixed-mix chunk nor long_run_sharpe holds all its returns:
     one 65 536 x 120 simulate on one thread peaks within one chunk's 1 B per

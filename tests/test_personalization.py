@@ -33,7 +33,7 @@ from robo_mv.risk_profile import (
     simulate_clients,
     window_sums,
 )
-from robo_mv.solver import GridSpec, _window_allocations, solve
+from robo_mv.solver import GridSpec, _window_lookup, solve
 
 ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -723,13 +723,14 @@ def _whole_batch_s_measure(market, profile, T, grid, n_paths, seed, y0=0):
     rows = _client_steps(market, profile, T, n_paths, np.random.default_rng(seed), y0,
                          ("regimes", "gamma_client", "xi", "window_csum"))
     regimes = rows["regimes"][:T]
-    robo = _window_allocations(robo_tab.pi, robo_tab.grid, profile, rows["xi"],
-                               rows["window_csum"], regimes)
-    full_rows = _window_allocations(full.pi, full.grid, full.profile,
-                                    rows["gamma_client"], rows["window_csum"], regimes)
+    robo_at = _window_lookup(robo_tab.grid, profile, robo_tab.pi.shape, rows["xi"],
+                             rows["window_csum"], regimes)
+    full_at = _window_lookup(full.grid, full.profile, full.pi.shape,
+                             rows["gamma_client"], rows["window_csum"], regimes)
     path_sum = np.zeros(n_paths)
     path_cnt = np.zeros(n_paths, dtype=int)
-    for pi_robo, pi_full in zip(robo, full_rows):
+    for n in range(T):
+        pi_robo, pi_full = robo_at(n, robo_tab.pi[n]), full_at(n, full.pi[n])
         ok = np.abs(pi_full) >= 1e-10
         gap = np.where(
             ok, np.abs(pi_robo - pi_full) / np.where(ok, np.abs(pi_full), 1.0), 0.0

@@ -14,7 +14,6 @@ from robo_mv.market import MarketParams, sample_paths
 from robo_mv.risk_profile import (
     _CLIENT_FIELDS,
     RiskProfileParams,
-    _GAMMA_FIELDS,
     _client_blocks,
     _client_steps,
     _time_sums,
@@ -508,9 +507,8 @@ def test_client_core_matches_path_major_simulator(case):
 @given(_client_cases(), st.integers(1, 50))
 def test_client_blocks_match_the_core(case, width):
     # The core in path blocks draws the same numbers in the same order and
-    # assembles each block's columns of the gamma fields bit for bit.
+    # assembles each block's columns of every field bit for bit.
     market, profile, T, n_paths, y0, seed, fields, widths = case
-    fields = [name for name in fields if name in _GAMMA_FIELDS] or ["gamma_robo"]
     rng = np.random.default_rng(seed)
     with mock.patch.multiple(sampler, **widths):
         want = _client_steps(market, profile, T, n_paths, rng, y0, fields)
@@ -567,6 +565,12 @@ def test_profile_from_dict_round_trip():
 def test_profile_from_dict_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown"):
         profile_from_dict({"gamma0": 1.0, "gamma": 2.0})
+
+
+@pytest.mark.parametrize("doc", [3, 0.5, None, "gamma0", [1, 2], [["gamma0", 3.0]]])
+def test_profile_from_dict_rejects_a_config_that_is_not_a_mapping(doc):
+    with pytest.raises(ConfigError, match="must be a mapping"):
+        profile_from_dict(doc)
 
 
 def test_profile_from_dict_requires_gamma0():

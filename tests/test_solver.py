@@ -43,7 +43,6 @@ from robo_mv.solver import (
     brute_force_equilibrium,
     constrain,
     liquidation_overlay,
-    _window_allocations,
     _window_lookup,
     load_policy,
     moment_m,
@@ -763,7 +762,7 @@ def test_allocation_matches_regular_grid_interpolator(two_state_market):
 
 def _one_pass_interp3(grid, table, logxi, prev, cur, regime, counters=None):
     """The trilinear kernel in one pass, as first written: the reference for
-    the stencil halves that `_interp3` and `_window_allocations` share."""
+    the stencil halves that `_interp3` and `_window_lookup` share."""
     Nx, Np, Nc, M = table.shape
     y = np.asarray(regime)
     if y.size and (y.min() < 0 or y.max() >= M):
@@ -821,9 +820,8 @@ def test_window_allocations_match_per_step_lookups(two_state_market, phi, gamma_
                              np.random.default_rng(phi), y0=1)
     xi, csum, regimes = (np.ascontiguousarray(batch[k].T) for k in
                          ("xi", "window_csum", "regimes"))
-    got = list(_window_allocations(tab.pi, tab.grid, tab.profile, xi, csum,
-                                   regimes[:T]))
-    assert len(got) == T
+    at = _window_lookup(tab.grid, tab.profile, tab.pi.shape, xi, csum, regimes[:T])
+    got = [at(n, tab.pi[n]) for n in range(T)]
     gbar = prof.gamma_bar_table(T, 2)
     for n in range(T):
         prev, cur = window_sums(batch["window_csum"], phi, n)
@@ -842,20 +840,25 @@ def test_window_allocations_keep_the_lookup_checks(two_state_market):
     tab = solve(two_state_market, prof, 4, GridSpec(xi_count=5, zsum_count=3, quad_points=3))
     xi, csum = np.full((5, 6), 3.0), np.zeros((5, 6))
     regimes = np.zeros((4, 6), dtype=np.int64)
-    policy = (tab.pi, tab.grid, tab.profile)
-    assert len(list(_window_allocations(*policy, xi, csum, regimes))) == 4
+    policy = (tab.grid, tab.profile, tab.pi.shape)
+
+    def lookups(xi, regimes):
+        at = _window_lookup(*policy, xi, csum, regimes)
+        return [at(n, tab.pi[n]) for n in range(len(regimes))]
+
+    assert len(lookups(xi, regimes)) == 4
     with pytest.raises(ConfigError, match="outside"):
-        list(_window_allocations(*policy, xi, csum, np.zeros((5, 6), dtype=np.int64)))
+        lookups(xi, np.zeros((5, 6), dtype=np.int64))
     for bad in (-1, 2):
         wrong = regimes.copy()
         wrong[3, 5] = bad
         with pytest.raises(ConfigError, match="regime"):
-            list(_window_allocations(*policy, xi, csum, wrong))
+            lookups(xi, wrong)
     for value in (0.0, -1.0):
         nonpositive = xi.copy()
         nonpositive[2, 1] = value
         with pytest.raises(ConfigError, match="positive"):
-            list(_window_allocations(*policy, nonpositive, csum, regimes))
+            lookups(nonpositive, regimes)
 
 
 # -- advisor-gamma bookkeeping ---------------------------------------------------
