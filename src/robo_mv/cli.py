@@ -232,6 +232,8 @@ def cmd_simulate(args) -> int:
     cfg, flags = _load_config(args.config, "simulate")
     n_paths = check_number(_resolve(args.paths, flags, "paths", 100_000),
                            "--paths", integer=True)
+    if n_paths < 2:
+        raise ConfigError(f"--paths must be >= 2, got {n_paths}")
     seed = _seed_value(args.seed, flags)
     threads = _threads(args.threads, flags)
     bins = check_number(_resolve(args.bins, flags, "bins", 60), "--bins",
@@ -270,7 +272,8 @@ def cmd_simulate(args) -> int:
     rates, excluded = annualized(returns, T, market.steps_per_year)
     summary = {
         "total": asdict(total),
-        "annualized": asdict(stats(rates)),
+        # null when fewer than two paths end above total ruin
+        "annualized": asdict(stats(rates)) if len(rates) >= 2 else None,
         "annualized_excluded_paths": excluded,
         "n_paths": n_paths,
         "seed": seed,

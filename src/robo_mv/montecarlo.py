@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robo_mv.cycle_analytics import CycleStrategy
-from robo_mv.errors import ConfigError, InsufficientSamples
+from robo_mv.errors import ConfigError, InsufficientSamples, NumericalError
 from robo_mv.market import (
     MarketParams,
     _return_blocks,
@@ -131,7 +131,13 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
             fracs = (constrain(f, *policy.bounds) for f in fracs)
         X = np.full(m, float(config.x0))
         _advance(X, regimes, rows["returns"], config, fracs=fracs)
-    return X / config.x0 - 1.0
+    # A value the recursion makes inf or NaN stays non-finite to the end.
+    with np.errstate(over="ignore"):
+        total = X / config.x0 - 1.0
+    if not np.isfinite(total).all():
+        raise NumericalError("simulated wealth overflowed: a terminal total "
+                             "return is not finite")
+    return total
 
 
 def _advance(X, regimes, returns, config: SimConfig, alloc=None, fracs=None) -> None:
@@ -141,16 +147,18 @@ def _advance(X, regimes, returns, config: SimConfig, alloc=None, fracs=None) -> 
     X_{n+1} = R_step[y] X + (z - r_step[y]) dollars, one contiguous row per
     step. IEEE products and sums commute, so every element gets the same
     bits as the expression written out. Each narrow regime row is cast to
-    intp once for its gathers."""
+    intp once for its gathers. Overflow and invalid operations give inf or
+    NaN without a warning; the caller checks the terminal wealth."""
     r_step, R_step = config.market.r_step, config.market.R_step
     for y, z in zip(regimes, returns):
         y = y.astype(np.intp)
         f = alloc[y] if fracs is None else next(fracs)
-        dollars = liquidation_overlay(X, f) if config.liquidate else f * X
-        excess = z - r_step[y]
-        excess *= dollars
-        X *= R_step[y]
-        X += excess
+        with np.errstate(over="ignore", invalid="ignore"):
+            dollars = liquidation_overlay(X, f) if config.liquidate else f * X
+            excess = z - r_step[y]
+            excess *= dollars
+            X *= R_step[y]
+            X += excess
 
 
 def simulate(config: SimConfig, threads: int = 1) -> np.ndarray:

@@ -20,6 +20,7 @@ from robo_mv.errors import ConfigError, InsufficientSamples, ZeroAllocation
 from robo_mv.market import MarketParams, check_count, check_number, check_regime
 from robo_mv.risk_profile import (
     RiskProfileParams,
+    _ProfileTables,
     _client_blocks,
     _client_steps,
     _time_sums,
@@ -220,8 +221,7 @@ def check_sampling(market: MarketParams, profile: RiskProfileParams, T, n_paths,
     check_count(n_paths, "n_paths", 1)
     if n_paths < 100:
         raise InsufficientSamples(f"need at least 100 paths, got {n_paths}")
-    profile.gamma_bar_table(T, market.num_states)
-    profile.eta_at(np.arange(T + 1), T)
+    _ProfileTables(market, profile, T)
 
 
 def r_measure(

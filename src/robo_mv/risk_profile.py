@@ -12,6 +12,7 @@ value fixed, adjusting only for the age trend and regime changes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -133,6 +134,29 @@ class RiskProfileParams:
         if gb.ndim == 1:
             return bool(np.all(gb == gb[0]))
         return bool(np.all(gb == gb[:, :1]))
+
+
+class _ProfileTables:
+    """A profile's per-time tables for a horizon T, n = 0..T: age trend
+    `eta`, cycle factor `gbar` (T+1, M) and latest interaction time `tau`.
+    `market` gives only the regime count M (a solver `Grid` has it too)."""
+
+    def __init__(self, market, profile: RiskProfileParams, T: int):
+        self.phi = profile.phi
+        self.beta = profile.beta
+        self.profile = profile
+        self.eta = np.asarray(profile.eta_at(np.arange(T + 1), T), dtype=float)
+        self.gbar = profile.gamma_bar_table(T, market.num_states)
+        self.tau = profile.phi * (np.arange(T + 1) // profile.phi)
+
+    def gamma_slice(self, n: int, xi: np.ndarray) -> np.ndarray:
+        """Advisor gamma over (xi, regime) at time n: shape (len(xi), M)."""
+        trend = math.exp(self.eta[n] - self.eta[self.tau[n]])
+        return trend * xi[:, None] * self.gbar[n][None, :]
+
+    def interaction_shift(self, n: int) -> float:
+        """Deterministic log-xi displacement when the step into n+1 interacts."""
+        return self.eta[n + 1] - self.eta[self.tau[n]]
 
 
 def sample_eps(
@@ -270,21 +294,17 @@ def _window_bias(market: MarketParams, profile: RiskProfileParams,
     return gz_at_inter
 
 
-def _client_gammas(market: MarketParams, profile: RiskProfileParams,
-                   regimes: np.ndarray, log_id: np.ndarray, gz_at_inter, want,
-                   out: dict) -> None:
+def _client_gammas(tabs: _ProfileTables, regimes: np.ndarray, log_id: np.ndarray,
+                   gz_at_inter, want, out: dict) -> None:
     """The shock half of the client core for a block of paths: adds those
     of gamma_id, gamma_client, xi and gamma_robo that `want` names to `out`,
-    as rows (T+1, paths). `log_id` holds the running sums of the block's
-    log-shocks (`_cumsum_rows` of the time-major `sample_eps`) and becomes
-    the idiosyncratic martingale in place; `gz_at_inter` is the block's
-    `_window_bias`, needed for xi and gamma_robo only."""
-    T = len(regimes) - 1
-    phi = profile.phi
-    gbar = profile.gamma_bar_table(T, market.num_states)
-    eta = np.asarray(profile.eta_at(np.arange(T + 1), T), dtype=float)
-    times = np.arange(T + 1)
-    tau_of_n = phi * (times // phi)
+    as rows (T+1, paths), from the profile's tables `tabs` for T. `log_id`
+    holds the running sums of the block's log-shocks (`_cumsum_rows` of the
+    time-major `sample_eps`) and becomes the idiosyncratic martingale in
+    place; `gz_at_inter` is the block's `_window_bias`, needed for xi and
+    gamma_robo only."""
+    profile, eta, tau_of_n = tabs.profile, tabs.eta, tabs.tau
+    times = np.arange(len(regimes))
     robo = bool(want & {"xi", "gamma_robo"})
 
     gamma_id = log_id
@@ -298,15 +318,15 @@ def _client_gammas(market: MarketParams, profile: RiskProfileParams,
         gamma_client *= np.exp(eta)[:, None]
     # gamma_bar_n(Y_n) per path; one column when it ignores the regime.
     if profile.gamma_bar_is_state_constant():
-        gbar_path = gbar[:, :1]
+        gbar_path = tabs.gbar[:, :1]
     else:
-        gbar_path = gbar[times[:, None], regimes]
+        gbar_path = tabs.gbar[times[:, None], regimes]
     gamma_client *= gbar_path
     if "gamma_client" in want:
         out["gamma_client"] = gamma_client
     if robo:
         xi = gamma_client[tau_of_n]
-        xi *= gz_at_inter[times // phi]
+        xi *= gz_at_inter[times // tabs.phi]
         if "xi" in want:
             out["xi"] = xi
         if "gamma_robo" in want:
@@ -335,7 +355,8 @@ def _client_blocks(market: MarketParams, profile: RiskProfileParams, T: int,
     each block in turn, each block reduced at once to its bias factors and
     window sums (`_window_bias`); every jump uniform, kept as one bool mask
     per block; then the shock Gaussians of each block, from which its gamma
-    rows are assembled (`_client_gammas`) and after which its mask is
+    rows are assembled (`_client_gammas`, from the profile's
+    `_ProfileTables`, built once per call) and after which its mask is
     dropped. ``Generator`` fills in order, so drawing path blocks of a
     path-major draw gives its numbers, and every element gets the same
     arithmetic. The working set is 1 B of regime and of jump mask per
@@ -343,6 +364,7 @@ def _client_blocks(market: MarketParams, profile: RiskProfileParams, T: int,
     return-side fields asked for, and a few float rows of one block.
     """
     want = set(fields)
+    tabs = _ProfileTables(market, profile, T)
     regimes = _sample_regimes(market, y0, T, n_paths, rng)
     blocks = [slice(p, min(p + width, n_paths)) for p in range(0, n_paths, width)]
     outs, biases = [], []
@@ -362,13 +384,12 @@ def _client_blocks(market: MarketParams, profile: RiskProfileParams, T: int,
         log_id = _cumsum_rows(eps.T)
         del eps
         rows, outs[i] = outs[i], None
-        _client_gammas(market, profile, regimes[:, paths], log_id, biases[i], want, rows)
+        _client_gammas(tabs, regimes[:, paths], log_id, biases[i], want, rows)
         log_id = biases[i] = None
         if "regimes" in want:
             rows["regimes"] = regimes[:, paths]
         if "tau" in want:
-            tau_of_n = profile.phi * (np.arange(T + 1) // profile.phi)
-            rows["tau"] = np.broadcast_to(tau_of_n[:, None],
+            rows["tau"] = np.broadcast_to(tabs.tau[:, None],
                                           (T + 1, paths.stop - paths.start))
         yield paths, rows
         # The caller drops its reference too before asking for the next block.
@@ -392,41 +413,19 @@ def _time_sums(rows: np.ndarray) -> np.ndarray:
     """Sums over the first axis, with the bits of numpy's ``sum(axis=-1)``
     over the transpose: the sum path-major code gets from each path's row.
 
-    numpy reduces a contiguous row pairwise (fewer than 8 terms in order
-    from 0.0, up to 128 in eight interleaved accumulators, more by halves
-    at multiples of 8) and adds the result to the identity 0.0. Summing
-    time-major rows in order instead moves the last bits from 8 terms on.
-    """
-    out = _pairwise_rows(rows)
-    out += 0.0  # the identity: turns an all -0.0 sum into +0.0, as numpy does
-    return out
-
-
-def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
-    k = len(rows)
-    if k < 8:
-        out = np.zeros(rows.shape[1:])
-        for row in rows:
-            out += row
-        return out
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
-    acc = rows[:8].copy()
-    stop = k - k % 8
-    for i in range(8, stop, 8):
-        acc += rows[i:i + 8]
-    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for row in rows[stop:]:
-        out += row
-    return out
+    numpy adds fewer than 8 terms of a row in order, as it adds rows along
+    the first axis, from the identity 0.0 (so an all -0.0 sum is +0.0);
+    from 8 terms on it sums pairwise, so the transpose is summed."""
+    if len(rows) < 8:
+        return rows.sum(axis=0) + 0.0
+    return np.ascontiguousarray(rows.T).sum(axis=-1)
 
 
 def window_log_bias(demeaned: np.ndarray, beta: float, phi: int) -> np.ndarray:
     """Log bias factor at interaction times k*phi, k = 0..T//phi, from
     time-major demeaned returns of shape (T, n_paths); row 0 is 0 (no
-    pre-history). Each window sums like the path-major row sum (see
-    `_time_sums`), so the bits do not depend on the layout."""
+    pre-history). Each window is summed by `_time_sums`, which has the bits
+    of numpy's path-major row sum, so they do not depend on the layout."""
     T = len(demeaned)
     out = np.zeros((T // phi + 1,) + demeaned.shape[1:])
     for k in range(1, T // phi + 1):

@@ -78,7 +78,7 @@ from .market import (
     market_from_dict,
     validate,
 )
-from .risk_profile import RiskProfileParams, profile_from_dict
+from .risk_profile import RiskProfileParams, _ProfileTables, profile_from_dict
 
 
 # -- reduced state and grid ----------------------------------------------------
@@ -351,15 +351,15 @@ def _window_lookup(grid: Grid, profile: RiskProfileParams, shape, xi, window_csu
     if len(regimes) > T:
         raise ConfigError(f"time index {T} outside [0, {T})")
     _checked_regimes(regimes, table_shape[-1])
-    gbar = profile.gamma_bar_table(T, table_shape[-1])
+    tabs = _ProfileTables(grid, profile, T)
     phi = profile.phi
     window = {}
 
     def at(n: int, pi_n: np.ndarray) -> np.ndarray:
-        tau = phi * (n // phi)
+        tau = tabs.tau[n]
         if window.get("tau") != tau:
             y = regimes[tau]
-            x = np.asarray(xi[tau], dtype=float) / gbar[tau, y]
+            x = np.asarray(xi[tau], dtype=float) / tabs.gbar[tau, y]
             if np.any(x <= 0):
                 raise ConfigError("xi queries must be strictly positive")
             if tau >= phi:
@@ -378,29 +378,7 @@ def _window_lookup(grid: Grid, profile: RiskProfileParams, shape, xi, window_csu
     return at
 
 
-# -- advisor gamma bookkeeping ---------------------------------------------------
-
-
-class _ProfileTables:
-    """Dense per-time tables derived from a risk profile for a horizon T."""
-
-    def __init__(self, market: MarketParams, profile: RiskProfileParams, T: int):
-        self.T = T
-        self.phi = profile.phi
-        self.beta = profile.beta
-        self.profile = profile
-        self.eta = np.asarray(profile.eta_at(np.arange(T + 1), T), dtype=float)
-        self.gbar = profile.gamma_bar_table(T, market.num_states)
-        self.tau = profile.phi * (np.arange(T + 1) // profile.phi)
-
-    def gamma_slice(self, n: int, xi: np.ndarray) -> np.ndarray:
-        """Advisor gamma over (xi, regime) at time n: shape (len(xi), M)."""
-        trend = math.exp(self.eta[n] - self.eta[self.tau[n]])
-        return trend * xi[:, None] * self.gbar[n][None, :]
-
-    def interaction_shift(self, n: int) -> float:
-        """Deterministic log-xi displacement when the step into n+1 interacts."""
-        return self.eta[n + 1] - self.eta[self.tau[n]]
+# -- jump-shock mixture ----------------------------------------------------------
 
 
 def _jump_mixture(profile: RiskProfileParams) -> list[tuple[float, float, float]]:

@@ -1,11 +1,15 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import argparse
+import contextlib
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from concurrent.futures import Future
@@ -13,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robo_mv.cli as cli
 from robo_mv.cli import main
@@ -728,6 +734,51 @@ def test_simulate_zero_bins_exits_2_without_artifacts(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_with_every_path_ruined_writes_a_null_annualized_block(tmp_path):
+    doc = two_state_config()
+    doc.update(strategy={"pi_bar": 40}, liquidate=True, horizon=120)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--paths", "1000", "--seed", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["annualized"] is None
+    assert summary["annualized_excluded_paths"] == 1000
+    assert all(math.isfinite(v) for v in summary["total"].values())
+
+
+def test_simulate_fewer_than_two_paths_exits_2_before_simulating(tmp_path, monkeypatch,
+                                                                capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(cli, "simulate", unreachable)
+    cfg = write_config(tmp_path, two_state_config())
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--paths", "1", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--paths must be >= 2" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_overflowing_wealth_exits_3_without_warnings(tmp_path, capsys):
+    # tier-1 turns a RuntimeWarning into an error, so a warning from the
+    # wealth recursion would surface as an internal error instead.
+    doc = two_state_config()
+    doc.update(strategy={"pi_bar": 1e200}, horizon=120)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "sim"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--paths", "1000", "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "not finite" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_unseeded_run_records_entropy(tmp_path):
     cfg = write_config(tmp_path, two_state_config())
     first, second = tmp_path / "a", tmp_path / "b"
@@ -1049,6 +1100,136 @@ def test_personalize_rejects_unknown_start_regime(tmp_path, y0, capsys):
     assert f"y0={y0}" in err
     assert len(err.strip().splitlines()) == 1
     assert not (out / "personalize.csv").exists()
+
+
+# -- property tests at the CLI boundary ----------------------------------------
+
+
+@st.composite
+def _fixed_mix_configs(draw):
+    """A valid fixed-mix config on a random 1-3-regime market."""
+    M = draw(st.integers(1, 3))
+    rows = [draw(st.lists(st.floats(0.05, 1.0), min_size=M, max_size=M))
+            for _ in range(M)]
+    unit = st.floats(0.0, 1.0)
+    return {
+        "market": {
+            "states": M,
+            "transition": [[v / sum(row) for v in row] for row in rows],
+            "risk_free": [0.05 * draw(unit) for _ in range(M)],
+            "mean_return": [0.2 * draw(unit) for _ in range(M)],
+            "vol_return": [0.05 + 0.35 * draw(unit) for _ in range(M)],
+            "steps_per_year": draw(st.sampled_from([1, 4, 12, 52])),
+        },
+        "strategy": {"pi_bar": draw(st.floats(0.05, 2.0)),
+                     "delta": draw(st.floats(-0.5, 0.5))},
+        "horizon": draw(st.integers(1, 24)),
+        "y0": draw(st.integers(0, M - 1)),
+        "x0": draw(st.floats(0.5, 2.0)),
+        "liquidate": draw(st.booleans()),
+    }
+
+
+# The config leaves each command reads, and those of them that are counts.
+_MARKET_LEAVES = ("states", "transition", "risk_free", "mean_return", "vol_return",
+                  "steps_per_year")
+_READS = {
+    "stationary": ("market",),
+    "sharpe": ("market", "strategy"),
+    "simulate": ("market", "strategy", "horizon", "y0", "x0", "liquidate"),
+}
+_COUNTS = {"states", "steps_per_year", "horizon", "y0"}
+
+
+def _leaves(doc, command):
+    """(path, is_count) of every scalar leaf of `doc` that `command` reads."""
+    out = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, path + (key,))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, path + (i,))
+        else:
+            out.append((path, path[-1] in _COUNTS))
+
+    for key in _READS[command]:
+        walk(doc[key], (key,))
+    return out
+
+
+def _run_cli(argv):
+    """main(argv) with its stdout and stderr captured: (code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _argv(command, cfg, out):
+    extra = {"stationary": [], "sharpe": ["--steps", "5"],
+             "simulate": ["--paths", "40", "--seed", "3", "--bins", "4"]}[command]
+    return [command, "--config", cfg, "--out", out] + extra
+
+
+def _assert_finite_numbers(value, key=None):
+    """Every number of a written JSON document is finite, and the one null
+    is the one the docs allow: simulate's `annualized` block."""
+    if isinstance(value, dict):
+        for k, item in value.items():
+            _assert_finite_numbers(item, k)
+    elif isinstance(value, list):
+        for item in value:
+            _assert_finite_numbers(item, key)
+    elif value is None:
+        assert key == "annualized"
+    elif isinstance(value, float):
+        assert math.isfinite(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fixed_mix_configs(), st.sampled_from(sorted(_READS)))
+def test_valid_fixed_mix_configs_exit_0_with_finite_outputs(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        out = Path(tmp) / "out"
+        assert _run_cli(_argv(command, cfg, str(out))) == (0, "")
+        for path in out.iterdir():
+            if path.suffix == ".json":
+                _assert_finite_numbers(json.loads(path.read_text()))
+                continue
+            for row in csv.reader(path.read_text().splitlines()[1:]):
+                for cell in row:
+                    try:
+                        number = float(cell)
+                    except ValueError:
+                        continue  # a label such as the sweep variable
+                    assert math.isfinite(number)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fixed_mix_configs(), st.sampled_from(sorted(_READS)), st.data())
+def test_a_bad_config_leaf_exits_2_with_one_line_and_no_output(doc, command, data):
+    path, is_count = data.draw(st.sampled_from(_leaves(doc, command)))
+    kinds = ["a string", math.nan, math.inf, -math.inf]
+    if path[-1] != "liquidate":  # a bool is the valid kind of that leaf
+        kinds.append(True)
+    if is_count:
+        kinds.append(1.5)
+    bad = data.draw(st.sampled_from(kinds))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        out = Path(tmp) / "out"
+        code, err = _run_cli(_argv(command, cfg, str(out)))
+        assert code == 2, err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 # -- error mapping ----------------------------------------------------------------

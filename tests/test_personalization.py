@@ -798,6 +798,18 @@ def test_streamed_measures_equal_their_whole_batch_forms(case):
     assert (got.estimate, got.se, got.excluded_steps) == want
 
 
+def test_r_measure_builds_the_profile_tables_once_per_client_simulation(
+        two_state_market):
+    # check_sampling builds the cycle-factor table once and the client
+    # simulator once for all its path blocks (11 at 20 000 x 18).
+    profile = RiskProfileParams(gamma0=3.0, p_eps=0.05, beta=2.0, phi=3,
+                                gamma_bar=np.array([1.0, 1.5]))
+    with mock.patch.object(RiskProfileParams, "gamma_bar_table", autospec=True,
+                           side_effect=RiskProfileParams.gamma_bar_table) as spy:
+        r_measure(two_state_market, profile, 18, 20_000, 5)
+    assert spy.call_count == 2
+
+
 def test_r_measure_streams_within_its_memory_bound(two_state_market):
     # The benchmark's shape: 20 000 paths, T=18, phi=1, the longest bias
     # row. The whole batch peaked at 13.25 MB under tracemalloc; blocks of

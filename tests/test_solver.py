@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 from robo_mv.errors import ConfigError, DegenerateVariance, GridExhausted, NumericalError
 from robo_mv.market import MarketParams
 from robo_mv.personalization import s_measure
-from robo_mv.risk_profile import RiskProfileParams, simulate_clients, window_sums
+from robo_mv.risk_profile import (
+    RiskProfileParams,
+    _ProfileTables,
+    simulate_clients,
+    window_sums,
+)
 from robo_mv.solver import (
     ClampCounters,
     Grid,
@@ -31,7 +36,6 @@ from robo_mv.solver import (
     _interp3,
     _jump_mixture,
     _locate,
-    _ProfileTables,
     _put_regime_last,
     _Q_CHUNK,
     _StepOperators,
