@@ -413,8 +413,8 @@ def _time_sums(rows: np.ndarray) -> np.ndarray:
     """Sums over the first axis, with the bits of numpy's ``sum(axis=-1)``
     over the transpose: the sum path-major code gets from each path's row.
 
-    numpy adds fewer than 8 terms of a row in order, as it adds rows along
-    the first axis, from the identity 0.0 (so an all -0.0 sum is +0.0);
+    numpy adds fewer than 8 terms of a row in order, as ``sum(axis=0)``
+    adds rows, and then the identity 0.0 (so an all -0.0 sum is +0.0);
     from 8 terms on it sums pairwise, so the transpose is summed."""
     if len(rows) < 8:
         return rows.sum(axis=0) + 0.0

@@ -763,8 +763,8 @@ def test_simulate_fewer_than_two_paths_exits_2_before_simulating(tmp_path, monke
 
 
 def test_simulate_overflowing_wealth_exits_3_without_warnings(tmp_path, capsys):
-    # tier-1 turns a RuntimeWarning into an error, so a warning from the
-    # wealth recursion would surface as an internal error instead.
+    # A warning from the wealth recursion, raised as an error here, would
+    # surface as an internal error rather than a numerical failure.
     doc = two_state_config()
     doc.update(strategy={"pi_bar": 1e200}, horizon=120)
     cfg = write_config(tmp_path, doc)
@@ -1130,9 +1130,7 @@ def _fixed_mix_configs(draw):
     }
 
 
-# The config leaves each command reads, and those of them that are counts.
-_MARKET_LEAVES = ("states", "transition", "risk_free", "mean_return", "vol_return",
-                  "steps_per_year")
+# The config sections and keys each command reads, and the keys that are counts.
 _READS = {
     "stationary": ("market",),
     "sharpe": ("market", "strategy"),
@@ -1142,7 +1140,7 @@ _COUNTS = {"states", "steps_per_year", "horizon", "y0"}
 
 
 def _leaves(doc, command):
-    """(path, is_count) of every scalar leaf of `doc` that `command` reads."""
+    """The key path of every scalar leaf of `doc` that `command` reads."""
     out = []
 
     def walk(node, path):
@@ -1153,7 +1151,7 @@ def _leaves(doc, command):
             for i, value in enumerate(node):
                 walk(value, path + (i,))
         else:
-            out.append((path, path[-1] in _COUNTS))
+            out.append(path)
 
     for key in _READS[command]:
         walk(doc[key], (key,))
@@ -1212,11 +1210,11 @@ def test_valid_fixed_mix_configs_exit_0_with_finite_outputs(doc, command):
 @settings(max_examples=200, deadline=None)
 @given(_fixed_mix_configs(), st.sampled_from(sorted(_READS)), st.data())
 def test_a_bad_config_leaf_exits_2_with_one_line_and_no_output(doc, command, data):
-    path, is_count = data.draw(st.sampled_from(_leaves(doc, command)))
+    path = data.draw(st.sampled_from(_leaves(doc, command)))
     kinds = ["a string", math.nan, math.inf, -math.inf]
     if path[-1] != "liquidate":  # a bool is the valid kind of that leaf
         kinds.append(True)
-    if is_count:
+    if path[-1] in _COUNTS:
         kinds.append(1.5)
     bad = data.draw(st.sampled_from(kinds))
     node = doc
