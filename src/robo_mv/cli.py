@@ -2,10 +2,11 @@
 
 Each subcommand reads one JSON experiment config (see docs/formats.md),
 applies flag overrides, runs the corresponding engine operation, and writes
-CSV/JSON artifacts plus a `run.json` manifest into the output directory. The
-manifest records the resolved config, flags, and seed; pointing --config at a
-manifest reruns that experiment bit-exactly (explicit flags still win, and a
-stored flag the command does not take exits 2).
+CSV/JSON artifacts plus a `run.json` manifest into the output directory,
+which receives them only when the command succeeds. The manifest records
+the resolved config, flags, and seed; pointing --config at a manifest
+reruns that experiment bit-exactly (explicit flags still win, and a stored
+flag the command does not take exits 2).
 
 Exit codes: 0 ok, 2 bad configuration, 3 numerical failure or any other
 unexpected error, 4 I/O trouble.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +35,7 @@ from robo_mv.cycle_analytics import (
 )
 from robo_mv.errors import ConfigError, NumericalError
 from robo_mv.market import (
+    check_keys,
     check_number,
     check_regime,
     market_from_dict,
@@ -87,18 +90,28 @@ def _load_config(path, command: str) -> tuple[dict, dict]:
                 f"manifest {path} records command "
                 f"{doc.get('command')!r}, not {command!r}"
             )
-        cfg, stored = doc["config"], dict(doc.get("flags", {}))
+        if "config" not in doc:
+            raise ConfigError(f"manifest {path} has no 'config'")
+        cfg, stored = doc["config"], doc.get("flags", {})
     else:
         cfg, stored = doc, {}
-    _check_keys(cfg, _EXPERIMENT_KEYS, "experiment")
-    _check_keys(stored, _FLAGS[command], f"stored {command} flag")
+    check_keys(cfg, _EXPERIMENT_KEYS, "experiment config")
+    check_keys(stored, _FLAGS[command], f"stored {command} flag")
+    _check_finite(cfg)
     return cfg, stored
 
 
-def _check_keys(cfg: dict, allowed: set, context: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+def _check_finite(node, where: str = "config") -> None:
+    """Raise ConfigError at a NaN or infinite number anywhere in a config,
+    read or not: run.json echoes the config, and strict JSON has neither."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{where}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_finite(value, f"{where}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{where} must be finite, got {node!r}")
 
 
 def _need(cfg: dict, key: str, context: str):
@@ -107,44 +120,33 @@ def _need(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
-def _section(cfg: dict, key: str, context: str | None = None) -> dict:
-    """The config section `key` (market, risk_profile, grid or strategy),
-    which must be a JSON object: required when `context` names the command
-    that needs it, else {} when absent."""
-    doc = _need(cfg, key, context) if context is not None else cfg.get(key, {})
-    if not isinstance(doc, dict):
-        raise ConfigError(f"'{key}' must be a JSON object, got {doc!r}")
-    return doc
-
-
 def _grid_spec(cfg: dict) -> GridSpec:
-    doc = _section(cfg, "grid")
-    _check_keys(doc, _GRID_KEYS, "grid")
-    return GridSpec(**doc)
+    return GridSpec(**check_keys(cfg.get("grid", {}), _GRID_KEYS, "grid"))
 
 
 def _mix(cfg: dict) -> tuple[float, float]:
     """pi_bar and delta of the config's `strategy`, 0.6 and 0.0 by default."""
-    doc = _section(cfg, "strategy")
-    _check_keys(doc, {"pi_bar", "delta"}, "strategy")
+    doc = check_keys(cfg.get("strategy", {}), {"pi_bar", "delta"}, "strategy")
     return (check_number(doc.get("pi_bar", 0.6), "pi_bar"),
             check_number(doc.get("delta", 0.0), "delta"))
 
 
-def _resolve(explicit, stored_flags: dict, name: str, default):
-    if explicit is not None:
-        return explicit
-    if name in stored_flags and stored_flags[name] is not None:
-        return stored_flags[name]
+def _resolve(args, flags: dict, key: str, default):
+    """Flag `key`: from the command line, else from the stored flags."""
+    for value in (getattr(args, key), flags.get(key)):
+        if value is not None:
+            return value
     return default
 
 
-def _threads(explicit, stored_flags: dict) -> int:
-    val = check_number(_resolve(explicit, stored_flags, "threads", 1), "threads",
-                       integer=True)
-    if val < 0:
-        raise ConfigError(f"threads must be >= 0, got {val}")
-    return val if val > 0 else (os.cpu_count() or 1)
+def _count(args, flags: dict, key: str, default, lo: int, name=None) -> int:
+    """The one rule for an integer flag: resolved as _resolve does, an
+    integer by check_number, and at least lo. Messages name it `--key`."""
+    name = name or f"--{key.replace('_', '-')}"
+    n = check_number(_resolve(args, flags, key, default), name, integer=True)
+    if n < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {n}")
+    return n
 
 
 def _fmt(v) -> str:
@@ -166,30 +168,51 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
+    # Strict JSON: a NaN or infinity raises rather than writing a bare token.
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out)
+    """The directory a command writes its artifacts into: a hidden staging
+    directory beside --out, made on first use. main moves its files into
+    --out once the command returns, and deletes it in any case."""
+    if args.stage is None:
+        out = Path(os.path.abspath(args.out))
+        out.parent.mkdir(parents=True, exist_ok=True)
+        stage = out.parent / f".{out.name}.{os.getpid()}-{os.urandom(4).hex()}"
+        stage.mkdir()  # set on args only once made: main deletes it
+        args.stage = stage
+    return args.stage
+
+
+def _publish(stage: Path, out: Path) -> None:
+    """Move every staged file into out, run.json last. A directory in out
+    that a file would replace fails the run before any file is moved."""
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    names = sorted((p.name for p in stage.iterdir()), key=lambda n: n == "run.json")
+    for name in names:
+        if (out / name).is_dir():
+            raise IsADirectoryError(f"{out / name} is a directory, not a file")
+    for name in names:
+        os.replace(stage / name, out / name)
 
 
-def _manifest(out: Path, command: str, cfg: dict, flags: dict, outputs) -> None:
+def _manifest(out: Path, command: str, cfg: dict, flags: dict) -> None:
+    """Write run.json; its `outputs` are the files the run has written."""
     _write_json(out / "run.json", {
         "kind": "run_manifest",
         "package_version": __version__,
         "command": command,
         "config": cfg,
         "flags": flags,
-        "outputs": sorted(outputs),
+        "outputs": sorted(p.name for p in out.iterdir()),
     })
 
 
-def _seed_value(explicit, stored_flags: dict):
-    seed = _resolve(explicit, stored_flags, "seed", None)
+def _seed_value(args, flags: dict):
+    seed = _resolve(args, flags, "seed", None)
     if seed is None:
         return int(np.random.SeedSequence().entropy)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -197,50 +220,53 @@ def _seed_value(explicit, stored_flags: dict):
     return seed
 
 
+def _stats_doc(s) -> dict:
+    """A StatsSummary as JSON, its shape statistics null where undefined
+    (NaN, for a constant sample)."""
+    doc = asdict(s)
+    for key in ("skewness", "kurtosis"):
+        if math.isnan(doc[key]):
+            doc[key] = None
+    return doc
+
+
 # -- subcommands ------------------------------------------------------------------
 
 
 def cmd_stationary(args) -> int:
     cfg, _ = _load_config(args.config, "stationary")
-    market = market_from_dict(_section(cfg, "market", "stationary"))
+    market = market_from_dict(_need(cfg, "market", "stationary"))
     dist = stationary_distribution(market)
     print(", ".join(f"{p:.6f}" for p in dist))
     if args.out:
         out = _out_dir(args)
         _write_csv(out / "stationary.csv", ["state", "probability"],
                    [(y, p) for y, p in enumerate(dist)])
-        _manifest(out, "stationary", cfg, {}, ["stationary.csv"])
+        _manifest(out, "stationary", cfg, {})
     return 0
 
 
 def cmd_solve(args) -> int:
     cfg, _ = _load_config(args.config, "solve")
-    market = market_from_dict(_section(cfg, "market", "solve"))
-    profile = profile_from_dict(_section(cfg, "risk_profile", "solve"))
+    market = market_from_dict(_need(cfg, "market", "solve"))
+    profile = profile_from_dict(_need(cfg, "risk_profile", "solve"))
     T = check_number(_need(cfg, "horizon", "solve"), "horizon", integer=True)
     tables = solve(market, profile, T, _grid_spec(cfg), cfg.get("bounds"))
     out = _out_dir(args)
     save_policy(tables, out)
-    outputs = [f"policy_{n:04d}.csv" for n in range(T)] + [
-        "manifest.json", "policy.npz"]
-    _manifest(out, "solve", cfg, {}, outputs)
-    print(f"wrote {T} policy slices to {out}")
+    _manifest(out, "solve", cfg, {})
+    print(f"wrote {T} policy slices to {Path(args.out)}")
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg, flags = _load_config(args.config, "simulate")
-    n_paths = check_number(_resolve(args.paths, flags, "paths", 100_000),
-                           "--paths", integer=True)
-    if n_paths < 2:
-        raise ConfigError(f"--paths must be >= 2, got {n_paths}")
-    seed = _seed_value(args.seed, flags)
-    threads = _threads(args.threads, flags)
-    bins = check_number(_resolve(args.bins, flags, "bins", 60), "--bins",
-                        integer=True)
-    if bins < 1:
-        raise ConfigError(f"--bins must be >= 1, got {bins}")
-    dump = _resolve(args.dump_paths or None, flags, "dump_paths", False)
+    n_paths = _count(args, flags, "paths", 100_000, 2)
+    seed = _seed_value(args, flags)
+    # 0 means one worker per CPU
+    threads = _count(args, flags, "threads", 1, 0) or os.cpu_count() or 1
+    bins = _count(args, flags, "bins", 60, 1)
+    dump = _resolve(args, flags, "dump_paths", False)
     if not isinstance(dump, bool):
         raise ConfigError(f"dump_paths must be true or false, got {dump!r}")
 
@@ -254,9 +280,9 @@ def cmd_simulate(args) -> int:
         market, strategy = tables.market, tables
         T = check_number(cfg.get("horizon", tables.T), "horizon", integer=True)
     else:
-        market = market_from_dict(_section(cfg, "market", "simulate"))
-        strat_doc = _section(cfg, "strategy", "simulate")
-        _check_keys(strat_doc, {"pi_bar", "delta"}, "strategy")
+        market = market_from_dict(_need(cfg, "market", "simulate"))
+        strat_doc = check_keys(_need(cfg, "strategy", "simulate"),
+                               {"pi_bar", "delta"}, "strategy")
         _need(strat_doc, "pi_bar", "strategy")
         strategy = CycleStrategy(**strat_doc)
         T = check_number(_need(cfg, "horizon", "simulate"), "horizon", integer=True)
@@ -271,9 +297,9 @@ def cmd_simulate(args) -> int:
     total = stats(returns)
     rates, excluded = annualized(returns, T, market.steps_per_year)
     summary = {
-        "total": asdict(total),
+        "total": _stats_doc(total),
         # null when fewer than two paths end above total ruin
-        "annualized": asdict(stats(rates)) if len(rates) >= 2 else None,
+        "annualized": _stats_doc(stats(rates)) if len(rates) >= 2 else None,
         "annualized_excluded_paths": excluded,
         "n_paths": n_paths,
         "seed": seed,
@@ -283,35 +309,27 @@ def cmd_simulate(args) -> int:
     counts, edges = np.histogram(returns, bins=bins)
     _write_csv(out / "histogram.csv", ["bin_left", "bin_right", "count"],
                [(edges[i], edges[i + 1], int(counts[i])) for i in range(bins)])
-    outputs = ["summary.json", "histogram.csv"]
     if dump:
         _write_csv(out / "returns.csv", ["total_return"],
                    [(r,) for r in returns])
-        outputs.append("returns.csv")
     _manifest(out, "simulate", cfg,
               {"paths": n_paths, "seed": seed, "bins": bins,
-               "dump_paths": dump, "threads": threads}, outputs)
+               "dump_paths": dump, "threads": threads})
     print(f"simulated {n_paths} paths; mean total return {total.mean:.6g}")
     return 0
 
 
 def cmd_sharpe(args) -> int:
     cfg, flags = _load_config(args.config, "sharpe")
-    market = market_from_dict(_section(cfg, "market", "sharpe"))
+    market = market_from_dict(_need(cfg, "market", "sharpe"))
     base_pi, base_delta = _mix(cfg)
 
-    sweep = _resolve(args.sweep, flags, "sweep", "delta")
+    sweep = _resolve(args, flags, "sweep", "delta")
     if sweep not in ("delta", "pi_bar"):
         raise ConfigError(f"--sweep must be 'delta' or 'pi_bar', got {sweep!r}")
-    lo, hi = (
-        check_number(_resolve(explicit, flags, key, default), "--from and --to")
-        for explicit, key, default in ((getattr(args, "from"), "from", -0.5),
-                                       (args.to, "to", 0.5))
-    )
-    steps = check_number(_resolve(args.steps, flags, "steps", 21), "--steps",
-                         integer=True)
-    if steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {steps}")
+    lo, hi = (check_number(_resolve(args, flags, key, default), "--from and --to")
+              for key, default in (("from", -0.5), ("to", 0.5)))
+    steps = _count(args, flags, "steps", 21, 1)
     values = np.linspace(lo, hi, steps)
 
     rules = [
@@ -325,27 +343,24 @@ def cmd_sharpe(args) -> int:
     out = _out_dir(args)
     _write_csv(out / "sharpe.csv", ["sweep_var", "value", "sharpe_annualized"], rows)
     _manifest(out, "sharpe", cfg,
-              {"sweep": sweep, "from": lo, "to": hi, "steps": steps},
-              ["sharpe.csv"])
-    print(f"wrote {steps} rows to {out / 'sharpe.csv'}")
+              {"sweep": sweep, "from": lo, "to": hi, "steps": steps})
+    print(f"wrote {steps} rows to {Path(args.out) / 'sharpe.csv'}")
     return 0
 
 
 def cmd_implied_gamma(args) -> int:
     cfg, flags = _load_config(args.config, "implied-gamma")
-    market = market_from_dict(_section(cfg, "market", "implied-gamma"))
+    market = market_from_dict(_need(cfg, "market", "implied-gamma"))
     pi_bar, delta = _mix(cfg)
-    T = check_number(_resolve(args.horizon, flags, "horizon", cfg.get("horizon", 0)),
-                     "horizon", integer=True)
-    if T < 1:
-        raise ConfigError("implied-gamma needs a horizon >= 1 (config or --horizon)")
+    T = _count(args, flags, "horizon", cfg.get("horizon", 0), 1,
+               "horizon (config or --horizon)")
     gam = implied_gamma(pi_bar, delta, market, T)
     out = _out_dir(args)
     _write_csv(out / "implied_gamma.csv", ["n", "regime", "gamma"],
                [(n, y, gam[n, y]) for n in range(T)
                 for y in range(market.num_states)])
-    _manifest(out, "implied-gamma", cfg, {"horizon": T}, ["implied_gamma.csv"])
-    print(f"wrote {T * market.num_states} rows to {out / 'implied_gamma.csv'}")
+    _manifest(out, "implied-gamma", cfg, {"horizon": T})
+    print(f"wrote {T * market.num_states} rows to {Path(args.out, 'implied_gamma.csv')}")
     return 0
 
 
@@ -363,18 +378,16 @@ def _parse_phi_range(text) -> range:
 
 def cmd_personalize(args) -> int:
     cfg, flags = _load_config(args.config, "personalize")
-    market = market_from_dict(_section(cfg, "market", "personalize"))
-    profile = profile_from_dict(_section(cfg, "risk_profile", "personalize"))
+    market = market_from_dict(_need(cfg, "market", "personalize"))
+    profile = profile_from_dict(_need(cfg, "risk_profile", "personalize"))
     T = check_number(_need(cfg, "horizon", "personalize"), "horizon", integer=True)
     y0 = check_number(cfg.get("y0", 0), "y0", integer=True)
     check_regime(market, y0, "y0")
-    beta = check_number(_resolve(args.beta, flags, "beta", profile.beta), "beta")
-    phis = _parse_phi_range(_resolve(args.phi_range, flags, "phi_range", "1:12"))
-    n_paths = check_number(_resolve(args.paths, flags, "paths", 20_000),
-                           "--paths", integer=True)
-    s_paths = check_number(_resolve(args.s_paths, flags, "s_paths", 4_000),
-                           "--s-paths", integer=True)
-    seed = _seed_value(args.seed, flags)
+    beta = check_number(_resolve(args, flags, "beta", profile.beta), "beta")
+    phis = _parse_phi_range(_resolve(args, flags, "phi_range", "1:12"))
+    n_paths = _count(args, flags, "paths", 20_000, 1)
+    s_paths = _count(args, flags, "s_paths", 4_000, 1)
+    seed = _seed_value(args, flags)
     grid = _grid_spec(cfg)
     sigma0 = float(market.sigma_step[y0])
     advisors = [replace(profile, phi=phi, beta=beta) for phi in phis]
@@ -409,9 +422,8 @@ def cmd_personalize(args) -> int:
                ["phi", "R", "R_se", "R_tilde", "S", "S_se"], rows)
     _manifest(out, "personalize", cfg,
               {"beta": beta, "phi_range": f"{phis.start}:{phis.stop - 1}",
-               "paths": n_paths, "s_paths": s_paths, "seed": seed},
-              ["personalize.csv"])
-    print(f"wrote {len(rows)} rows to {out / 'personalize.csv'}")
+               "paths": n_paths, "s_paths": s_paths, "seed": seed})
+    print(f"wrote {len(rows)} rows to {Path(args.out) / 'personalize.csv'}")
     return 0
 
 
@@ -454,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--bins", type=int, default=None)
-    sp.add_argument("--dump-paths", action="store_true")
+    sp.add_argument("--dump-paths", action="store_true", default=None)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sharpe", help="long-run Sharpe ratio sweep")
@@ -485,9 +497,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its artifacts reach --out only if it succeeds."""
+    import shutil  # numpy has loaded it already
+
+    args = argparse.Namespace(stage=None)  # _out_dir sets the stage
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
+        _build_parser().parse_args(argv, args)
+        code = args.func(args)
+        if args.stage is not None:
+            _publish(args.stage, Path(args.out))
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -501,6 +520,9 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
+    finally:
+        if args.stage is not None:
+            shutil.rmtree(args.stage, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -251,6 +251,18 @@ def check_number(value, name: str, integer: bool = False):
     return float(value)
 
 
+def check_keys(doc, allowed, name: str) -> Mapping:
+    """The one rule for the keys of a config section or of stored flags:
+    doc must be a mapping whose every key is in allowed, else ConfigError
+    naming the section and its unknown keys. Returns doc."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{name} must be a mapping, got {doc!r}")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return doc
+
+
 def check_bounds(value, name: str = "bounds"):
     """The one rule for allocation bounds: None, or a list or tuple of two
     finite numbers with lower <= upper, returned as a tuple of the numbers
@@ -509,11 +521,7 @@ _MARKET_KEYS = {
 
 def market_from_dict(doc: dict) -> MarketParams:
     """Build MarketParams from a plain config mapping (see docs/formats.md)."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"the market config must be a mapping, got {doc!r}")
-    unknown = set(doc) - _MARKET_KEYS - {"risk_profile"}
-    if unknown:
-        raise BadDimension(f"unknown market config keys: {sorted(unknown)}")
+    check_keys(doc, _MARKET_KEYS, "market")
     missing = _MARKET_KEYS - set(doc)
     if missing:
         raise BadDimension(f"missing market config keys: {sorted(missing)}")
@@ -546,7 +554,10 @@ def market_from_dict(doc: dict) -> MarketParams:
 
 
 def load_market(path: str | Path) -> MarketParams:
-    """Load and validate MarketParams from a JSON config file."""
+    """Load and validate MarketParams from a JSON config file, which may
+    also hold a `risk_profile` section (see load_profile)."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
+    if isinstance(doc, dict):
+        doc.pop("risk_profile", None)
     return market_from_dict(doc)

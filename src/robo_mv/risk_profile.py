@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .market import (
     _fill_returns,
     _sample_regimes,
     check_array,
+    check_keys,
     check_number,
 )
 
@@ -540,11 +540,7 @@ _PROFILE_KEYS = {
 
 def profile_from_dict(doc: dict) -> RiskProfileParams:
     """Build RiskProfileParams from the `risk_profile` section of a config."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"the risk_profile config must be a mapping, got {doc!r}")
-    unknown = set(doc) - _PROFILE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown risk_profile keys: {sorted(unknown)}")
+    check_keys(doc, _PROFILE_KEYS, "risk_profile")
     if "gamma0" not in doc:
         raise ConfigError("risk_profile requires 'gamma0'")
     return RiskProfileParams(**doc)

@@ -117,6 +117,60 @@ def test_manifest_for_other_command_exits_2(tmp_path, capsys):
     assert "simulate" in capsys.readouterr().err
 
 
+_ABSENT = object()
+
+
+@pytest.mark.parametrize("key,value,name", [
+    ("config", _ABSENT, "has no 'config'"),
+    ("config", 5, "experiment config must be a mapping"),
+    ("flags", 7, "stored simulate flag must be a mapping"),
+    # a list of pairs, which dict() would take
+    ("flags", [["paths", 100], ["seed", 1]], "stored simulate flag must be a mapping"),
+])
+def test_malformed_manifest_exits_2_in_one_line(tmp_path, key, value, name, capsys):
+    doc = {"kind": "run_manifest", "command": "simulate",
+           "config": two_state_config(), "flags": {"paths": 100, "seed": 1}}
+    if value is _ABSENT:
+        del doc[key]
+    else:
+        doc[key] = value
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write_config(tmp_path, doc, name="run.json"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert name in err
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+
+def test_market_section_takes_no_risk_profile_key(tmp_path, capsys):
+    # load_market reads a combined market and risk_profile file; a config's
+    # market section has no such exemption.
+    market = {**two_state_config()["market"], "risk_profile": {"gamma0": "oops"}}
+    cfg = write_config(tmp_path, {"market": market})
+    out = tmp_path / "o"
+    assert main(["stationary", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: unknown market keys: ['risk_profile']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stationary", "sharpe"])
+def test_non_finite_number_in_a_key_the_command_does_not_read_exits_2(tmp_path,
+                                                                       command, capsys):
+    # run.json echoes the whole config as strict JSON, so a NaN anywhere in
+    # it is rejected, before any work.
+    doc = two_state_config()
+    doc["risk_profile"] = {"gamma0": 3.0, "gamma_bar": [1.0, float("nan")]}
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: config.risk_profile.gamma_bar[1] must be "
+                   "finite, got nan\n")
+    assert not out.exists()
+
+
 # -- stationary ----------------------------------------------------------------
 
 
@@ -747,6 +801,32 @@ def test_simulate_with_every_path_ruined_writes_a_null_annualized_block(tmp_path
     assert all(math.isfinite(v) for v in summary["total"].values())
 
 
+def test_simulate_constant_returns_write_null_shape_statistics(tmp_path):
+    # pi_bar = 1e-300 in a riskless market: every path returns exactly 0, so
+    # skewness and kurtosis are undefined, and summary.json is strict JSON.
+    doc = single_state_config()
+    del doc["risk_profile"]
+    doc["strategy"] = {"pi_bar": 1e-300}
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(out), "--paths", "100", "--seed", "1"]) == 0
+
+    def strict(token):
+        raise ValueError(f"bare {token} in summary.json")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+    for block in ("total", "annualized"):
+        assert summary[block]["sd"] == 0.0
+        assert summary[block]["skewness"] is None
+        assert summary[block]["kurtosis"] is None
+
+
+def test_json_artifacts_never_hold_a_bare_nan(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "x.json", {"mean": math.inf})
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_simulate_fewer_than_two_paths_exits_2_before_simulating(tmp_path, monkeypatch,
                                                                 capsys):
     def unreachable(*args, **kwargs):
@@ -1106,21 +1186,29 @@ def test_personalize_rejects_unknown_start_regime(tmp_path, y0, capsys):
 
 
 @st.composite
-def _fixed_mix_configs(draw):
-    """A valid fixed-mix config on a random 1-3-regime market."""
+def _markets(draw):
+    """A valid market section with 1-3 regimes."""
     M = draw(st.integers(1, 3))
     rows = [draw(st.lists(st.floats(0.05, 1.0), min_size=M, max_size=M))
             for _ in range(M)]
     unit = st.floats(0.0, 1.0)
     return {
-        "market": {
-            "states": M,
-            "transition": [[v / sum(row) for v in row] for row in rows],
-            "risk_free": [0.05 * draw(unit) for _ in range(M)],
-            "mean_return": [0.2 * draw(unit) for _ in range(M)],
-            "vol_return": [0.05 + 0.35 * draw(unit) for _ in range(M)],
-            "steps_per_year": draw(st.sampled_from([1, 4, 12, 52])),
-        },
+        "states": M,
+        "transition": [[v / sum(row) for v in row] for row in rows],
+        "risk_free": [0.05 * draw(unit) for _ in range(M)],
+        "mean_return": [0.2 * draw(unit) for _ in range(M)],
+        "vol_return": [0.05 + 0.35 * draw(unit) for _ in range(M)],
+        "steps_per_year": draw(st.sampled_from([1, 4, 12, 52])),
+    }
+
+
+@st.composite
+def _fixed_mix_configs(draw):
+    """A valid fixed-mix config on a random 1-3-regime market."""
+    market = draw(_markets())
+    M = market["states"]
+    return {
+        "market": market,
         "strategy": {"pi_bar": draw(st.floats(0.05, 2.0)),
                      "delta": draw(st.floats(-0.5, 0.5))},
         "horizon": draw(st.integers(1, 24)),
@@ -1130,13 +1218,39 @@ def _fixed_mix_configs(draw):
     }
 
 
+@st.composite
+def _solve_configs(draw):
+    """A valid solve config on a random 1-3-regime market, with a small grid."""
+    unit = st.floats(0.0, 1.0)
+    return {
+        "market": draw(_markets()),
+        "risk_profile": {
+            "gamma0": 1.0 + 5.0 * draw(unit),
+            "alpha": 0.05 * draw(unit),
+            "p_eps": 0.2 * draw(unit),
+            "sigma_eps": 0.1 + 0.9 * draw(unit),
+            "beta": 3.0 * draw(unit),
+            "phi": draw(st.integers(1, 3)),
+        },
+        "horizon": draw(st.integers(1, 4)),
+        "grid": {"xi_count": draw(st.integers(3, 5)), "zsum_count": 3,
+                 "quad_points": draw(st.integers(2, 4))},
+    }
+
+
 # The config sections and keys each command reads, and the keys that are counts.
 _READS = {
     "stationary": ("market",),
     "sharpe": ("market", "strategy"),
     "simulate": ("market", "strategy", "horizon", "y0", "x0", "liquidate"),
 }
-_COUNTS = {"states", "steps_per_year", "horizon", "y0"}
+# implied-gamma reads a fixed-mix config too; solve reads a _solve_configs one
+_POLICY_READS = {
+    "implied-gamma": ("market", "strategy", "horizon"),
+    "solve": ("market", "risk_profile", "horizon", "grid"),
+}
+_COUNTS = {"states", "steps_per_year", "horizon", "y0", "phi", "xi_count",
+           "zsum_count", "quad_points"}
 
 
 def _leaves(doc, command):
@@ -1153,7 +1267,7 @@ def _leaves(doc, command):
         else:
             out.append(path)
 
-    for key in _READS[command]:
+    for key in {**_READS, **_POLICY_READS}[command]:
         walk(doc[key], (key,))
     return out
 
@@ -1168,13 +1282,15 @@ def _run_cli(argv):
 
 def _argv(command, cfg, out):
     extra = {"stationary": [], "sharpe": ["--steps", "5"],
-             "simulate": ["--paths", "40", "--seed", "3", "--bins", "4"]}[command]
+             "simulate": ["--paths", "40", "--seed", "3", "--bins", "4"],
+             "implied-gamma": [], "solve": []}[command]
     return [command, "--config", cfg, "--out", out] + extra
 
 
 def _assert_finite_numbers(value, key=None):
-    """Every number of a written JSON document is finite, and the one null
-    is the one the docs allow: simulate's `annualized` block."""
+    """Every number of a written JSON document is finite, and the only nulls
+    are those the docs allow: simulate's `annualized` block, and a policy
+    store's absent `bounds`."""
     if isinstance(value, dict):
         for k, item in value.items():
             _assert_finite_numbers(item, k)
@@ -1182,22 +1298,17 @@ def _assert_finite_numbers(value, key=None):
         for item in value:
             _assert_finite_numbers(item, key)
     elif value is None:
-        assert key == "annualized"
+        assert key in ("annualized", "bounds"), key
     elif isinstance(value, float):
         assert math.isfinite(value)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_fixed_mix_configs(), st.sampled_from(sorted(_READS)))
-def test_valid_fixed_mix_configs_exit_0_with_finite_outputs(doc, command):
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_config(Path(tmp), doc)
-        out = Path(tmp) / "out"
-        assert _run_cli(_argv(command, cfg, str(out))) == (0, "")
-        for path in out.iterdir():
-            if path.suffix == ".json":
-                _assert_finite_numbers(json.loads(path.read_text()))
-                continue
+def _assert_finite_outputs(out: Path) -> None:
+    """The numbers of every JSON and CSV file in out are finite."""
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            _assert_finite_numbers(json.loads(path.read_text()))
+        elif path.suffix == ".csv":
             for row in csv.reader(path.read_text().splitlines()[1:]):
                 for cell in row:
                     try:
@@ -1207,9 +1318,56 @@ def test_valid_fixed_mix_configs_exit_0_with_finite_outputs(doc, command):
                     assert math.isfinite(number)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_fixed_mix_configs(), st.sampled_from(sorted(_READS)))
+def test_valid_fixed_mix_configs_exit_0_with_finite_outputs(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        out = Path(tmp) / "out"
+        assert _run_cli(_argv(command, cfg, str(out))) == (0, "")
+        _assert_finite_outputs(out)
+
+
+def _policy_config(data, command):
+    return data.draw(_solve_configs() if command == "solve" else _fixed_mix_configs())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_POLICY_READS)), st.data())
+def test_valid_solve_and_implied_gamma_configs_exit_0_or_fail_numerically(command,
+                                                                         data):
+    # A valid config may still have no answer (no admissible risk aversion,
+    # too much mass clamped at the grid's edge): that is one exit-3 line,
+    # and nothing is written.
+    doc = _policy_config(data, command)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        out = Path(tmp) / "out"
+        code, err = _run_cli(_argv(command, cfg, str(out)))
+        if code == 0:
+            assert err == ""
+            _assert_finite_outputs(out)
+        else:
+            assert code == 3, err
+            assert err.startswith("numerical failure:") and err.count("\n") == 1
+            assert os.listdir(tmp) == ["config.json"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_fixed_mix_configs(), st.sampled_from(sorted(_READS)), st.data())
 def test_a_bad_config_leaf_exits_2_with_one_line_and_no_output(doc, command, data):
+    _assert_bad_leaf_exits_2(doc, command, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_POLICY_READS)), st.data())
+def test_a_bad_solve_or_implied_gamma_leaf_exits_2_and_writes_nothing(command, data):
+    _assert_bad_leaf_exits_2(_policy_config(data, command), command, data)
+
+
+def _assert_bad_leaf_exits_2(doc, command, data):
+    """Replace one leaf that command reads with a bad value: exit 2 with one
+    line, and the directory holds the config alone (no --out, no staging)."""
     path = data.draw(st.sampled_from(_leaves(doc, command)))
     kinds = ["a string", math.nan, math.inf, -math.inf]
     if path[-1] != "liquidate":  # a bool is the valid kind of that leaf
@@ -1227,7 +1385,7 @@ def test_a_bad_config_leaf_exits_2_with_one_line_and_no_output(doc, command, dat
         code, err = _run_cli(_argv(command, cfg, str(out)))
         assert code == 2, err
         assert err.startswith("configuration error:") and err.count("\n") == 1
-        assert not out.exists()
+        assert os.listdir(tmp) == ["config.json"]
 
 
 # -- error mapping ----------------------------------------------------------------
@@ -1259,6 +1417,68 @@ def test_out_path_collision_exits_4(tmp_path):
     blocker = tmp_path / "occupied"
     blocker.write_text("file, not a directory")
     assert main(["stationary", "--config", cfg, "--out", str(blocker)]) == 4
+    # no staging directory is left beside it
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "occupied"]
+    assert blocker.read_text() == "file, not a directory"
+
+
+# -- the run directory -----------------------------------------------------------
+
+
+def test_a_run_reaches_out_whole_and_prints_its_path(tmp_path, capsys):
+    doc = single_state_config()
+    doc["horizon"] = 3
+    doc["grid"] = {"xi_count": 5, "quad_points": 4}
+    out = tmp_path / "nested" / "pol"
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 3 policy slices to {out}\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "nested"]
+    assert os.listdir(tmp_path / "nested") == ["pol"]  # no staging directory
+    written = sorted(os.listdir(out))
+    written.remove("run.json")
+    assert json.loads((out / "run.json").read_text())["outputs"] == written
+
+
+@pytest.mark.parametrize("earlier", [None, "summary.json", "returns.csv"])
+def test_a_failed_write_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, earlier):
+    # The histogram write fails after summary.json is written: exit 4 in one
+    # line, no staging directory left, and --out absent or unchanged.
+    def failing(path, header, rows):
+        assert (path.parent / "summary.json").exists()
+        raise OSError(28, "No space left on device")
+
+    cfg = write_config(tmp_path, two_state_config())
+    out = tmp_path / "sim"
+    if earlier is not None:
+        out.mkdir()
+        (out / earlier).write_text("an earlier run\n")
+    monkeypatch.setattr(cli, "_write_csv", failing)
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--paths", "100", "--seed", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err == "i/o error: [Errno 28] No space left on device\n"
+    if earlier is None:
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+    else:
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "sim"]
+        assert os.listdir(out) == [earlier]
+        assert (out / earlier).read_text() == "an earlier run\n"
+
+
+def test_a_directory_named_like_an_artifact_fails_before_any_move(tmp_path, capsys):
+    # summary.json cannot replace a directory: no other file may reach --out
+    # before that is found.
+    cfg = write_config(tmp_path, two_state_config())
+    out = tmp_path / "sim"
+    (out / "summary.json").mkdir(parents=True)
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "100",
+                 "--seed", "1", "--dump-paths"]) == 4
+    err = capsys.readouterr().err
+    assert err == f"i/o error: {out / 'summary.json'} is a directory, not a file\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "sim"]
+    assert os.listdir(out) == ["summary.json"]
+    assert os.listdir(out / "summary.json") == []
 
 
 def test_version_flag_reports_package_version(capsys):
