@@ -57,15 +57,31 @@ _EXPERIMENT_KEYS = {
     "market", "risk_profile", "horizon", "grid", "strategy", "policy_dir",
     "y0", "x0", "bounds", "liquidate",
 }
-# The flags each command stores: the dests of its parser but config and out.
-_FLAGS = {
-    "stationary": set(),
-    "solve": set(),
-    "simulate": {"paths", "seed", "threads", "bins", "dump_paths"},
-    "sharpe": {"sweep", "from", "to", "steps"},
-    "implied-gamma": {"horizon"},
-    "personalize": {"phi_range", "beta", "paths", "s_paths", "seed"},
+_INT, _FLOAT = {"type": int}, {"type": float}
+# Each command's help and the flags it takes besides --config and --out, with
+# their argparse keywords. _build_parser adds them, each defaulting to None,
+# and runs `robo-mv x-y` as cmd_x_y. _FLAGS, the flags a command stores in
+# run.json and takes back from it, are their dests.
+_COMMANDS = {
+    "stationary": ("long-run regime distribution", {}),
+    "solve": ("backward-induction policy tables", {}),
+    "simulate": ("wealth paths and distribution stats", {
+        "--paths": _INT, "--seed": _INT, "--threads": _INT, "--bins": _INT,
+        "--dump-paths": {"action": "store_true"},
+    }),
+    "sharpe": ("long-run Sharpe ratio sweep", {
+        "--sweep": {"choices": ("delta", "pi_bar")}, "--from": _FLOAT,
+        "--to": _FLOAT, "--steps": _INT,
+    }),
+    "implied-gamma": ("risk aversion recovering a fixed-mix rule",
+                      {"--horizon": _INT}),
+    "personalize": ("interaction-frequency tradeoff measures", {
+        "--phi-range": {"help": "inclusive span, e.g. 1:24"}, "--beta": _FLOAT,
+        "--paths": _INT, "--s-paths": _INT, "--seed": _INT,
+    }),
 }
+_FLAGS = {command: {flag[2:].replace("-", "_") for flag in flags}
+          for command, (_, flags) in _COMMANDS.items()}
 
 
 # -- config and artifact plumbing -----------------------------------------------
@@ -176,8 +192,9 @@ def _write_json(path: Path, obj) -> None:
 
 def _out_dir(args) -> Path:
     """The directory a command writes its artifacts into: a hidden staging
-    directory beside --out, made on first use. main moves its files into
-    --out once the command returns, and deletes it in any case."""
+    directory beside --out, made on first use. main writes run.json there
+    and moves its files into --out once the command returns, and deletes
+    it in any case."""
     if args.stage is None:
         out = Path(os.path.abspath(args.out))
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -233,33 +250,32 @@ def _stats_doc(s) -> dict:
 # -- subcommands ------------------------------------------------------------------
 
 
-def cmd_stationary(args) -> int:
+# Each command computes and writes its artifacts through _out_dir, and
+# returns its config, its resolved flags and its success line; main records,
+# publishes and prints them.
+
+
+def cmd_stationary(args) -> tuple[dict, dict, str]:
     cfg, _ = _load_config(args.config, "stationary")
     market = market_from_dict(_need(cfg, "market", "stationary"))
     dist = stationary_distribution(market)
-    print(", ".join(f"{p:.6f}" for p in dist))
-    if args.out:
-        out = _out_dir(args)
-        _write_csv(out / "stationary.csv", ["state", "probability"],
+    if args.out is not None:
+        _write_csv(_out_dir(args) / "stationary.csv", ["state", "probability"],
                    [(y, p) for y, p in enumerate(dist)])
-        _manifest(out, "stationary", cfg, {})
-    return 0
+    return cfg, {}, ", ".join(f"{p:.6f}" for p in dist)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[dict, dict, str]:
     cfg, _ = _load_config(args.config, "solve")
     market = market_from_dict(_need(cfg, "market", "solve"))
     profile = profile_from_dict(_need(cfg, "risk_profile", "solve"))
     T = check_number(_need(cfg, "horizon", "solve"), "horizon", integer=True)
     tables = solve(market, profile, T, _grid_spec(cfg), cfg.get("bounds"))
-    out = _out_dir(args)
-    save_policy(tables, out)
-    _manifest(out, "solve", cfg, {})
-    print(f"wrote {T} policy slices to {Path(args.out)}")
-    return 0
+    save_policy(tables, _out_dir(args))
+    return cfg, {}, f"wrote {T} policy slices to {Path(args.out)}"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, dict, str]:
     cfg, flags = _load_config(args.config, "simulate")
     n_paths = _count(args, flags, "paths", 100_000, 2)
     seed = _seed_value(args, flags)
@@ -312,14 +328,12 @@ def cmd_simulate(args) -> int:
     if dump:
         _write_csv(out / "returns.csv", ["total_return"],
                    [(r,) for r in returns])
-    _manifest(out, "simulate", cfg,
-              {"paths": n_paths, "seed": seed, "bins": bins,
-               "dump_paths": dump, "threads": threads})
-    print(f"simulated {n_paths} paths; mean total return {total.mean:.6g}")
-    return 0
+    return (cfg, {"paths": n_paths, "seed": seed, "bins": bins,
+                  "dump_paths": dump, "threads": threads},
+            f"simulated {n_paths} paths; mean total return {total.mean:.6g}")
 
 
-def cmd_sharpe(args) -> int:
+def cmd_sharpe(args) -> tuple[dict, dict, str]:
     cfg, flags = _load_config(args.config, "sharpe")
     market = market_from_dict(_need(cfg, "market", "sharpe"))
     base_pi, base_delta = _mix(cfg)
@@ -340,28 +354,24 @@ def cmd_sharpe(args) -> int:
     sharpes = sharpe_sweep([r.allocations(market.num_states) for r in rules], market)
     rows = [(sweep, float(v), annualize_sharpe(s, market.steps_per_year))
             for v, s in zip(values, sharpes)]
-    out = _out_dir(args)
-    _write_csv(out / "sharpe.csv", ["sweep_var", "value", "sharpe_annualized"], rows)
-    _manifest(out, "sharpe", cfg,
-              {"sweep": sweep, "from": lo, "to": hi, "steps": steps})
-    print(f"wrote {steps} rows to {Path(args.out) / 'sharpe.csv'}")
-    return 0
+    _write_csv(_out_dir(args) / "sharpe.csv",
+               ["sweep_var", "value", "sharpe_annualized"], rows)
+    return (cfg, {"sweep": sweep, "from": lo, "to": hi, "steps": steps},
+            f"wrote {steps} rows to {Path(args.out) / 'sharpe.csv'}")
 
 
-def cmd_implied_gamma(args) -> int:
+def cmd_implied_gamma(args) -> tuple[dict, dict, str]:
     cfg, flags = _load_config(args.config, "implied-gamma")
     market = market_from_dict(_need(cfg, "market", "implied-gamma"))
     pi_bar, delta = _mix(cfg)
     T = _count(args, flags, "horizon", cfg.get("horizon", 0), 1,
                "horizon (config or --horizon)")
     gam = implied_gamma(pi_bar, delta, market, T)
-    out = _out_dir(args)
-    _write_csv(out / "implied_gamma.csv", ["n", "regime", "gamma"],
+    _write_csv(_out_dir(args) / "implied_gamma.csv", ["n", "regime", "gamma"],
                [(n, y, gam[n, y]) for n in range(T)
                 for y in range(market.num_states)])
-    _manifest(out, "implied-gamma", cfg, {"horizon": T})
-    print(f"wrote {T * market.num_states} rows to {Path(args.out, 'implied_gamma.csv')}")
-    return 0
+    return (cfg, {"horizon": T},
+            f"wrote {T * market.num_states} rows to {Path(args.out, 'implied_gamma.csv')}")
 
 
 def _parse_phi_range(text) -> range:
@@ -376,7 +386,7 @@ def _parse_phi_range(text) -> range:
     return range(lo, hi + 1)
 
 
-def cmd_personalize(args) -> int:
+def cmd_personalize(args) -> tuple[dict, dict, str]:
     cfg, flags = _load_config(args.config, "personalize")
     market = market_from_dict(_need(cfg, "market", "personalize"))
     profile = profile_from_dict(_need(cfg, "risk_profile", "personalize"))
@@ -417,14 +427,11 @@ def cmd_personalize(args) -> int:
                 r, r_se = r_job.result()
             rt = r_tilde(phi, beta, sigma0, profile.p_eps, profile.sigma_eps)
             rows.append((phi, r, r_se, rt, sm.estimate, sm.se))
-    out = _out_dir(args)
-    _write_csv(out / "personalize.csv",
+    _write_csv(_out_dir(args) / "personalize.csv",
                ["phi", "R", "R_se", "R_tilde", "S", "S_se"], rows)
-    _manifest(out, "personalize", cfg,
-              {"beta": beta, "phi_range": f"{phis.start}:{phis.stop - 1}",
-               "paths": n_paths, "s_paths": s_paths, "seed": seed})
-    print(f"wrote {len(rows)} rows to {Path(args.out) / 'personalize.csv'}")
-    return 0
+    return (cfg, {"beta": beta, "phi_range": f"{phis.start}:{phis.stop - 1}",
+                  "paths": n_paths, "s_paths": s_paths, "seed": seed},
+            f"wrote {len(rows)} rows to {Path(args.out) / 'personalize.csv'}")
 
 
 # -- parser and dispatch ------------------------------------------------------------
@@ -447,66 +454,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"robo-mv {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_required=True):
+    for command, (help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", required=True, help="JSON experiment config")
-        sp.add_argument("--out", required=out_required,
+        sp.add_argument("--out", required=command != "stationary",
                         help="output directory for artifacts")
-
-    sp = sub.add_parser("stationary", help="long-run regime distribution")
-    common(sp, out_required=False)
-    sp.set_defaults(func=cmd_stationary)
-
-    sp = sub.add_parser("solve", help="backward-induction policy tables")
-    common(sp)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("simulate", help="wealth paths and distribution stats")
-    common(sp)
-    sp.add_argument("--paths", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--bins", type=int, default=None)
-    sp.add_argument("--dump-paths", action="store_true", default=None)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("sharpe", help="long-run Sharpe ratio sweep")
-    common(sp)
-    sp.add_argument("--sweep", choices=("delta", "pi_bar"), default=None)
-    sp.add_argument("--from", type=float, default=None)
-    sp.add_argument("--to", type=float, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.set_defaults(func=cmd_sharpe)
-
-    sp = sub.add_parser("implied-gamma",
-                        help="risk aversion recovering a fixed-mix rule")
-    common(sp)
-    sp.add_argument("--horizon", type=int, default=None)
-    sp.set_defaults(func=cmd_implied_gamma)
-
-    sp = sub.add_parser("personalize",
-                        help="interaction-frequency tradeoff measures")
-    common(sp)
-    sp.add_argument("--phi-range", default=None, help="inclusive span, e.g. 1:24")
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--paths", type=int, default=None)
-    sp.add_argument("--s-paths", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(func=cmd_personalize)
+        for flag, keywords in flags.items():
+            sp.add_argument(flag, default=None, **keywords)
+        # looked up now, not at import, so a replaced cmd_* function runs
+        sp.set_defaults(func=globals()[f"cmd_{command.replace('-', '_')}"])
 
     return p
 
 
 def main(argv=None) -> int:
-    """Run one command; its artifacts reach --out only if it succeeds."""
+    """Run one command, then write its run.json beside its staged artifacts,
+    move them into --out and print its success line. A run that fails
+    prints nothing on stdout and leaves --out as it was."""
     import shutil  # numpy has loaded it already
 
     args = argparse.Namespace(stage=None)  # _out_dir sets the stage
     try:
         _build_parser().parse_args(argv, args)
-        code = args.func(args)
-        if args.stage is not None:
+        if args.out == "":
+            raise ConfigError("--out must name a directory, got ''")
+        cfg, flags, line = args.func(args)
+        if args.out is not None:
+            _manifest(_out_dir(args), args.command, cfg, flags)
             _publish(args.stage, Path(args.out))
-        return code
+        print(line)
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

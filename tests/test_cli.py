@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import robo_mv.cli as cli
@@ -734,17 +734,34 @@ def test_manifest_flag_tables_match_the_parser():
         assert dests == cli._FLAGS[command], command
 
 
-@pytest.mark.parametrize("command,argv", [
-    ("stationary", []),
-    ("solve", []),
-    ("sharpe", ["--steps", "3"]),
-    ("implied-gamma", ["--horizon", "4"]),
+@pytest.mark.parametrize("command,argv,policy", [
+    pytest.param("stationary", [], False, id="stationary-argv0"),
+    pytest.param("solve", [], False, id="solve-argv1"),
+    pytest.param("sharpe", ["--steps", "3"], False, id="sharpe-argv2"),
+    pytest.param("implied-gamma", ["--horizon", "4"], False,
+                 id="implied-gamma-argv3"),
+    pytest.param("simulate", ["--paths", "100", "--seed", "1", "--bins", "5"],
+                 False, id="simulate-fixed-mix"),
+    pytest.param("simulate", ["--paths", "100", "--seed", "1"], True,
+                 id="simulate-policy"),
+    pytest.param("personalize", ["--phi-range", "1:2", "--paths", "100",
+                                 "--s-paths", "100", "--seed", "1"], False,
+                 id="personalize"),
 ])
-def test_each_command_reruns_from_its_own_manifest(tmp_path, command, argv):
-    # The flags a command records are flags it takes back.
-    cfg = write_config(tmp_path, _small_run_config())
+def test_each_command_reruns_from_its_own_manifest(tmp_path, command, argv, policy):
+    # The flags a command records are every flag it takes, and it takes
+    # them back.
+    doc = _small_run_config()
+    if policy:
+        pol = tmp_path / "pol"
+        assert main(["solve", "--config", write_config(tmp_path, doc, "solve.json"),
+                     "--out", str(pol)]) == 0
+        doc = {"policy_dir": str(pol), "horizon": doc["horizon"]}
+    cfg = write_config(tmp_path, doc)
     first, second = tmp_path / "a", tmp_path / "b"
     assert main([command, "--config", cfg, "--out", str(first), *argv]) == 0
+    flags = json.loads((first / "run.json").read_text())["flags"]
+    assert set(flags) == cli._FLAGS[command]
     assert main([command, "--config", str(first / "run.json"),
                  "--out", str(second)]) == 0
     for path in first.iterdir():
@@ -1249,6 +1266,9 @@ _POLICY_READS = {
     "implied-gamma": ("market", "strategy", "horizon"),
     "solve": ("market", "risk_profile", "horizon", "grid"),
 }
+# personalize reads a _personalize_configs one; a policy simulate config holds
+# the keys of _READS["simulate"] that are not the policy's
+_PERSONALIZE_READS = ("market", "risk_profile", "horizon", "grid", "y0")
 _COUNTS = {"states", "steps_per_year", "horizon", "y0", "phi", "xi_count",
            "zsum_count", "quad_points"}
 
@@ -1267,8 +1287,10 @@ def _leaves(doc, command):
         else:
             out.append(path)
 
-    for key in {**_READS, **_POLICY_READS}[command]:
-        walk(doc[key], (key,))
+    reads = {**_READS, **_POLICY_READS, "personalize": _PERSONALIZE_READS}[command]
+    for key in reads:
+        if key in doc:
+            walk(doc[key], (key,))
     return out
 
 
@@ -1283,16 +1305,21 @@ def _run_cli(argv):
 def _argv(command, cfg, out):
     extra = {"stationary": [], "sharpe": ["--steps", "5"],
              "simulate": ["--paths", "40", "--seed", "3", "--bins", "4"],
-             "implied-gamma": [], "solve": []}[command]
+             "implied-gamma": [], "solve": [],
+             "personalize": ["--phi-range", "1:3", "--paths", "100",
+                             "--s-paths", "100", "--seed", "3"]}[command]
     return [command, "--config", cfg, "--out", out] + extra
 
 
 def _assert_finite_numbers(value, key=None):
     """Every number of a written JSON document is finite, and the only nulls
-    are those the docs allow: simulate's `annualized` block, and a policy
-    store's absent `bounds`."""
+    are those the docs allow: simulate's `annualized` block, the shape
+    statistics of a constant sample, and a policy store's absent `bounds`."""
     if isinstance(value, dict):
         for k, item in value.items():
+            if item is None and k in ("skewness", "kurtosis"):
+                assert value["sd"] == 0, value
+                continue
             _assert_finite_numbers(item, k)
     elif isinstance(value, list):
         for item in value:
@@ -1388,6 +1415,84 @@ def _assert_bad_leaf_exits_2(doc, command, data):
         assert os.listdir(tmp) == ["config.json"]
 
 
+@st.composite
+def _personalize_configs(draw):
+    """A _solve_configs config with a start regime."""
+    doc = draw(_solve_configs())
+    doc["y0"] = draw(st.integers(0, doc["market"]["states"] - 1))
+    return doc
+
+
+def _assert_exit_0_or_numerical_failure(tmp, argv):
+    """A valid run exits 0 with finite outputs, or 3 in one line with
+    nothing written beside the configs of tmp."""
+    code, err = _run_cli(argv)
+    if code == 0:
+        assert err == ""
+        _assert_finite_outputs(Path(tmp) / "out")
+    else:
+        assert code == 3, err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert os.listdir(tmp) == ["config.json"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_personalize_configs(), st.data())
+def test_valid_personalize_configs_exit_0_or_fail_numerically(doc, data):
+    lo = data.draw(st.integers(1, 3))
+    hi = data.draw(st.integers(lo, 3))
+    paths = [str(data.draw(st.integers(100, 200))) for _ in range(2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        _assert_exit_0_or_numerical_failure(tmp, [
+            "personalize", "--config", cfg, "--out", str(Path(tmp) / "out"),
+            "--phi-range", f"{lo}:{hi}", "--paths", paths[0],
+            "--s-paths", paths[1], "--seed", "3"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_personalize_configs(), st.data())
+def test_a_bad_personalize_leaf_exits_2_and_writes_nothing(doc, data):
+    _assert_bad_leaf_exits_2(doc, "personalize", data)
+
+
+@contextlib.contextmanager
+def _policy_simulate_config(data):
+    """A simulate config for the policy solved, in a directory of its own,
+    from a drawn _solve_configs config whose clamp cap lets most solves
+    succeed."""
+    doc = data.draw(_solve_configs())
+    doc["grid"]["max_clamp_fraction"] = 0.99
+    with tempfile.TemporaryDirectory() as tmp:
+        policy_dir = Path(tmp) / "pol"
+        code, _ = _run_cli(["solve", "--config", write_config(Path(tmp), doc),
+                            "--out", str(policy_dir)])
+        assume(code == 0)
+        yield {"policy_dir": str(policy_dir),
+               "horizon": data.draw(st.integers(1, doc["horizon"])),
+               "y0": data.draw(st.integers(0, doc["market"]["states"] - 1)),
+               "x0": data.draw(st.floats(0.5, 2.0)),
+               "liquidate": data.draw(st.booleans())}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_valid_policy_simulate_configs_exit_0_or_fail_numerically(data):
+    paths = str(data.draw(st.integers(100, 200)))
+    with _policy_simulate_config(data) as doc, tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        _assert_exit_0_or_numerical_failure(tmp, [
+            "simulate", "--config", cfg, "--out", str(Path(tmp) / "out"),
+            "--paths", paths, "--seed", "3"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_bad_policy_simulate_leaf_exits_2_and_writes_nothing(data):
+    with _policy_simulate_config(data) as doc:
+        _assert_bad_leaf_exits_2(doc, "simulate", data)
+
+
 # -- error mapping ----------------------------------------------------------------
 
 
@@ -1474,11 +1579,29 @@ def test_a_directory_named_like_an_artifact_fails_before_any_move(tmp_path, caps
     (out / "summary.json").mkdir(parents=True)
     assert main(["simulate", "--config", cfg, "--out", str(out), "--paths", "100",
                  "--seed", "1", "--dump-paths"]) == 4
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no success line for a run that failed
+    err = captured.err
     assert err == f"i/o error: {out / 'summary.json'} is a directory, not a file\n"
     assert sorted(os.listdir(tmp_path)) == ["config.json", "sim"]
     assert os.listdir(out) == ["summary.json"]
     assert os.listdir(out / "summary.json") == []
+
+
+@pytest.mark.parametrize("command", sorted(cli._FLAGS))
+def test_an_empty_out_exits_2_before_any_work(tmp_path, monkeypatch, command, capsys):
+    # An empty --out names neither the current directory nor no directory.
+    def unreachable(*args):
+        raise AssertionError("the config was read")
+
+    cfg = write_config(tmp_path, _small_run_config())
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_load_config", unreachable)
+    assert main([command, "--config", cfg, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: --out must name a directory, got ''\n"
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_version_flag_reports_package_version(capsys):
