@@ -55,7 +55,7 @@ from robo_mv.solver import GridSpec, load_policy, save_policy, solve
 _GRID_KEYS = {f.name for f in fields(GridSpec)}
 _EXPERIMENT_KEYS = {
     "market", "risk_profile", "horizon", "grid", "strategy", "policy_dir",
-    "y0", "x0", "bounds", "liquidate",
+    "y0", "bounds", "liquidate",
 }
 _INT, _FLOAT = {"type": int}, {"type": float}
 # Each command's help and the flags it takes besides --config and --out, with
@@ -159,10 +159,7 @@ def _count(args, flags: dict, key: str, default, lo: int, name=None) -> int:
     """The one rule for an integer flag: resolved as _resolve does, an
     integer by check_number, and at least lo. Messages name it `--key`."""
     name = name or f"--{key.replace('_', '-')}"
-    n = check_number(_resolve(args, flags, key, default), name, integer=True)
-    if n < lo:
-        raise ConfigError(f"{name} must be >= {lo}, got {n}")
-    return n
+    return check_number(_resolve(args, flags, key, default), name, integer=True, ge=lo)
 
 
 def _fmt(v) -> str:
@@ -306,7 +303,6 @@ def cmd_simulate(args) -> tuple[dict, dict, str]:
     sim = SimConfig(
         market=market, strategy=strategy, T=T, n_paths=n_paths, seed=seed,
         y0=check_number(cfg.get("y0", 0), "y0", integer=True),
-        x0=check_number(cfg.get("x0", 1.0), "x0"),
         bounds=cfg.get("bounds"), liquidate=cfg.get("liquidate", False),
     )
     returns = simulate(sim, threads=threads)

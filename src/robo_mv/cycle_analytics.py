@@ -27,7 +27,6 @@ from robo_mv.market import (
     check_count,
     check_number,
     stationary_distribution,
-    validate,
 )
 from robo_mv.solver import state_only_ab
 
@@ -41,12 +40,8 @@ class CycleStrategy:
     delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("pi_bar", "delta"):
-            check_number(getattr(self, name), name)
-        if not self.pi_bar > 0:
-            raise ConfigError(f"pi_bar must be > 0, got {self.pi_bar}")
-        if not self.delta > -1.0:
-            raise ConfigError(f"delta must be > -1, got {self.delta}")
+        check_number(self.pi_bar, "pi_bar", gt=0)
+        check_number(self.delta, "delta", gt=-1)
 
     def allocations(self, num_states: int) -> np.ndarray:
         """Per-regime risky fractions, the tilt applied to states 1, 2, ..."""
@@ -73,18 +68,13 @@ class SharpeInputs:
     u: float
 
     def __post_init__(self):
-        for name in ("lam", "a", "b", "u"):
-            check_number(getattr(self, name), name)
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lam must lie in [0, 1], got {self.lam}")
+        check_number(self.lam, "lam", ge=0, le=1)
         for name in ("a", "b", "u"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            check_number(getattr(self, name), name, gt=0)
 
 
 def inputs_from_market(market: MarketParams) -> SharpeInputs:
     """Reduce a two-state market to the (lam, a, b, u) parameterization."""
-    validate(market)
     if market.num_states != 2:
         raise BadDimension(
             f"the reduced parameterization needs exactly 2 states, "
@@ -115,11 +105,11 @@ def sharpe_general(allocations, market: MarketParams) -> float:
 
 
 def sharpe_sweep(rules, market: MarketParams) -> list[float]:
-    """`sharpe_general` of each rule in turn, bit for bit, with the market
-    validated and its stationary distribution solved once for all of them.
-    Every rule's shape is checked first; a rule with zero return variance
-    raises DegenerateDenominator when its turn comes."""
-    validate(market)
+    """`sharpe_general` of each rule in turn, bit for bit, with the
+    market's stationary distribution solved once for all of them. Every
+    rule is checked first, for its shape (BadDimension) and for finite
+    allocations (ConfigError); a rule with zero return variance raises
+    DegenerateDenominator when its turn comes."""
     M = market.num_states
     pis = [np.asarray(allocations, dtype=float) for allocations in rules]
     for pi in pis:
@@ -128,6 +118,8 @@ def sharpe_sweep(rules, market: MarketParams) -> list[float]:
                 f"need one allocation per state, got shape {pi.shape} "
                 f"for {M} states"
             )
+        if not np.isfinite(pi).all():
+            raise ConfigError(f"allocations must be finite, got {pi.tolist()}")
     lam = stationary_distribution(market)
     mt = market.mu_tilde_step
     sg = market.sigma_step
@@ -209,8 +201,7 @@ def concavity_at_zero(inputs: SharpeInputs, step: float = 1e-3) -> float:
     the recession allocation hurts more than raising it helps) and zero at
     lam = 0, where the tilt never applies.
     """
-    if not check_number(step, "step") > 0:
-        raise ConfigError(f"step must be > 0, got {step}")
+    check_number(step, "step", gt=0)
     s = lambda d: sharpe_delta(d, inputs)
     return (s(step) - 2.0 * s(0.0) + s(-step)) / (step * step)
 
@@ -230,7 +221,6 @@ def implied_gamma(pi_bar: float, delta: float, market: MarketParams, T: int) -> 
     allocation is strictly decreasing in gamma; the final step needs only
     gamma > 0. Raises RootBracketFailure when any entry is inadmissible.
     """
-    validate(market)
     strategy = CycleStrategy(pi_bar, delta)
     check_count(T, "horizon T", 1)
     M = market.num_states
@@ -256,7 +246,7 @@ def implied_gamma(pi_bar: float, delta: float, market: MarketParams, T: int) -> 
         n, y = np.argwhere(~ok)[-1]
         raise RootBracketFailure(
             f"no admissible risk aversion at n={n}, state {y}: "
-            f"closed form gives {gam[n, y]!r}"
+            f"closed form gives {float(gam[n, y])!r}"
         )
     return gam
 

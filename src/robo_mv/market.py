@@ -46,13 +46,15 @@ class MarketParams:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # Counts become ints; the arrays become read-only float arrays, so
-        # instances are safely shareable. Values are checked by check().
+        # Counts become ints and the arrays read-only float arrays; then the
+        # values are validated, so a built market is valid and stays so (and
+        # dataclasses.replace validates again).
         for name in ("num_states", "steps_per_year"):
             object.__setattr__(
                 self, name, check_number(getattr(self, name), name, integer=True))
         for name in ("transition", "risk_free", "mean_return", "vol_return"):
             object.__setattr__(self, name, check_array(getattr(self, name), name))
+        validate(self)
 
     # Per-step quantities. Annual rates scale by 1/k, volatility by 1/sqrt(k).
 
@@ -107,7 +109,7 @@ def check(params: MarketParams) -> list[str]:
     row_sums = params.transition.sum(axis=1)
     bad = np.nonzero(np.abs(row_sums - 1.0) > _ROW_SUM_TOL)[0]
     for y in bad:
-        errors.append(f"transition row {y} sums to {row_sums[y]!r}, not 1")
+        errors.append(f"transition row {y} sums to {float(row_sums[y])!r}, not 1")
     if np.any(params.vol_return <= 0):
         errors.append("vol_return must be strictly positive in every regime")
     return errors
@@ -213,11 +215,12 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def check_regime(params: MarketParams, y, name: str = "y") -> None:
-    """Raise ConfigError unless y is an integer regime index in [0, M).
+def check_regime(params: MarketParams | int, y, name: str = "y") -> None:
+    """Raise ConfigError unless y is an integer regime index in [0, M), M
+    the regime count of params or params itself when it is an int.
 
     A bool is not a regime index, though Python counts it as an int."""
-    M = params.num_states
+    M = params if _is_int(params) else params.num_states
     if not (_is_int(y) and 0 <= y < M):
         raise ConfigError(f"{name}={y!r} is not a regime index in [0, {M})")
 
@@ -229,26 +232,43 @@ def check_count(n, name: str, lo: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {lo}, got {n!r}")
 
 
-def check_number(value, name: str, integer: bool = False):
+# Each bound of check_number: its test, its word and its bracket.
+_BOUNDS = {"gt": (lambda x, b: x > b, ">", "("), "ge": (lambda x, b: x >= b, ">=", "["),
+           "le": (lambda x, b: x <= b, "<=", "]"), "lt": (lambda x, b: x < b, "<", ")")}
+
+
+def check_number(value, name: str, integer: bool = False, *,
+                 gt=None, ge=None, le=None, lt=None):
     """A config value or parameter as a float, or as an int when integer.
 
     The one rule for numbers read from configs and given to the params
     dataclasses: anything but a finite Python or numpy number (a string, a
     bool, NaN or inf) raises ConfigError, and so does a value with a
     fractional part when integer. An integral float such as 12.0 is a valid
-    integer.
+    integer. The keyword bounds, at most one lower (gt or ge) and one upper
+    (le or lt), give the range; a value outside it raises ConfigError that
+    reads "must be > 0", say, or "must lie in [0, 1)" with two bounds.
+    Messages print the number converted, never a numpy repr.
     """
     if isinstance(value, (bool, np.bool_)) or not isinstance(
         value, (int, float, np.integer, np.floating)
     ):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if integer:
-        if value != int(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    return float(value)
+        raise ConfigError(f"{name} must be finite, got {float(value)!r}")
+    if integer and value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {float(value)!r}")
+    x = int(value) if integer else float(value)
+    bounds = [(key, b) for key, b in dict(gt=gt, ge=ge, le=le, lt=lt).items() if b is not None]
+    if not all(_BOUNDS[key][0](x, b) for key, b in bounds):
+        if len(bounds) == 2:
+            (lo_key, lo), (hi_key, hi) = bounds
+            span = f"lie in {_BOUNDS[lo_key][2]}{lo}, {hi}{_BOUNDS[hi_key][2]}"
+        else:
+            (key, b), = bounds
+            span = f"be {_BOUNDS[key][1]} {b}"
+        raise ConfigError(f"{name} must {span}, got {x!r}")
+    return x
 
 
 def check_keys(doc, allowed, name: str) -> Mapping:
@@ -507,7 +527,9 @@ def sample_paths(
 
 
 def excess_moments(params: MarketParams, y: int) -> tuple[float, float]:
-    """Per-step mean and variance of the excess return z - r_step in regime y."""
+    """Per-step mean and variance of the excess return z - r_step in regime
+    y. Raises ConfigError when y is not a regime index."""
+    check_regime(params, y)
     return float(params.mu_tilde_step[y]), float(params.sigma_step[y] ** 2)
 
 
@@ -540,7 +562,7 @@ def market_from_dict(doc: dict) -> MarketParams:
             return v
         return np.full(M, check_number(v, key))
 
-    params = MarketParams(
+    return MarketParams(
         num_states=M,
         transition=doc["transition"],
         risk_free=per_state("risk_free"),
@@ -549,8 +571,6 @@ def market_from_dict(doc: dict) -> MarketParams:
         steps_per_year=doc["steps_per_year"],
         labels=labels,
     )
-    validate(params)
-    return params
 
 
 def load_market(path: str | Path) -> MarketParams:

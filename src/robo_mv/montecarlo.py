@@ -45,7 +45,6 @@ from robo_mv.market import (
     _sample_regimes,
     check_bounds,
     check_count,
-    check_number,
     check_regime,
 )
 from robo_mv.risk_profile import _client_steps
@@ -78,15 +77,12 @@ class SimConfig:
     n_paths: int
     seed: object = None
     y0: int = 0
-    x0: float = 1.0
     bounds: tuple[float, float] | None = None
     liquidate: bool = False
 
     def __post_init__(self):
         check_count(self.T, "T", 1)
         check_count(self.n_paths, "n_paths", 1)
-        if not check_number(self.x0, "x0") > 0:
-            raise ConfigError(f"x0 must be finite and > 0, got {self.x0}")
         check_regime(self.market, self.y0, "y0")
         object.__setattr__(self, "bounds", check_bounds(self.bounds))
         if not isinstance(self.liquidate, bool):
@@ -116,7 +112,7 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
         # The returns stream in blocks of whole paths, each advanced over
         # all T steps through its view of X.
         regimes = _sample_regimes(market, config.y0, T, m, rng)
-        X = np.full(m, float(config.x0))
+        X = np.ones(m)
         for paths, steps, z in _return_blocks(market, regimes, rng):
             _advance(X[paths], regimes[steps, paths], z, config, alloc)
     else:
@@ -129,11 +125,11 @@ def _chunk_returns(config: SimConfig, m: int, rng: np.random.Generator) -> np.nd
         fracs = (at(n, policy.pi[n]) for n in range(T))
         if policy.bounds is not None:
             fracs = (constrain(f, *policy.bounds) for f in fracs)
-        X = np.full(m, float(config.x0))
+        X = np.ones(m)
         _advance(X, regimes, rows["returns"], config, fracs=fracs)
-    # A value the recursion makes inf or NaN stays non-finite to the end.
-    with np.errstate(over="ignore"):
-        total = X / config.x0 - 1.0
+    # Wealth starts at 1, and total returns are scale-free. A value the
+    # recursion makes inf or NaN stays non-finite to the end.
+    total = X - 1.0
     if not np.isfinite(total).all():
         raise NumericalError("simulated wealth overflowed: a terminal total "
                              "return is not finite")
@@ -162,7 +158,7 @@ def _advance(X, regimes, returns, config: SimConfig, alloc=None, fracs=None) -> 
 
 
 def simulate(config: SimConfig, threads: int = 1) -> np.ndarray:
-    """Terminal total returns (X_T - x0)/x0, one per path.
+    """Terminal total returns X_T - 1 from unit initial wealth, one per path.
 
     Deterministic for a given config seed: paths are generated in fixed-size
     chunks with independently spawned RNG streams, so neither the thread
@@ -205,10 +201,13 @@ class StatsSummary:
 
 
 def stats(returns) -> StatsSummary:
-    """Summary statistics of a sample of (total or annualized) returns."""
+    """Summary statistics of a sample of (total or annualized) returns.
+    Raises ConfigError unless every return is finite."""
     x = np.asarray(returns, dtype=float)
     if x.size < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {x.size}")
+    if not np.isfinite(x).all():
+        raise ConfigError("returns must be finite (no NaN or inf)")
     mean = float(x.mean())
     d = x - mean
     # products, not d**3 and d**4: numpy hands integer powers above 2 to
@@ -234,12 +233,19 @@ def stats(returns) -> StatsSummary:
 
 def annualized(returns, T: int, steps_per_year: int) -> tuple[np.ndarray, int]:
     """Per-path annualized rates (1+r)^(k/T) - 1 and the count of excluded
-    paths (total return at or below -100%, where the power is undefined)."""
+    paths (total return at or below -100%, where the power is undefined).
+    Raises ConfigError unless every return is finite, and NumericalError
+    when a rate overflows."""
     check_count(T, "T", 1)
     check_count(steps_per_year, "steps_per_year", 1)
     x = np.asarray(returns, dtype=float)
+    if not np.isfinite(x).all():
+        raise ConfigError("returns must be finite (no NaN or inf)")
     ok = x > -1.0
-    rates = (1.0 + x[ok]) ** (steps_per_year / T) - 1.0
+    with np.errstate(over="ignore"):
+        rates = (1.0 + x[ok]) ** (steps_per_year / T) - 1.0
+    if not np.isfinite(rates).all():
+        raise NumericalError("an annualized rate overflowed")
     return rates, int(x.size - ok.sum())
 
 

@@ -41,22 +41,13 @@ _ROOT_2_PI = math.sqrt(2.0 / math.pi)
 
 
 def _check_inputs(phi=None, integer: bool = False, **rates):
-    """The one input rule of the closed forms: phi, unless None, is a
-    finite number >= 1 (an integer when `integer`), and each named rate a
-    finite number >= 0 (`check_number`, then the sign), p_eps, a
-    probability, also <= 1; anything else raises ConfigError. Returns phi
-    as checked."""
+    """The one input rule of the closed forms, by `check_number`: phi,
+    unless None, is a finite number >= 1 (an integer when `integer`), and
+    each named rate a finite number >= 0, p_eps, a probability, also <= 1;
+    anything else raises ConfigError. Returns phi as checked."""
     for name, value in rates.items():
-        if check_number(value, name) < 0:
-            raise ConfigError(f"{name} must be >= 0, got {value!r}")
-        if name == "p_eps" and value > 1:
-            raise ConfigError(f"p_eps must lie in [0, 1], got {value!r}")
-    if phi is None:
-        return None
-    checked = check_number(phi, "phi", integer)
-    if checked < 1:
-        raise ConfigError(f"phi must be >= 1, got {phi!r}")
-    return checked
+        check_number(value, name, ge=0, le=1 if name == "p_eps" else None)
+    return None if phi is None else check_number(phi, "phi", integer, ge=1)
 
 
 def r_tilde(phi: float, beta: float, sigma0: float, p_eps: float, sigma_eps: float) -> float:
@@ -158,8 +149,7 @@ def phi_star(
     outside [1, phi_max] is read as the nearer end.
     """
     _check_inputs(beta=beta, sigma0=sigma0, p_eps=p_eps, sigma_eps=sigma_eps)
-    if check_number(phi_max, "phi_max") < 1:
-        raise ConfigError(f"phi_max must be >= 1, got {phi_max}")
+    check_number(phi_max, "phi_max", ge=1)
     if beta * sigma0 == 0.0:
         return PhiStar(phi=1.0, unbounded=False, phi_int=1)
     if p_eps == 0.0 or sigma_eps == 0.0:

@@ -24,9 +24,16 @@ from .market import (
     _fill_returns,
     _sample_regimes,
     check_array,
+    check_count,
     check_keys,
     check_number,
+    check_regime,
 )
+
+
+# The range of each scalar of RiskProfileParams but phi.
+_PROFILE_RANGES = {"gamma0": {"gt": 0}, "alpha": {"ge": 0}, "p_eps": {"ge": 0, "le": 1},
+                   "sigma_eps": {"gt": 0}, "beta": {"ge": 0}}
 
 
 @dataclass(frozen=True)
@@ -60,21 +67,9 @@ class RiskProfileParams:
     def __post_init__(self):
         # Values are checked, not converted, so that a profile digests as
         # it was given; phi becomes an int.
-        for name in ("gamma0", "alpha", "p_eps", "sigma_eps", "beta"):
-            check_number(getattr(self, name), name)
-        object.__setattr__(self, "phi", check_number(self.phi, "phi", integer=True))
-        if self.gamma0 <= 0:
-            raise ConfigError(f"gamma0 must be > 0, got {self.gamma0}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if not 0.0 <= self.p_eps <= 1.0:
-            raise ConfigError(f"p_eps must lie in [0, 1], got {self.p_eps}")
-        if self.sigma_eps <= 0:
-            raise ConfigError(f"sigma_eps must be > 0, got {self.sigma_eps}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if self.phi < 1:
-            raise ConfigError(f"phi must be an integer >= 1, got {self.phi}")
+        for name, bounds in _PROFILE_RANGES.items():
+            check_number(getattr(self, name), name, **bounds)
+        object.__setattr__(self, "phi", check_number(self.phi, "phi", integer=True, ge=1))
         gb = self.gamma_bar
         if isinstance(gb, (list, tuple, np.ndarray)):
             gb = check_array(gb, "gamma_bar")
@@ -83,8 +78,8 @@ class RiskProfileParams:
                 raise ConfigError("gamma_bar must be finite")
             if np.any(gb <= 0):
                 raise ConfigError("gamma_bar must be strictly positive")
-        elif check_number(gb, "gamma_bar") <= 0:
-            raise ConfigError(f"gamma_bar must be strictly positive, got {gb}")
+        else:
+            check_number(gb, "gamma_bar", gt=0)
         if self.eta is not None:
             if self.alpha != 0:
                 raise ConfigError("set alpha or an eta table, not both")
@@ -519,7 +514,15 @@ def robo_gamma(
     Holds the communicated value fixed since the last interaction, adjusted
     for the age trend and for regime changes:
     gamma_n = exp(eta_n - eta_tau) * xi_tau * gamma_bar_n(y_n) / gamma_bar_tau(y_tau).
+
+    y_n and y_tau must be regime indices in [0, num_states); without
+    num_states, non-negative integers. Anything else raises ConfigError.
     """
+    for name, y in (("y_n", y_n), ("y_tau", y_tau)):
+        if num_states is None:
+            check_count(y, name, 0)
+        else:
+            check_regime(num_states, y, name)
     if tau > n:
         raise NotInteractionTime(f"tau = {tau} must not exceed n = {n}")
     if tau % profile.phi != 0:

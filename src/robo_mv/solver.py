@@ -75,8 +75,8 @@ from .market import (
     check_bounds,
     check_count,
     check_number,
+    check_regime,
     market_from_dict,
-    validate,
 )
 from .risk_profile import RiskProfileParams, _ProfileTables, profile_from_dict
 
@@ -94,10 +94,9 @@ class ReducedState:
     regime: int = 0
 
     def __post_init__(self):
-        for name in ("xi", "prev_window_sum", "cur_window_sum"):
+        check_number(self.xi, "xi", gt=0)
+        for name in ("prev_window_sum", "cur_window_sum"):
             check_number(getattr(self, name), name)
-        if not self.xi > 0:
-            raise ConfigError(f"xi must be > 0, got {self.xi}")
         check_count(self.regime, "regime", 0)
 
 
@@ -123,22 +122,15 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("xi_count", "zsum_count", "quad_points"):
-            value = check_number(getattr(self, name), name, integer=True)
-            if value < 2:
-                raise ConfigError(f"{name} must be >= 2, got {value}")
-            object.__setattr__(self, name, value)
-        for name in ("zsum_span_sd", "max_clamp_fraction", "xi_lo", "xi_hi"):
-            value = getattr(self, name)
-            if value is not None:
-                check_number(value, name)
-        if self.zsum_span_sd <= 0:
-            raise ConfigError("zsum_span_sd must be > 0")
-        if not 0 < self.max_clamp_fraction < 1:
-            raise ConfigError("max_clamp_fraction must lie in (0, 1)")
+            object.__setattr__(self, name, check_number(getattr(self, name), name,
+                                                        integer=True, ge=2))
+        check_number(self.zsum_span_sd, "zsum_span_sd", gt=0)
+        check_number(self.max_clamp_fraction, "max_clamp_fraction", gt=0, lt=1)
         if (self.xi_lo is None) != (self.xi_hi is None):
             raise ConfigError("set both of xi_lo/xi_hi or neither")
-        if self.xi_lo is not None and not 0 < self.xi_lo < self.xi_hi:
-            raise ConfigError("need 0 < xi_lo < xi_hi")
+        if self.xi_lo is not None:
+            lo = check_number(self.xi_lo, "xi_lo", gt=0)
+            check_number(self.xi_hi, "xi_hi", gt=lo)
 
 
 class Grid:
@@ -800,12 +792,13 @@ def allocation(n, state: ReducedState, moments, gamma_n: float, market: MarketPa
     whose denominator is a conditional-variance-like quantity, positive
     whenever the return is non-degenerate.
     """
+    check_regime(market, state.regime, "regime")
     mu_a, mu_az, mu_b, mu_bz, mu_bz2 = moments
     R = float(market.R_step[state.regime])
     denom = mu_bz2 - mu_az**2
     if denom <= 0.0:
         raise DegenerateVariance(
-            f"second-moment denominator {denom!r} at n={n}, state={state}"
+            f"second-moment denominator {float(denom)!r} at n={n}, state={state}"
         )
     return (mu_az - R * gamma_n * (mu_bz - mu_a * mu_az)) / (gamma_n * denom)
 
@@ -824,13 +817,14 @@ def allocation_independent(
         pi* = mu_tilde/(gamma sigma^2)
               * (mu_a - R gamma (mu_b - mu_a^2)) / (mu_b + (mu_tilde/sigma)^2 (mu_b - mu_a^2)).
     """
+    check_regime(market, state.regime, "regime")
     y = state.regime
     mt = float(market.mu_tilde_step[y])
     s2 = float(market.sigma_step[y]) ** 2
     R = float(market.R_step[y])
     denom = mu_b + (mt * mt / s2) * (mu_b - mu_a * mu_a)
     if denom <= 0.0:
-        raise DegenerateVariance(f"degenerate denominator {denom!r} at n={n}")
+        raise DegenerateVariance(f"degenerate denominator {float(denom)!r} at n={n}")
     return mt / (gamma_n * s2) * (mu_a - R * gamma_n * (mu_b - mu_a * mu_a)) / denom
 
 
@@ -846,6 +840,7 @@ def step_moments(n: int, state: ReducedState, tables: PolicyTables):
     """
     market, profile, grid = tables.market, tables.profile, tables.grid
     tabs = _ProfileTables(market, profile, tables.T)
+    check_regime(market, state.regime, "regime")
     check_count(n, "time index", 0)
     if n >= tables.T:
         raise ConfigError(f"time index {n} outside [0, {tables.T})")
@@ -921,8 +916,7 @@ def _solve_grid(grid: GridSpec | Grid | None, market: MarketParams,
 
 def _checked_grid(market: MarketParams, profile: RiskProfileParams, T: int,
                   grid: GridSpec | Grid | None) -> Grid:
-    """Validate a solve request and return the grid it runs on."""
-    validate(market)
+    """Check a solve request's horizon and return the grid it runs on."""
     check_count(T, "horizon T", 1)
     return _solve_grid(grid, market, profile)
 
@@ -1076,7 +1070,8 @@ def state_only_ab(market: MarketParams, allocations: np.ndarray):
         a_n(y) = (R + mu_tilde pi_n(y)) * sum_y' P[y,y'] a_{n+1}(y'),
         b_n(y) = ((R + mu_tilde pi_n)^2 + sigma^2 pi_n^2) * sum_y' P[y,y'] b_{n+1}(y').
 
-    Returns (a, b) of shape (T+1, M).
+    Returns (a, b) of shape (T+1, M). Raises ConfigError unless the
+    allocations are finite.
     """
     allocations = np.atleast_2d(np.asarray(allocations, dtype=float))
     T, M = allocations.shape
@@ -1085,6 +1080,8 @@ def state_only_ab(market: MarketParams, allocations: np.ndarray):
             f"allocations must have one column per regime ({market.num_states}), "
             f"got {M}"
         )
+    if not np.isfinite(allocations).all():
+        raise ConfigError("allocations must be finite")
     P = market.transition
     R, mt = market.R_step, market.mu_tilde_step
     s2 = market.sigma_step**2
@@ -1117,13 +1114,10 @@ def brute_force_equilibrium(
     is evaluated through exact Gaussian product moments (no quadrature, no
     interpolation), so this shares no machinery with the production solver.
     """
-    validate(market)
     if market.num_states != 1:
         raise ConfigError("the brute-force oracle only handles a single regime")
-    if not 1 <= T <= 3:
-        raise ConfigError(f"the brute-force oracle is for T in 1..3, got {T}")
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
+    T = check_number(T, "the brute-force oracle's T", integer=True, ge=1, le=3)
+    check_number(gamma, "gamma", gt=0)
     R = float(market.R_step[0])
     mt = float(market.mu_tilde_step[0])
     s2 = float(market.sigma_step[0]) ** 2

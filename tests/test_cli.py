@@ -13,6 +13,7 @@ import tempfile
 import threading
 import warnings
 from concurrent.futures import Future
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,9 @@ import robo_mv.cli as cli
 from robo_mv.cli import main
 from robo_mv.cycle_analytics import CycleStrategy, annualize_sharpe, implied_gamma, sharpe_general
 from robo_mv.errors import ConfigError, DegenerateVariance, NumericalError
-from robo_mv.market import market_from_dict
+from robo_mv.market import _MARKET_KEYS, market_from_dict
 from robo_mv.personalization import phi_star, r_tilde
-from robo_mv.risk_profile import profile_from_dict
+from robo_mv.risk_profile import _PROFILE_KEYS, profile_from_dict
 from robo_mv.solver import GridSpec, load_policy, solve
 
 
@@ -61,6 +62,7 @@ def single_state_config():
 
 
 SIGMA0 = 0.20 / math.sqrt(12.0)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -115,6 +117,51 @@ def test_manifest_for_other_command_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "simulate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, market, code, line", [
+    ("stationary", {"transition": [[0.9, 0.2], [0.1, 0.9]]}, 2,
+     "configuration error: transition row 0 sums to 1.1, not 1\n"),
+    ("implied-gamma", {"mean_return": [0.081, -0.02]}, 3,
+     "numerical failure: no admissible risk aversion at n=0, state 1: "
+     "closed form gives -1.1137"),
+])
+def test_error_lines_print_plain_numbers(tmp_path, capsys, command, market, code,
+                                         line):
+    # Both lines printed numpy scalar reprs, such as np.float64(1.1).
+    cfg = two_state_config()
+    cfg["market"].update(market)
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+    if command == "implied-gamma":
+        argv += ["--horizon", "1"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1
+    assert "np." not in err
+
+
+def _documented_configs():
+    """The example experiment config of docs/formats.md and the README's
+    experiment.json, as (name, JSON text)."""
+    formats = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = formats.split("## Experiment config", 1)[1]
+    yield "formats", section.split("```json\n", 1)[1].split("```", 1)[0]
+    yield "readme", readme.split("cat > experiment.json <<'EOF'\n", 1)[1].split(
+        "\nEOF", 1)[0]
+
+
+@pytest.mark.parametrize("name, text", list(_documented_configs()))
+def test_the_documented_configs_hold_only_keys_the_code_reads(name, text):
+    doc = json.loads(text)
+    assert set(doc) <= cli._EXPERIMENT_KEYS
+    assert set(doc["market"]) <= _MARKET_KEYS
+    assert set(doc["risk_profile"]) <= _PROFILE_KEYS
+    assert set(doc.get("grid", {})) <= {f.name for f in fields(GridSpec)}
+    # and each section builds
+    market_from_dict(doc["market"])
+    profile_from_dict(doc["risk_profile"])
+    GridSpec(**doc.get("grid", {}))
 
 
 _ABSENT = object()
@@ -1230,7 +1277,6 @@ def _fixed_mix_configs(draw):
                      "delta": draw(st.floats(-0.5, 0.5))},
         "horizon": draw(st.integers(1, 24)),
         "y0": draw(st.integers(0, M - 1)),
-        "x0": draw(st.floats(0.5, 2.0)),
         "liquidate": draw(st.booleans()),
     }
 
@@ -1259,7 +1305,7 @@ def _solve_configs(draw):
 _READS = {
     "stationary": ("market",),
     "sharpe": ("market", "strategy"),
-    "simulate": ("market", "strategy", "horizon", "y0", "x0", "liquidate"),
+    "simulate": ("market", "strategy", "horizon", "y0", "liquidate"),
 }
 # implied-gamma reads a fixed-mix config too; solve reads a _solve_configs one
 _POLICY_READS = {
@@ -1377,6 +1423,7 @@ def test_valid_solve_and_implied_gamma_configs_exit_0_or_fail_numerically(comman
         else:
             assert code == 3, err
             assert err.startswith("numerical failure:") and err.count("\n") == 1
+            assert "np." not in err
             assert os.listdir(tmp) == ["config.json"]
 
 
@@ -1412,6 +1459,7 @@ def _assert_bad_leaf_exits_2(doc, command, data):
         code, err = _run_cli(_argv(command, cfg, str(out)))
         assert code == 2, err
         assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "np." not in err
         assert os.listdir(tmp) == ["config.json"]
 
 
@@ -1433,6 +1481,7 @@ def _assert_exit_0_or_numerical_failure(tmp, argv):
     else:
         assert code == 3, err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "np." not in err
         assert os.listdir(tmp) == ["config.json"]
 
 
@@ -1471,7 +1520,6 @@ def _policy_simulate_config(data):
         yield {"policy_dir": str(policy_dir),
                "horizon": data.draw(st.integers(1, doc["horizon"])),
                "y0": data.draw(st.integers(0, doc["market"]["states"] - 1)),
-               "x0": data.draw(st.floats(0.5, 2.0)),
                "liquidate": data.draw(st.booleans())}
 
 

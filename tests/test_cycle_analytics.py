@@ -1,6 +1,7 @@
 """Tests for the closed-form Sharpe analytics and the risk-aversion inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,14 @@ def test_sharpe_sweep_errors(two_state_market):
     with pytest.raises(DegenerateDenominator):
         sharpe_sweep([[0.6, 0.6], [0.0, 0.0]], two_state_market)
     assert sharpe_sweep([], two_state_market) == []
+    # A non-finite allocation read as a NaN ratio, and inf also warned.
+    for bad in (math.nan, math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite"):
+                sharpe_sweep([[0.6, 0.6], [bad, 0.5]], two_state_market)
+            with pytest.raises(ConfigError, match="finite"):
+                sharpe_general([bad, 0.5], two_state_market)
 
 
 def test_sharpe_general_upper_bound_random_draws():

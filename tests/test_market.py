@@ -1,7 +1,9 @@
 """Tests for the regime-switching market model."""
 
 import json
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from robo_mv.market import (
     _pieces,
     check,
     check_bounds,
+    check_number,
     excess_moments,
     load_market,
     market_from_dict,
@@ -84,10 +87,44 @@ def test_validate_rejects_non_finite_values(field, bad):
             "mean_return": [0.08, 0.12], "vol_return": [0.15, 0.2]}
     args[field] = np.array(args[field], dtype=float)
     args[field].flat[1] = bad
-    p = _mk(**args)
-    assert any("finite" in msg for msg in check(p))
     with pytest.raises(ConfigError, match="finite"):
-        validate(p)
+        _mk(**args)
+
+
+def test_a_market_is_validated_when_built(two_state_market):
+    # Each of these returned numbers or a bare IndexError from the functions
+    # that take a market, which validated it only if they chose to.
+    with pytest.raises(NegativeVol):  # and row 0 sums to 1.1
+        _mk([[0.9, 0.2], [0.1, 0.9]], [0, 0], [0.1, 0.1], [0.2, -0.2])
+    with pytest.raises(BadDimension):
+        MarketParams(3, [[0.9, 0.1], [0.1, 0.9]], [0, 0], [0.1, 0.1], [0.2, 0.2])
+    with pytest.raises(NegativeVol):
+        replace(two_state_market, vol_return=[0.155, -0.1])
+    with pytest.raises(NonStochasticRow, match=r"row 1 sums to 1\.1, not 1$"):
+        replace(two_state_market, transition=[[0.95, 0.05], [0.2, 0.9]])
+    with pytest.raises(ValueError):
+        two_state_market.vol_return[1] = -0.1  # read-only: it stays valid
+    assert check(replace(two_state_market, risk_free=[0.0, 0.0])) == []
+
+
+@pytest.mark.parametrize("bounds, value, message", [
+    ({"gt": 0}, 0, "x must be > 0, got 0.0"),
+    ({"ge": 1}, np.float64(0.5), "x must be >= 1, got 0.5"),
+    ({"le": 1}, np.int64(2), "x must be <= 1, got 2.0"),
+    ({"lt": 1}, 1.0, "x must be < 1, got 1.0"),
+    ({"ge": 0, "le": 1}, -0.5, "x must lie in [0, 1], got -0.5"),
+    ({"gt": 0, "lt": 1}, np.float32(1.0), "x must lie in (0, 1), got 1.0"),
+    ({"gt": -1, "le": 2}, 3, "x must lie in (-1, 2], got 3.0"),
+])
+def test_check_number_names_the_range_and_prints_a_plain_number(bounds, value, message):
+    with pytest.raises(ConfigError) as info:
+        check_number(value, "x", **bounds)
+    assert str(info.value) == message
+    assert check_number(np.int64(3), "n", integer=True, ge=3) == 3
+    for bad, shown in ((np.float64(np.nan), "x must be finite, got nan"),
+                       (np.float64(2.5), "x must be an integer, got 2.5")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(shown)}$"):
+            check_number(bad, "x", integer=True)
 
 
 def test_check_bounds_keeps_the_numbers_as_given():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from robo_mv import market as sampler
 from robo_mv.cycle_analytics import CycleStrategy, inputs_from_market, sharpe_delta
-from robo_mv.errors import ConfigError, InsufficientSamples
+from robo_mv.errors import ConfigError, InsufficientSamples, NumericalError
 from robo_mv.market import MarketParams, sample_paths
 from robo_mv.montecarlo import (
     _CHUNK,
@@ -43,18 +44,12 @@ def test_config_validation(two_state_market, small_policy):
     for bad in (
         {"T": 0},
         {"n_paths": 0},
-        {"x0": 0.0},
-        {"x0": -1.0},
         {"y0": 2},
         {"y0": -1},
         {"y0": 1.0},
         {"bounds": (1.0, 0.0)},
-        {"x0": float("inf")},
-        {"x0": float("nan")},
         {"bounds": (0.0, float("nan"))},
         {"bounds": (float("-inf"), 1.0)},
-        {"x0": "1"},
-        {"x0": True},
         {"bounds": (0.0, "x")},
         {"bounds": ("0", 1.0)},
         {"bounds": (0.0, True)},
@@ -178,14 +173,6 @@ def test_early_chunks_unaffected_by_total_path_count(two_state_market):
     assert np.array_equal(a, b[:32_768])
 
 
-def test_total_returns_independent_of_initial_wealth(two_state_market):
-    base = dict(market=two_state_market, strategy=CycleStrategy(0.6, -0.3),
-                T=24, n_paths=500, seed=8)
-    a = simulate(SimConfig(x0=1.0, **base))
-    b = simulate(SimConfig(x0=4.0, **base))
-    assert np.array_equal(a, b)
-
-
 def test_cycle_returns_match_growth_factor_product(two_state_market):
     cfg = SimConfig(market=two_state_market, strategy=CycleStrategy(0.6, 0.3),
                     T=40, n_paths=300, seed=77)
@@ -257,13 +244,13 @@ def _path_major_chunk_returns(config, m, rng):
             return f
 
     r_step, R_step = market.r_step, market.R_step
-    X = np.full(m, float(config.x0))
+    X = np.ones(m)
     for n in range(T):
         y = regimes[:, n]
         f = frac_at(n, y)
         dollars = liquidation_overlay(X, f) if config.liquidate else f * X
         X = R_step[y] * X + (returns[:, n] - r_step[y]) * dollars
-    return X / config.x0 - 1.0
+    return X - 1.0
 
 
 def _assert_matches_path_major_loop(config, m, seed, **widths):
@@ -297,8 +284,7 @@ def _fixed_mix_cases(draw):
         lo = draw(st.floats(-5.0, 5.0))
         bounds = (lo, lo + draw(st.floats(0.0, 20.0)))
     config = SimConfig(market=market, strategy=strategy, T=draw(st.integers(1, 60)),
-                       n_paths=1, y0=draw(st.integers(0, M - 1)),
-                       x0=draw(st.floats(0.01, 100.0)), bounds=bounds,
+                       n_paths=1, y0=draw(st.integers(0, M - 1)), bounds=bounds,
                        liquidate=draw(st.booleans()))
     # Small draw pieces and blocks of returns, so that a chunk spans several
     # blocks and ends in a partial one, and a path longer than a piece is
@@ -324,8 +310,7 @@ def test_time_major_recursion_matches_path_major_loop_under_a_policy(
     policy = solve(two_state_market, profile, 6,
                    GridSpec(xi_count=7, zsum_count=5, quad_points=5), bounds)
     config = SimConfig(market=two_state_market, strategy=policy, T=6, n_paths=1,
-                       y0=1, x0=2.0, bounds=bounds,
-                       liquidate=liquidate)
+                       y0=1, bounds=bounds, liquidate=liquidate)
     # Draw pieces of 16 paths: the client core's sampler crosses 32 of them.
     _assert_matches_path_major_loop(config, 500, 29, _BLOCK=97)
 
@@ -412,6 +397,12 @@ def test_stats_needs_two_samples():
         stats([0.1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stats_rejects_non_finite_returns(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        stats([0.1, bad, 0.2])
+
+
 def test_stats_shape_inequalities_hold():
     rng = np.random.default_rng(31415)
     for _ in range(200):
@@ -454,6 +445,15 @@ def test_annualized_validation():
     for steps_per_year in (0, 12.5, math.nan):
         with pytest.raises(ConfigError, match="steps_per_year"):
             annualized([0.1], 24, steps_per_year)
+    # A NaN return was counted as a ruined path.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            annualized([0.1, bad], 12, 12)
+    # A finite total return whose rate overflows is a numerical failure.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflowed"):
+            annualized([0.1, 1e30], 1, 12)
 
 
 # -- long-run Sharpe ratio ---------------------------------------------------------

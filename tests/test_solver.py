@@ -16,11 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robo_mv.errors import ConfigError, DegenerateVariance, GridExhausted, NumericalError
-from robo_mv.market import MarketParams
+from robo_mv.market import MarketParams, excess_moments
 from robo_mv.personalization import s_measure
 from robo_mv.risk_profile import (
     RiskProfileParams,
     _ProfileTables,
+    robo_gamma,
     simulate_clients,
     window_sums,
 )
@@ -281,10 +282,12 @@ def test_step_moments_terminal_constants(single_state_market):
 def test_oracle_guards(single_state_market, two_state_market):
     with pytest.raises(ConfigError):
         brute_force_equilibrium(two_state_market, 3.5, 2)
-    with pytest.raises(ConfigError):
-        brute_force_equilibrium(single_state_market, 3.5, 4)
-    with pytest.raises(ConfigError):
-        brute_force_equilibrium(single_state_market, 3.5, 0)
+    for T in (0, 4, True, 2.5):
+        with pytest.raises(ConfigError, match="T"):
+            brute_force_equilibrium(single_state_market, 3.5, T)
+    for gamma in (0.0, -1.0, math.nan, math.inf, "3"):
+        with pytest.raises(ConfigError, match="gamma"):
+            brute_force_equilibrium(single_state_market, gamma, 2)
 
 
 def test_oracle_one_and_two_period(single_state_market):
@@ -595,6 +598,10 @@ def test_two_state_solve_and_state_only_recursion(two_state_market):
     assert np.allclose(a, tab.a[:, 20, 0, 0, :], atol=1e-10)
     assert np.allclose(b, tab.b[:, 20, 0, 0, :], atol=1e-10)
     assert np.min(b - a * a) >= -1e-12
+    # A non-finite allocation gave a NaN row.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            state_only_ab(two_state_market, [[0.6, 0.6], [bad, 0.6]])
 
 
 @pytest.mark.parametrize("gamma_bar", [[1.0, 1.5], [1.0, 0.75]])
@@ -929,6 +936,30 @@ def test_time_index_must_be_an_integer_in_range(single_state_market, n):
         1, 3.0, 0.0, 0.0, 0)
     assert step_moments(np.int64(1), ReducedState(xi=3.0), tab) == step_moments(
         1, ReducedState(xi=3.0), tab)
+
+
+@pytest.mark.parametrize("bad", ["-1", "M", "True"])
+def test_scalar_routines_reject_a_bad_regime_index(two_state_market, bad):
+    # -1 read regime M - 1, and M raised a bare IndexError, in each routine.
+    market = two_state_market
+    y = {"-1": -1, "M": market.num_states, "True": True}[bad]
+    profile = RiskProfileParams(gamma0=3.0, gamma_bar=[1.0, 2.0])
+    tab = solve(market, profile, 2, GridSpec(xi_count=3, zsum_count=3, quad_points=2))
+    moments = step_moments(0, ReducedState(xi=3.0), tab)
+    calls = [
+        lambda: excess_moments(market, y),
+        lambda: robo_gamma(1, 3.0, 0, y, 0, profile, 2, market.num_states),
+        lambda: robo_gamma(1, 3.0, 0, 0, y, profile, 2, market.num_states),
+        lambda: robo_gamma(1, 3.0, 0, y, 0, profile, 2),
+        lambda: allocation(0, ReducedState(3.0, regime=y), moments, 3.0, market),
+        lambda: allocation_independent(0, ReducedState(3.0, regime=y), 1.0, 1.0, 3.0,
+                                       market),
+        lambda: step_moments(0, ReducedState(3.0, regime=y), tab),
+        lambda: update_ab(0, ReducedState(3.0, regime=y), 0.5, tab),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="regime|y_n|y_tau|y="):
+            call()
 
 
 # -- persistence ------------------------------------------------------------------
